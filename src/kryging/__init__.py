@@ -31,12 +31,11 @@ from .likelihood import (
 )
 from .mapping import LocationError, SparseMap, build_map, wendland
 from .simulate import simulate_dataset
-from .toeplitz import BccbEigenPair, BttbOperator, EmbeddingError, dlogdet_drho
+from .toeplitz import BttbOperator, EmbeddingError, dlogdet_drho
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BccbEigenPair",
     "BttbOperator",
     "Dataset",
     "EmbeddingError",

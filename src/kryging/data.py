@@ -256,49 +256,58 @@ def save_fit_artifact(path, fitres: FitResult, dataset: Dataset):
         locations=dataset.locations,
         y=dataset.y,
         X=dataset.X,
-        covariate_names=np.asarray(dataset.covariate_names, dtype=object),
+        covariate_names=np.asarray(dataset.covariate_names, dtype=str),
         clamp_count=fitres.diagnostics.get("clamp_count", 0),
         wall_time=fitres.diagnostics.get("wall_time", float("nan")),
     )
 
 
 def load_fit_artifact(path):
-    """Load a fit artifact; returns (FitResult, Dataset)."""
-    with np.load(path, allow_pickle=True) as z:
-        version = int(z["format_version"])
-        if version != ARTIFACT_VERSION:
-            raise InputError(
-                f"{path}: artifact format version {version} not supported "
-                f"(expected {ARTIFACT_VERSION})"
-            )
-        n1, n2, x0, x1, y0, y1 = z["grid"]
-        grid = GridSpec(int(n1), int(n2), float(x0), float(x1), float(y0), float(y1))
-        nu = float(z["nu"])
-        theta = ThetaParams(
-            beta=z["beta"],
-            sigma2=float(z["sigma2"]),
-            tau2=float(z["tau2"]),
-            rho=float(z["rho"]),
-            nu=nu,
+    """Load a fit artifact; returns (FitResult, Dataset).
+
+    Arrays are read with pickling disabled, so an archive holding object
+    arrays (which could run code when unpickled) is refused with
+    :class:`InputError`.
+    """
+    with np.load(path, allow_pickle=False) as archive:
+        try:
+            z = {key: archive[key] for key in archive.files}
+        except ValueError as exc:
+            raise InputError(f"{path}: refusing to load fit artifact: {exc}") from exc
+    version = int(z["format_version"])
+    if version != ARTIFACT_VERSION:
+        raise InputError(
+            f"{path}: artifact format version {version} not supported "
+            f"(expected {ARTIFACT_VERSION})"
         )
-        fitres = FitResult(
-            theta_hat=theta,
-            x_hat=z["x_hat"],
-            objective_trace=list(z["objective_trace"]),
-            converged=bool(z["converged"]),
-            iterations=int(z["iterations"]),
-            grid=grid,
-            k=int(z["k"]),
-            nu=nu,
-            diagnostics={
-                "clamp_count": int(z["clamp_count"]),
-                "wall_time": float(z["wall_time"]),
-            },
-        )
-        dataset = Dataset(
-            locations=z["locations"],
-            y=z["y"],
-            X=z["X"],
-            covariate_names=tuple(z["covariate_names"]),
-        )
+    n1, n2, x0, x1, y0, y1 = z["grid"]
+    grid = GridSpec(int(n1), int(n2), float(x0), float(x1), float(y0), float(y1))
+    nu = float(z["nu"])
+    theta = ThetaParams(
+        beta=z["beta"],
+        sigma2=float(z["sigma2"]),
+        tau2=float(z["tau2"]),
+        rho=float(z["rho"]),
+        nu=nu,
+    )
+    fitres = FitResult(
+        theta_hat=theta,
+        x_hat=z["x_hat"],
+        objective_trace=list(z["objective_trace"]),
+        converged=bool(z["converged"]),
+        iterations=int(z["iterations"]),
+        grid=grid,
+        k=int(z["k"]),
+        nu=nu,
+        diagnostics={
+            "clamp_count": int(z["clamp_count"]),
+            "wall_time": float(z["wall_time"]),
+        },
+    )
+    dataset = Dataset(
+        locations=z["locations"],
+        y=z["y"],
+        X=z["X"],
+        covariate_names=tuple(str(name) for name in z["covariate_names"]),
+    )
     return fitres, dataset

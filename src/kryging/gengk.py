@@ -43,9 +43,11 @@ class GenGKFactorization:
         Norm of the right-hand side in the noise metric, ||b||_2 / tau.
     U : ndarray, shape (p, k+1)
         Observation-space basis; the final column is zero if the
-        recurrence broke down while computing it.
+        recurrence broke down while computing it. A transposed view of
+        row-major (k+1, p) storage, so each basis vector is contiguous.
     V : ndarray, shape (n, k+1)
-        Latent-space basis, Sigma-orthonormal; same zero-column rule.
+        Latent-space basis, Sigma-orthonormal; same zero-column rule and
+        the same transposed-view layout over (k+1, n) storage.
     B : ndarray, shape (k+1, k)
         Bidiagonal projection with diagonals alpha and subdiagonals beta.
     breakdown_at : int or None
@@ -70,12 +72,15 @@ class KrygingSolution:
 
     ``quad = ||z||^2`` approximates the covariance-weighted quadratic form
     of the latent estimate and feeds straight into the profile likelihood.
+    ``m = V_k z`` is the latent estimate before the covariance matvec
+    (``x_star = Sigma m``); the rho-gradient reuses it.
     """
 
     z: np.ndarray
     x_star: np.ndarray
     quad: float
     psi_star: np.ndarray | None = None
+    m: np.ndarray | None = None
 
 
 def gengk_factorize(
@@ -118,16 +123,18 @@ def gengk_factorize(
 
     p, n = amap.p, amap.n
     tau = np.sqrt(tau2)
-    U = np.zeros((p, k + 1))
-    V = np.zeros((n, k + 1))
-    SV = np.zeros((n, k + 1)) if reorthogonalize else None  # Sigma @ V columns
+    # one basis vector per row, so every update touches contiguous memory
+    U = np.zeros((k + 1, p))
+    V = np.zeros((k + 1, n))
+    SV = np.zeros((k + 1, n)) if reorthogonalize else None  # Sigma @ V rows
     alphas = np.zeros(k + 1)
     betas = np.zeros(k + 1)  # betas[i] = beta_{i+1}
 
     beta1 = bnorm / tau
-    U[:, 0] = b / beta1
+    np.divide(b, beta1, out=U[0])
 
-    w = amap.apply_t(U[:, 0]) / tau2
+    w = amap.apply_t(U[0])
+    w /= tau2
     t = sigma_op.matvec(w)
     alpha = np.sqrt(max(np.dot(w, t), 0.0))
     scale = max(beta1, alpha, 1.0)
@@ -135,43 +142,42 @@ def gengk_factorize(
     if alpha <= tol:
         raise ValueError("first basis vector vanished: A^T b is zero")
     alphas[0] = alpha
-    V[:, 0] = w / alpha
-    sv = t / alpha  # Sigma @ v_i, reused for the next u update
-    if reorthogonalize:
-        SV[:, 0] = sv
+    np.divide(w, alpha, out=V[0])
+    sv = np.divide(t, alpha, out=SV[0] if reorthogonalize else t)  # Sigma @ v_i
 
     k_eff = k
     breakdown_at = None
     for i in range(k):
-        r = amap.apply(sv) - alphas[i] * U[:, i]
+        r = amap.apply(sv)
+        r -= alphas[i] * U[i]
         if reorthogonalize:
-            r -= U[:, : i + 1] @ (U[:, : i + 1].T @ r) / tau2
+            r -= U[: i + 1].T @ (U[: i + 1] @ r) / tau2
         beta = np.linalg.norm(r) / tau
         if beta <= tol:
             k_eff = i + 1
             breakdown_at = i + 1
             break
         betas[i] = beta
-        U[:, i + 1] = r / beta
+        np.divide(r, beta, out=U[i + 1])
 
-        w = amap.apply_t(U[:, i + 1]) / tau2 - beta * V[:, i]
+        w = amap.apply_t(U[i + 1])
+        w /= tau2
+        w -= beta * V[i]
         t = sigma_op.matvec(w)
         if reorthogonalize:
-            # project out previous V columns in the Sigma inner product;
-            # SV.T @ w = V.T Sigma w, and t tracks Sigma w without a new matvec
-            coeffs = SV[:, : i + 1].T @ w
-            w = w - V[:, : i + 1] @ coeffs
-            t = t - SV[:, : i + 1] @ coeffs
+            # project out previous V rows in the Sigma inner product;
+            # SV @ w = V Sigma w, and t tracks Sigma w without a new matvec
+            coeffs = SV[: i + 1] @ w
+            w -= V[: i + 1].T @ coeffs
+            t -= SV[: i + 1].T @ coeffs
         alpha = np.sqrt(max(np.dot(w, t), 0.0))
         if alpha <= tol:
             k_eff = i + 1
             breakdown_at = i + 1
             break
         alphas[i + 1] = alpha
-        V[:, i + 1] = w / alpha
-        sv = t / alpha
-        if reorthogonalize:
-            SV[:, i + 1] = sv
+        np.divide(w, alpha, out=V[i + 1])
+        sv = np.divide(t, alpha, out=SV[i + 1] if reorthogonalize else t)
 
     B = np.zeros((k_eff + 1, k_eff))
     for j in range(k_eff):
@@ -180,8 +186,8 @@ def gengk_factorize(
     return GenGKFactorization(
         k=k_eff,
         beta1=beta1,
-        U=U[:, : k_eff + 1],
-        V=V[:, : k_eff + 1],
+        U=U[: k_eff + 1].T,
+        V=V[: k_eff + 1].T,
         B=B,
         breakdown_at=breakdown_at,
     )
@@ -209,6 +215,9 @@ def solve(
     M = B.T @ B + np.eye(k) / sigma2
     c, low = scipy.linalg.cho_factor(M)
     z = scipy.linalg.cho_solve((c, low), rhs)
-    x_star = sigma_op.matvec(fact.Vk @ z)
+    m = fact.Vk @ z
+    x_star = sigma_op.matvec(m)
     psi = b - amap.apply(x_star) if amap is not None and b is not None else None
-    return KrygingSolution(z=z, x_star=x_star, quad=float(np.dot(z, z)), psi_star=psi)
+    return KrygingSolution(
+        z=z, x_star=x_star, quad=float(np.dot(z, z)), psi_star=psi, m=m
+    )

@@ -58,6 +58,9 @@ class ModelData:
         object.__setattr__(self, "X", np.atleast_2d(np.asarray(self.X, dtype=float)))
         if self.X.shape[0] != self.y.size:
             raise ValueError("X and y row counts differ")
+        for name, arr in (("y", self.y), ("X", self.X)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"non-finite values in {name}")
         if self.amap.p != self.y.size or self.amap.n != self.grid.n:
             raise ValueError("mapping shape inconsistent with data and grid")
 
@@ -198,8 +201,7 @@ def gradient(
     if fact is not None and solution.z.size:
         if dop is None:
             dop = derivative_operator(data, theta)
-        m = fact.Vk @ solution.z
-        dsig_quad = float(m @ dop.matvec(m))
+        dsig_quad = float(solution.m @ dop.matvec(solution.m))
     else:
         dsig_quad = 0.0
 
@@ -311,7 +313,7 @@ def hessian_full_approx(
     def proj_vec(vec: np.ndarray) -> np.ndarray:
         return W @ (delta * (W.T @ vec))
 
-    m = V @ z
+    m = solution.m
     d2op = BttbOperator(
         data.grid, first_column_d2rho(data.grid, MaternSpec(1.0, rho, data.nu)), clamp=False
     )

@@ -15,14 +15,12 @@ only, never the extracted lattice values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import fft as sfft
 
 from .grid import GridSpec, MaternSpec, first_column, first_column_drho
 
-__all__ = ["BttbOperator", "BccbEigenPair", "EmbeddingError", "dlogdet_drho"]
+__all__ = ["BttbOperator", "EmbeddingError", "dlogdet_drho"]
 
 # Relative floor applied to negative/near-zero embedding eigenvalues so the
 # log-determinant stays finite; see the clamping notes in the README.
@@ -201,36 +199,19 @@ class BttbOperator:
         return field.real[: self.grid.n2, : self.grid.n1].ravel()
 
 
-@dataclass(frozen=True)
-class BccbEigenPair:
-    """Embedding spectra of a covariance operator and its rho-derivative,
-    taken on the same minimal embedding layout."""
-
-    d1: np.ndarray
-    d2: np.ndarray
-
-    def __post_init__(self):
-        if self.d1.shape != self.d2.shape:
-            raise ValueError("spectra must share the embedding layout")
-
-    @classmethod
-    def from_operators(cls, op: BttbOperator, dop: BttbOperator) -> "BccbEigenPair":
-        if dop.grid != op.grid:
-            raise ValueError("derivative operator built on a different grid")
-        return cls(d1=op.eigs, d2=dop.eigs)
-
-
 def dlogdet_drho(op: BttbOperator, dop: BttbOperator) -> float:
     """Derivative of the log-determinant approximation in rho.
 
     Computes trace(D1^-1 D2) over the same leading n1 x n2 frequency
     subset used by :meth:`BttbOperator.logdet`, where D1 and D2 are the
-    embedding spectra of the covariance and its rho-derivative.
+    embedding spectra of the covariance and its rho-derivative. Both
+    operators must be built on the same grid.
     """
-    pair = BccbEigenPair.from_operators(op, dop)
+    if dop.grid != op.grid:
+        raise ValueError("derivative operator built on a different grid")
     n1, n2 = op.grid.n1, op.grid.n2
-    d1 = pair.d1[:n2, :n1]
-    d2 = pair.d2[:n2, :n1]
+    d1 = op.eigs[:n2, :n1]
+    d2 = dop.eigs[:n2, :n1]
     if np.any(d1 <= 0):
         raise EmbeddingError(
             f"nonpositive eigenvalues in derivative trace (clamp_count={op.clamp_count})"

@@ -281,3 +281,27 @@ class TestArtifact:
         np.savez_compressed(forged, **payload)
         with pytest.raises(InputError, match="version"):
             load_fit_artifact(forged)
+
+    def test_object_array_artifact_refused(self, workdir, capsys):
+        from kryging.data import load_fit_artifact, InputError
+
+        data = simulate(workdir)
+        fitfile = workdir / "fit.npz"
+        assert run_cli(["fit", "--grid", "12x12", "--extent", "0,1,0,1", "--k", 10,
+                        "--max-iter", 10, "--out", fitfile, data]) == 0
+        # a fresh artifact holds no object arrays and loads without pickle
+        _, dataset = load_fit_artifact(fitfile)
+        assert dataset.covariate_names == ("intercept",)
+        with np.load(fitfile, allow_pickle=False) as z:
+            payload = dict(z)
+        payload["covariate_names"] = np.array(["intercept"], dtype=object)
+        forged = workdir / "forged.npz"
+        np.savez_compressed(forged, **payload)
+        with pytest.raises(InputError, match="refusing"):
+            load_fit_artifact(forged)
+        locs = workdir / "locs.csv"
+        locs.write_text("lon,lat\n0.5,0.5\n")
+        rc = run_cli(["bootstrap", "--fit", forged, "--locations", locs,
+                      "--B", 2, "--out", workdir / "pred.csv"])
+        assert rc == 2
+        assert "refusing" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kryging.gengk import gengk_factorize, solve
 from kryging.grid import GridSpec, MaternSpec
@@ -49,6 +51,43 @@ class TestFactorize:
         assert np.abs(f.U.T @ f.U - tau2 * np.eye(f.k + 1)).max() < tol
         assert np.abs(f.Vk.T @ S @ f.Vk - np.eye(f.k)).max() < tol
 
+    @pytest.mark.parametrize("reorth", [False, True])
+    def test_basis_shapes_and_row_storage(self, rng, reorth):
+        g, S, op, amap, b = random_problem(rng, 5, 4, 18)
+        f = gengk_factorize(amap, op, b, 0.4, k=6, reorthogonalize=reorth)
+        assert f.U.shape == (amap.p, f.k + 1)
+        assert f.V.shape == (g.n, f.k + 1)
+        # each basis vector is one contiguous row of the storage
+        assert f.U.T.flags.c_contiguous
+        assert f.V.T.flags.c_contiguous
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n1=st.integers(4, 6),
+        n2=st.integers(4, 6),
+        p=st.integers(14, 30),
+        k=st.integers(1, 6),
+        tau2=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        reorth=st.booleans(),
+    )
+    def test_observation_order_invariance(self, n1, n2, p, k, tau2, seed, reorth):
+        # permuting the rows of A together with b permutes U and leaves V
+        # and B unchanged, so the identities hold with the permuted map
+        rng = np.random.default_rng(seed)
+        g, S, op, amap, b = random_problem(rng, n1, n2, p)
+        perm = rng.permutation(p)
+        pmap = SparseMap(amap.matrix[perm])
+        f = gengk_factorize(amap, op, b, tau2, k=k, reorthogonalize=reorth)
+        fp = gengk_factorize(pmap, op, b[perm], tau2, k=k, reorthogonalize=reorth)
+        tol = 1e-8 if reorth else 1e-6
+        Ad = pmap.toarray()
+        assert np.abs(Ad @ S @ fp.Vk - fp.U @ fp.B).max() < tol
+        assert np.abs(fp.U.T @ fp.U - tau2 * np.eye(fp.k + 1)).max() < tol
+        assert np.abs(fp.Vk.T @ S @ fp.Vk - np.eye(fp.k)).max() < tol
+        assert (fp.k, fp.breakdown_at) == (f.k, f.breakdown_at)
+        assert np.abs(fp.B - f.B).max() <= 1e-10 * np.abs(f.B).max()
+
     def test_rhs_scaling_homogeneity(self, rng):
         g, S, op, amap, b = random_problem(rng, 4, 4, 12)
         f1 = gengk_factorize(amap, op, b, 0.5, k=5)
@@ -89,6 +128,13 @@ class TestSolve:
         sol = solve(f, 2.0, op, amap, b)
         np.testing.assert_allclose(sol.x_star, b * 2.0 / 3.0, rtol=1e-12)
         np.testing.assert_allclose(sol.psi_star, b / 3.0, rtol=1e-12)
+
+    def test_latent_coefficients_map_back_to_estimate(self, rng):
+        g, S, op, amap, b = random_problem(rng, 5, 5, 20)
+        f = gengk_factorize(amap, op, b, 0.3, k=6)
+        sol = solve(f, 1.2, op, amap, b)
+        np.testing.assert_array_equal(sol.m, f.Vk @ sol.z)
+        np.testing.assert_array_equal(sol.x_star, op.matvec(sol.m))
 
     def test_full_order_matches_dense_solution_colocated(self, rng):
         g = GridSpec(6, 6)

@@ -44,6 +44,17 @@ def irregular_problem(rng, m, p, theta, nu=0.5):
 THETA = ThetaParams(beta=np.array([2.0]), sigma2=1.4, tau2=0.3, rho=0.25)
 
 
+class TestModelData:
+    @pytest.mark.parametrize("field", ["y", "X"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, field, bad):
+        g = GridSpec(3, 3)
+        arrays = {"y": np.ones(g.n), "X": np.ones((g.n, 1))}
+        arrays[field][4] = bad
+        with pytest.raises(ValueError, match=f"non-finite values in {field}"):
+            ModelData(amap=SparseMap.identity(g.n), grid=g, **arrays)
+
+
 class TestProfileLoglik:
     def test_matches_dense_profile_with_exact_logdet(self, rng):
         g, S, data = colocated_problem(rng, 6, THETA)

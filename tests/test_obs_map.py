@@ -119,6 +119,20 @@ class TestApply:
             np.dot(v, amap.apply_t(u)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("kind", ["wendland", "selection"])
+    def test_apply_t_matches_sparse_transpose(self, rng, kind):
+        g = GridSpec(9, 8)
+        if kind == "wendland":
+            locs = np.column_stack([rng.uniform(0, 1, 60), rng.uniform(0, 1, 60)])
+            amap = build_map(locs, g)
+        else:
+            amap = SparseMap.selection(rng.choice(g.n, size=30, replace=False), g.n)
+        u = rng.standard_normal(amap.p)
+        ref = amap.matrix.T @ u
+        got = amap.apply_t(u)
+        assert got.shape == (g.n,)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
     def test_constant_field_preserved(self, rng):
         g = GridSpec(7, 7)
         locs = np.column_stack([rng.uniform(0, 1, 25), rng.uniform(0, 1, 25)])
