@@ -25,7 +25,6 @@ from .likelihood import (
     ModelData,
     ObjectiveState,
     gradient,
-    hessian_full_approx,
     hessian_rank_one,
     profile_loglik,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "fit",
     "gengk_factorize",
     "gradient",
-    "hessian_full_approx",
     "hessian_rank_one",
     "load_fit_artifact",
     "matern_corr",

@@ -15,7 +15,6 @@ import time
 import numpy as np
 
 from .data import (
-    Dataset,
     InputError,
     load_fit_artifact,
     read_dataset,
@@ -98,14 +97,22 @@ def _parse_theta(text, nu) -> ThetaParams:
     return ThetaParams(np.array([parts[0]]), parts[1], parts[2], parts[3], nu)
 
 
+def _parse_extent(text):
+    """(xmin, xmax, ymin, ymax) from an --extent value; None for "auto"."""
+    if not text or text == "auto":
+        return None
+    try:
+        x0, x1, y0, y1 = (float(v) for v in text.split(","))
+    except ValueError:
+        raise InputError(f"extent must be xmin,xmax,ymin,ymax; got {text!r}")
+    return x0, x1, y0, y1
+
+
 def _grid_from_args(args, locations) -> GridSpec:
     n1, n2 = _parse_grid(args.grid)
-    if args.extent and args.extent != "auto":
-        try:
-            x0, x1, y0, y1 = (float(v) for v in args.extent.split(","))
-        except ValueError:
-            raise InputError(f"extent must be xmin,xmax,ymin,ymax; got {args.extent!r}")
-        return GridSpec(n1, n2, x0, x1, y0, y1)
+    extent = _parse_extent(args.extent)
+    if extent is not None:
+        return GridSpec(n1, n2, *extent)
     # auto: observation bounding box padded by one raw spacing per side
     x0, x1 = locations[:, 0].min(), locations[:, 0].max()
     y0, y1 = locations[:, 1].min(), locations[:, 1].max()
@@ -215,11 +222,7 @@ def cmd_bootstrap(args) -> int:
 
 def cmd_simulate(args) -> int:
     n1, n2 = _parse_grid(args.grid)
-    if args.extent and args.extent != "auto":
-        x0, x1, y0, y1 = (float(v) for v in args.extent.split(","))
-        grid = GridSpec(n1, n2, x0, x1, y0, y1)
-    else:
-        grid = GridSpec(n1, n2, 0.0, 1.0, 0.0, 1.0)
+    grid = GridSpec(n1, n2, *(_parse_extent(args.extent) or (0.0, 1.0, 0.0, 1.0)))
     theta = _parse_theta(args.theta, args.nu)
     sim = simulate_dataset(grid, theta, seed=args.seed, thin_fraction=args.thin)
     write_dataset(args.out, sim.dataset)
@@ -337,7 +340,8 @@ def _add_common(p):
     p.add_argument("--out", help="output path")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The top-level parser and a dict of its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="kryging",
         description="Krylov-subspace kriging for large spatial datasets",
@@ -392,20 +396,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv-folds", dest="cv_folds", type=int, default=5)
     p.set_defaults(func=cmd_study, requires_out=False)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             # reparse with config values as defaults so flags keep precedence
-            cfg = _parse_config(args.config)
-            parser = build_parser()
-            for action in parser._subparsers._group_actions[0].choices.values():
-                known = {a.dest for a in action._actions}
-                action.set_defaults(**{k: v for k, v in cfg.items() if k in known})
+            commands[args.command].set_defaults(**_parse_config(args.config))
             args = parser.parse_args(argv)
         if getattr(args, "requires_out", False) and not args.out:
             parser.error(f"{args.command} requires --out")

@@ -42,14 +42,13 @@ class InputError(ValueError):
 
 @dataclass
 class Dataset:
-    """Point-referenced observations: coordinates, responses, covariates,
-    and an optional boolean holdout mask marking evaluation rows."""
+    """Point-referenced observations: coordinates, responses, and
+    covariates."""
 
     locations: np.ndarray
     y: np.ndarray
     X: np.ndarray
     covariate_names: tuple = ()
-    holdout: np.ndarray | None = None
 
     def __post_init__(self):
         self.locations = np.atleast_2d(np.asarray(self.locations, dtype=float))
@@ -65,10 +64,6 @@ class Dataset:
         for name, arr in (("locations", self.locations), ("y", self.y), ("X", self.X)):
             if not np.all(np.isfinite(arr)):
                 raise InputError(f"non-finite values in {name}")
-        if self.holdout is not None:
-            self.holdout = np.asarray(self.holdout, dtype=bool)
-            if self.holdout.shape != (p,):
-                raise InputError(f"holdout mask must have length {p}")
 
     @property
     def p(self) -> int:
@@ -78,15 +73,6 @@ class Dataset:
         return Dataset(
             self.locations[idx], self.y[idx], self.X[idx], self.covariate_names
         )
-
-    def with_holdout(self, mask: np.ndarray) -> "Dataset":
-        return Dataset(self.locations, self.y, self.X, self.covariate_names, mask)
-
-    def train_test(self) -> tuple:
-        """Split into (train, test) by the holdout mask."""
-        if self.holdout is None:
-            raise InputError("dataset has no holdout mask")
-        return self.subset(~self.holdout), self.subset(self.holdout)
 
 
 def _parse_float(token: str, line_no: int, col: str) -> float:

@@ -137,7 +137,7 @@ def _feasible_box(data: ModelData, theta0: ThetaParams):
     return lo, hi
 
 
-def _trust_region_minimize(data, theta0, k, max_iter, tol, gtol, reorthogonalize):
+def _trust_region_minimize(data, theta0, k, max_iter, tol, gtol):
     """Minimize the negative objective from theta0; returns (state, trace,
     n_eval, converged, note).
 
@@ -155,8 +155,7 @@ def _trust_region_minimize(data, theta0, k, max_iter, tol, gtol, reorthogonalize
     lo, hi = _feasible_box(data, theta0)
     vec = np.clip(vec, lo, hi)
     state = evaluate_objective(
-        data, ThetaParams.from_optimizer_vector(vec, nu=data.nu), k,
-        reorthogonalize=reorthogonalize,
+        data, ThetaParams.from_optimizer_vector(vec, nu=data.nu), k
     )
     trace = [state.value]
     radius = 1.0
@@ -192,7 +191,7 @@ def _trust_region_minimize(data, theta0, k, max_iter, tol, gtol, reorthogonalize
 
         try:
             trial_theta = ThetaParams.from_optimizer_vector(vec + s, nu=data.nu)
-            trial = evaluate_objective(data, trial_theta, k, reorthogonalize=reorthogonalize)
+            trial = evaluate_objective(data, trial_theta, k)
             n_eval += 1
             consecutive_failures = 0
         except EmbeddingError:
@@ -233,7 +232,6 @@ def fit(
     max_iter: int = 200,
     tol: float = 1e-8,
     gtol: float = 1e-3,
-    reorthogonalize: bool = False,
 ) -> FitResult:
     """Estimate the model parameters by approximate profile maximum
     likelihood.
@@ -271,7 +269,7 @@ def fit(
     best = None
     for theta0 in starts:
         state, trace, n_eval, converged, note = _trust_region_minimize(
-            data, theta0, k, max_iter, tol, gtol, reorthogonalize
+            data, theta0, k, max_iter, tol, gtol
         )
         if best is None or state.value < best[0].value:
             best = (state, trace, n_eval, converged, note)

@@ -25,10 +25,8 @@ __all__ = [
     "ThetaParams",
     "matern_corr",
     "matern_corr_drho",
-    "matern_corr_d2rho",
     "first_column",
     "first_column_drho",
-    "first_column_d2rho",
 ]
 
 
@@ -131,9 +129,6 @@ class ThetaParams:
         """Noise precision 1/tau2."""
         return 1.0 / self.tau2
 
-    def matern(self) -> MaternSpec:
-        return MaternSpec(self.sigma2, self.rho, self.nu)
-
     def to_optimizer_vector(self) -> np.ndarray:
         """Pack as [beta..., log sigma2, log tau2, log rho]."""
         return np.concatenate(
@@ -235,30 +230,6 @@ def matern_corr_drho(d, rho: float, nu: float = 0.5):
     return out if out.ndim else float(out)
 
 
-def matern_corr_d2rho(d, rho: float, nu: float = 0.5):
-    """Second rho-derivative of :func:`matern_corr`.
-
-    Only needed off the hot path (full Hessian assembly), so a single
-    Bessel-based expression is used for every nu:
-    d2C/drho2 = c_nu / rho^2 * (u^(nu+2) K_nu(u) - (2 nu + 1) u^(nu+1) K_(nu-1)(u)).
-    """
-    _check_corr_args(rho, nu)
-    d = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)) or np.any(d < 0):
-        raise ValueError("distances must be finite and nonnegative")
-
-    u = (math.sqrt(2.0 * nu) / rho) * d
-    out = np.zeros_like(u)
-    pos = u > 0
-    up = u[pos]
-    coef = 2.0 ** (1.0 - nu) / special.gamma(nu)
-    out[pos] = (coef / rho**2) * (
-        up ** (nu + 2.0) * special.kv(nu, up)
-        - (2.0 * nu + 1.0) * up ** (nu + 1.0) * special.kv(nu - 1.0, up)
-    )
-    return out if out.ndim else float(out)
-
-
 def _lag_distances(grid: GridSpec) -> np.ndarray:
     """Distances from node (0, 0) to every node, flat-index order."""
     dx = grid.dx1 * np.arange(grid.n1)
@@ -279,8 +250,3 @@ def first_column(grid: GridSpec, spec: MaternSpec) -> np.ndarray:
 def first_column_drho(grid: GridSpec, spec: MaternSpec) -> np.ndarray:
     """First column of d(covariance)/d(rho) on the lattice."""
     return spec.sigma2 * matern_corr_drho(_lag_distances(grid), spec.rho, spec.nu)
-
-
-def first_column_d2rho(grid: GridSpec, spec: MaternSpec) -> np.ndarray:
-    """First column of the second rho-derivative of the covariance."""
-    return spec.sigma2 * matern_corr_d2rho(_lag_distances(grid), spec.rho, spec.nu)

@@ -1,4 +1,5 @@
-"""Approximate profile log-likelihood, gradient, and Hessian estimates.
+"""Approximate profile log-likelihood, its gradient, and the rank-one
+Hessian estimate.
 
 The latent field is profiled out of the Gaussian log-likelihood and
 replaced by its Krylov-subspace estimate, the covariance-weighted
@@ -8,10 +9,10 @@ gradient uses the analytic score in the precision parametrization
 (lam2 = 1/sigma2, lam_e2 = 1/tau2) chain-ruled into optimizer space
 (beta raw, variances and range log-transformed).
 
-Two Hessian estimates are available: a rank-one outer product of the
-gradient (the default used inside the trust-region fit) and an optional
-full approximation that replaces the profiled-state posterior covariance
-by its low-rank Krylov representation.
+:func:`evaluate_objective` builds the correlation and derivative
+operators once and returns the value and the gradient together; the fit
+calls it at every trial point. :func:`profile_loglik` and
+:func:`gradient` expose its two halves on their own.
 """
 
 from __future__ import annotations
@@ -22,22 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gengk import GenGKFactorization, KrygingSolution, gengk_factorize, solve
-from .grid import (
-    GridSpec,
-    MaternSpec,
-    ThetaParams,
-    first_column_d2rho,
-)
+from .grid import GridSpec, MaternSpec, ThetaParams
 from .mapping import SparseMap
 from .toeplitz import DEFAULT_CLAMP_FAIL_FRACTION, BttbOperator, dlogdet_drho
 
 __all__ = [
     "ModelData",
     "ObjectiveState",
+    "evaluate_objective",
     "profile_loglik",
     "gradient",
     "hessian_rank_one",
-    "hessian_full_approx",
 ]
 
 
@@ -113,7 +109,6 @@ def profile_loglik(
     theta: ThetaParams,
     k: int,
     reorthogonalize: bool = False,
-    op: BttbOperator | None = None,
 ) -> ObjectiveState:
     """Evaluate the negative approximate profile log-likelihood.
 
@@ -126,8 +121,15 @@ def profile_loglik(
     which is minimized during fitting. Embedding failures propagate with
     clamp diagnostics attached.
     """
-    if op is None:
-        op = correlation_operator(data, theta)
+    return _profile_state(
+        data, theta, correlation_operator(data, theta), k, reorthogonalize
+    )
+
+
+def _profile_state(
+    data: ModelData, theta: ThetaParams, op: BttbOperator, k: int, reorthogonalize: bool
+) -> ObjectiveState:
+    """:func:`profile_loglik` on a prebuilt correlation operator ``op``."""
     op.require_trustworthy()
     b = data.y - data.X @ theta.beta
 
@@ -168,8 +170,6 @@ def gradient(
     theta: ThetaParams,
     solution: KrygingSolution,
     fact: GenGKFactorization | None,
-    op: BttbOperator | None = None,
-    dop: BttbOperator | None = None,
     dlogdet: float | None = None,
 ) -> np.ndarray:
     """Gradient of the negative objective in optimizer space.
@@ -187,20 +187,26 @@ def gradient(
     rho-derivative trace ``dlogdet`` is computed from the derivative
     operator unless supplied.
     """
+    dop = derivative_operator(data, theta)
+    if dlogdet is None:
+        dlogdet = dlogdet_drho(correlation_operator(data, theta), dop)
+    return _score(data, theta, solution, fact, dop, dlogdet)
+
+
+def _score(
+    data: ModelData,
+    theta: ThetaParams,
+    solution: KrygingSolution,
+    fact: GenGKFactorization | None,
+    dop: BttbOperator,
+    dlogdet: float,
+) -> np.ndarray:
+    """:func:`gradient` on a prebuilt derivative operator ``dop``."""
     lam2, lam_e2 = theta.lam2, theta.lam_e2
     psi = solution.psi_star
     psi2 = float(psi @ psi)
 
-    if dlogdet is None:
-        if op is None:
-            op = correlation_operator(data, theta)
-        if dop is None:
-            dop = derivative_operator(data, theta)
-        dlogdet = dlogdet_drho(op, dop)
-
     if fact is not None and solution.z.size:
-        if dop is None:
-            dop = derivative_operator(data, theta)
         dsig_quad = float(solution.m @ dop.matvec(solution.m))
     else:
         dsig_quad = 0.0
@@ -227,12 +233,10 @@ def evaluate_objective(
 ) -> ObjectiveState:
     """Objective value and gradient in one pass, sharing the operators."""
     op = correlation_operator(data, theta)
-    state = profile_loglik(data, theta, k, reorthogonalize=reorthogonalize, op=op)
+    state = _profile_state(data, theta, op, k, reorthogonalize)
     dop = derivative_operator(data, theta)
     dld = dlogdet_drho(op, dop)
-    state.grad = gradient(
-        data, theta, state.solution, state.fact, op=op, dop=dop, dlogdet=dld
-    )
+    state.grad = _score(data, theta, state.solution, state.fact, dop, dld)
     state.diagnostics["dlogdet"] = dld
     return state
 
@@ -250,118 +254,3 @@ def hessian_rank_one(grad: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     if ridge:
         h[np.diag_indices_from(h)] += ridge
     return h
-
-
-def _d2_logdet_fd(data: ModelData, theta: ThetaParams, rel_step: float = 1e-4) -> float:
-    """Central finite difference of the log-determinant rho-derivative."""
-    h = rel_step * theta.rho
-    vals = []
-    for rho in (theta.rho + h, theta.rho - h):
-        spec = MaternSpec(1.0, rho, data.nu)
-        op = BttbOperator.from_matern(data.grid, spec)
-        dop = BttbOperator.from_matern_drho(data.grid, spec)
-        vals.append(dlogdet_drho(op, dop))
-    return (vals[0] - vals[1]) / (2.0 * h)
-
-
-def hessian_full_approx(
-    data: ModelData,
-    theta: ThetaParams,
-    fact: GenGKFactorization,
-    solution: KrygingSolution,
-    op: BttbOperator | None = None,
-    dop: BttbOperator | None = None,
-    d2l: float | None = None,
-) -> np.ndarray:
-    """Full approximate Hessian of the profile log-likelihood.
-
-    Entries are second derivatives with respect to
-    (beta..., lam2, lam_e2, rho), assembled from the factorization by
-    replacing the profiled-state posterior covariance with its low-rank
-    representation
-
-        Gamma ~= (Sigma - Z D Z') / lam2,   Z = Sigma V W,
-
-    where W Theta W' diagonalizes B'B and D has entries
-    theta_i / (theta_i + lam2). At full subspace order this reproduces
-    the dense posterior covariance exactly.
-
-    ``d2l`` is the second rho-derivative of the log-determinant; a
-    central finite difference of the derivative trace is used when it is
-    not supplied. Off the default fitting path.
-    """
-    if op is None:
-        op = correlation_operator(data, theta)
-    if dop is None:
-        dop = derivative_operator(data, theta)
-    lam2, lam_e2, rho = theta.lam2, theta.lam_e2, theta.rho
-    X, A = data.X, data.amap
-    n, p, q = data.n, data.p, data.X.shape[1]
-
-    z = solution.z
-    z0 = solution.psi_star
-    V = fact.Vk
-    U = fact.U
-    B = fact.B
-    theta_eig, W = np.linalg.eigh(B.T @ B)
-    delta = theta_eig / (theta_eig + lam2)
-
-    def proj(mcols: np.ndarray) -> np.ndarray:
-        """W diag(delta) W' applied columnwise."""
-        return W @ (delta[:, None] * (W.T @ mcols))
-
-    def proj_vec(vec: np.ndarray) -> np.ndarray:
-        return W @ (delta * (W.T @ vec))
-
-    m = solution.m
-    d2op = BttbOperator(
-        data.grid, first_column_d2rho(data.grid, MaternSpec(1.0, rho, data.nu)), clamp=False
-    )
-    u_d = dop.matvec(m)  # dSigma (V z)
-    u_2 = d2op.matvec(m)
-    vtu = V.T @ u_d
-
-    # Sigma-weighted crossproducts
-    S_AtX = op.matmat(np.column_stack([A.apply_t(X[:, j]) for j in range(q)]))
-    ASAtX = A.apply(S_AtX)  # (p, q)
-    ASAtz0 = A.apply(op.matvec(A.apply_t(z0)))
-
-    T1 = (X.T @ U) @ B  # (q, k)
-    BtUtz0 = B.T @ (U.T @ z0)  # (k,)
-    Ax_star = A.apply(solution.x_star)
-
-    dim = q + 3
-    H = np.zeros((dim, dim))
-    iL, iE, iR = q, q + 1, q + 2  # lam2, lam_e2, rho
-
-    # beta block
-    H[:q, :q] = -lam_e2 * (X.T @ X) + (lam_e2**2 / lam2) * (
-        X.T @ ASAtX - T1 @ proj(T1.T)
-    )
-    H[:q, iL] = (lam_e2 / lam2) * (X.T @ Ax_star - T1 @ proj_vec(z))
-    H[:q, iE] = X.T @ z0 - (lam_e2 / lam2) * (
-        X.T @ ASAtz0 - T1 @ proj_vec(BtUtz0)
-    )
-    H[:q, iR] = -lam_e2 * (X.T @ A.apply(u_d)) + lam_e2 * (T1 @ proj_vec(vtu))
-
-    # lam2 block
-    H[iL, iL] = -n / (2.0 * lam2**2) + (float(z @ z) - float(z @ proj_vec(z))) / lam2
-    H[iL, iE] = -(float(z @ BtUtz0) - float(proj_vec(z) @ BtUtz0)) / lam2
-    H[iL, iR] = -0.5 * float(m @ u_d) + float(vtu @ proj_vec(z))
-
-    # lam_e2 block
-    H[iE, iE] = -p / (2.0 * lam_e2**2) + (
-        float(z0 @ ASAtz0) - float(BtUtz0 @ proj_vec(BtUtz0))
-    ) / lam2
-    H[iE, iR] = float(u_d @ A.apply_t(z0)) - float(vtu @ proj_vec(BtUtz0))
-
-    # rho block
-    if d2l is None:
-        d2l = _d2_logdet_fd(data, theta)
-    H[iR, iR] = (
-        -0.5 * d2l
-        + 0.5 * lam2 * float(m @ u_2)
-        - lam2 * float(vtu @ proj_vec(vtu))
-    )
-
-    return np.triu(H) + np.triu(H, 1).T

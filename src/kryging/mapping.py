@@ -76,6 +76,17 @@ class SparseMap:
         return self.matrix.toarray()
 
 
+# relative tolerance, in grid spacings, for a point to count as on a node
+# or inside the extents
+_NODE_TOL = 1e-9
+
+
+def _snap(g: np.ndarray) -> np.ndarray:
+    """Round cell coordinates within _NODE_TOL of an integer onto it."""
+    nearest = np.round(g)
+    return np.where(np.abs(g - nearest) <= _NODE_TOL, nearest, g)
+
+
 def build_map(locations: np.ndarray, grid: GridSpec) -> SparseMap:
     """Build the Wendland mapping for ``locations`` on ``grid``.
 
@@ -105,8 +116,8 @@ def build_map(locations: np.ndarray, grid: GridSpec) -> SparseMap:
     if not np.all(np.isfinite(locations)):
         raise LocationError("non-finite coordinates in locations")
 
-    eps1 = 1e-9 * grid.dx1
-    eps2 = 1e-9 * grid.dx2
+    eps1 = _NODE_TOL * grid.dx1
+    eps2 = _NODE_TOL * grid.dx2
     bad = np.nonzero(
         (locations[:, 0] < grid.x_min - eps1)
         | (locations[:, 0] > grid.x_max + eps1)
@@ -119,9 +130,11 @@ def build_map(locations: np.ndarray, grid: GridSpec) -> SparseMap:
         )
 
     p = locations.shape[0]
-    # fractional cell coordinates; clip so boundary points use the last cell
-    g1 = np.clip((locations[:, 0] - grid.x_min) / grid.dx1, 0.0, grid.n1 - 1)
-    g2 = np.clip((locations[:, 1] - grid.y_min) / grid.dx2, 0.0, grid.n2 - 1)
+    # fractional cell coordinates, snapped to a node within the extent
+    # tolerance so on-node points keep a single unit weight; clip so
+    # boundary points use the last cell
+    g1 = np.clip(_snap((locations[:, 0] - grid.x_min) / grid.dx1), 0.0, grid.n1 - 1)
+    g2 = np.clip(_snap((locations[:, 1] - grid.y_min) / grid.dx2), 0.0, grid.n2 - 1)
     i1 = np.minimum(g1.astype(int), grid.n1 - 2)
     i2 = np.minimum(g2.astype(int), grid.n2 - 2)
 

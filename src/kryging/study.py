@@ -148,7 +148,7 @@ def run_replicate(
     hold = np.zeros(p, dtype=bool)
     hold[rng.choice(p, size=n_hold, replace=False)] = True
 
-    train, test = sim.dataset.with_holdout(hold).train_test()
+    train, test = sim.dataset.subset(~hold), sim.dataset.subset(hold)
 
     t0 = time.perf_counter()
     amap = build_map(train.locations, latent_grid)

@@ -8,9 +8,9 @@ approximation over the leading n1 x n2 frequencies, its range-parameter
 derivative, and exact Gaussian sampling.
 
 The minimal (2*n_i - 1) embedding is mandatory for the log-determinant
-(the frequency-subset rule depends on it); matrix-vector products may
-optionally run on a padded fast-length embedding, which changes speed
-only, never the extracted lattice values.
+(the frequency-subset rule depends on it); matrix-vector products run on
+a padded fast-length embedding, which changes speed only, never the
+extracted lattice values.
 """
 
 from __future__ import annotations
@@ -72,8 +72,6 @@ class BttbOperator:
     clamp_fail_fraction : float
         Maximum tolerated fraction of clamped eigenvalues before sampling
         and likelihood use refuse to proceed.
-    use_fast_lengths : bool
-        Run matvecs on an FFT-friendly padded embedding.
     """
 
     def __init__(
@@ -82,7 +80,6 @@ class BttbOperator:
         first_col: np.ndarray,
         clamp: bool = True,
         clamp_fail_fraction: float = DEFAULT_CLAMP_FAIL_FRACTION,
-        use_fast_lengths: bool = True,
     ):
         first_col = np.asarray(first_col, dtype=float)
         if first_col.shape != (grid.n,):
@@ -113,11 +110,8 @@ class BttbOperator:
         self.eigs = eig
 
         # padded fast-length spectrum for matvecs only
-        if use_fast_lengths:
-            f1 = sfft.next_fast_len(m1, real=True)
-            f2 = sfft.next_fast_len(m2, real=True)
-        else:
-            f1, f2 = m1, m2
+        f1 = sfft.next_fast_len(m1, real=True)
+        f2 = sfft.next_fast_len(m2, real=True)
         self._fast_dims = (f1, f2)
         self._fast_eigs = np.fft.rfft2(_embed(base, f1, f2)).real
 
@@ -149,10 +143,6 @@ class BttbOperator:
         vpad[:n2, :n1] = v.reshape(n2, n1)
         prod = np.fft.irfft2(np.fft.rfft2(vpad) * self._fast_eigs, s=(f2, f1))
         return prod[:n2, :n1].ravel()
-
-    def matmat(self, m: np.ndarray) -> np.ndarray:
-        """Column-wise matvec for an (n, k) block."""
-        return np.column_stack([self.matvec(m[:, j]) for j in range(m.shape[1])])
 
     def logdet(self) -> float:
         """Log-determinant approximation from the embedding spectrum.

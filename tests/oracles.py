@@ -39,42 +39,3 @@ def dense_negative_profile(S, A, y, X, beta, sigma2, tau2):
     return 0.5 * (
         p * np.log(tau2) + psi @ psi / tau2 + n * np.log(sigma2) + ld + quad / sigma2
     )
-
-
-def dense_hessian(S, dS, d2S, A, X, y, beta, lam2, lam_e2):
-    """Closed-form dense Hessian of the profile objective with respect to
-    (beta..., lam2, lam_e2, rho), verified against finite differences.
-
-    Returns (H, d2_logdet_trace) so callers can substitute the exact
-    second log-determinant derivative into low-rank assemblies.
-    """
-    n = S.shape[0]
-    p, q = X.shape
-    b = y - X @ np.atleast_1d(beta)
-    Si = np.linalg.inv(S)
-    G = np.linalg.inv(lam2 * Si + lam_e2 * A.T @ A)
-    xh = G @ (lam_e2 * A.T @ b)
-    psi = b - A @ xh
-    Sixh = Si @ xh
-    dSixh = dS @ Sixh
-    SidS = Si @ dS
-    d2L = np.trace(Si @ d2S) - np.trace(SidS @ SidS)
-
-    H = np.zeros((q + 3, q + 3))
-    iL, iE, iR = q, q + 1, q + 2
-    H[:q, :q] = -lam_e2 * X.T @ X + lam_e2**2 * X.T @ A @ G @ A.T @ X
-    H[:q, iL] = lam_e2 * (X.T @ A @ G @ Sixh)
-    H[:q, iE] = X.T @ psi - lam_e2 * X.T @ A @ G @ A.T @ psi
-    H[:q, iR] = -lam_e2 * lam2 * X.T @ A @ G @ Si @ dSixh
-    H[iL, iL] = -n / (2 * lam2**2) + Sixh @ G @ Sixh
-    H[iL, iE] = -Sixh @ G @ A.T @ psi
-    H[iL, iR] = 0.5 * Sixh @ dSixh - lam2 * Sixh @ dS @ Si @ G @ Sixh
-    H[iE, iE] = -p / (2 * lam_e2**2) + psi @ A @ G @ A.T @ psi
-    H[iE, iR] = lam2 * (Si @ dSixh) @ G @ A.T @ psi
-    H[iR, iR] = (
-        -0.5 * d2L
-        + 0.5 * lam2 * Sixh @ d2S @ Sixh
-        - lam2 * dSixh @ Si @ dSixh
-        + lam2**2 * (Si @ dSixh) @ G @ (Si @ dSixh)
-    )
-    return np.triu(H) + np.triu(H, 1).T, d2L

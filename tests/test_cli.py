@@ -64,6 +64,17 @@ class TestSimulate:
                         "--seed", 0, "--out", workdir / "x.csv"]) == 2
 
 
+@pytest.mark.parametrize("extent", ["0,1,0", "a,1,0,1"])
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_bad_extent_exits_2(workdir, capsys, command, extent):
+    args = ["--grid", "8x8", "--extent", extent, "--out", workdir / "x.out"]
+    if command == "fit":
+        args.append(simulate(workdir))
+        capsys.readouterr()
+    assert run_cli([command] + args) == 2
+    assert "extent must be xmin,xmax,ymin,ymax" in capsys.readouterr().err
+
+
 class TestFit:
     def test_fit_writes_artifact_and_report(self, workdir, capsys):
         data = simulate(workdir)

@@ -10,7 +10,7 @@ from kryging.simulate import simulate_dataset
 from kryging.toeplitz import BttbOperator
 
 
-def simulated_data(m, theta, seed, holdout=0):
+def simulated_data(m, theta, seed):
     g = GridSpec(m, m)
     sim = simulate_dataset(g, theta, seed=seed)
     data = ModelData(

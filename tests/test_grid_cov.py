@@ -11,7 +11,6 @@ from kryging.grid import (
     ThetaParams,
     first_column,
     matern_corr,
-    matern_corr_d2rho,
     matern_corr_drho,
 )
 
@@ -85,14 +84,6 @@ class TestMaternDrho:
         for d in (0.05, 0.2, 0.7, 1.3):
             fd = (matern_corr(d, rho + h, nu) - matern_corr(d, rho - h, nu)) / (2 * h)
             assert matern_corr_drho(d, rho, nu) == pytest.approx(fd, rel=1e-5)
-
-    @pytest.mark.parametrize("nu", [0.5, 1.5, 0.8])
-    def test_second_derivative_matches_fd_of_first(self, nu):
-        rho = 0.27
-        h = 1e-6 * rho
-        for d in (0.1, 0.4, 0.9):
-            fd = (matern_corr_drho(d, rho + h, nu) - matern_corr_drho(d, rho - h, nu)) / (2 * h)
-            assert matern_corr_d2rho(d, rho, nu) == pytest.approx(fd, rel=1e-4)
 
 
 class TestGridSpec:

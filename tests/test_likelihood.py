@@ -1,24 +1,18 @@
 import numpy as np
 import pytest
 
-from kryging.grid import GridSpec, MaternSpec, ThetaParams, matern_corr_d2rho, matern_corr_drho
+from kryging.grid import GridSpec, MaternSpec, ThetaParams
 from kryging.likelihood import (
     ModelData,
     evaluate_objective,
     gradient,
-    hessian_full_approx,
     hessian_rank_one,
     profile_loglik,
 )
 from kryging.mapping import SparseMap, build_map
 from kryging.toeplitz import BttbOperator
 
-from oracles import (
-    dense_corr,
-    dense_hessian,
-    dense_negative_profile,
-    pairwise_distances,
-)
+from oracles import dense_corr, dense_negative_profile
 
 
 def colocated_problem(rng, m, theta, nu=0.5):
@@ -188,41 +182,3 @@ class TestHessianRankOne:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             hessian_rank_one(np.array([1.0, np.nan]))
-
-
-class TestHessianFullApprox:
-    @pytest.mark.parametrize("q", [1, 2])
-    def test_matches_dense_oracle_at_full_order(self, rng, q):
-        theta = ThetaParams(
-            beta=np.array([1.5]) if q == 1 else np.array([1.5, -0.7]),
-            sigma2=1.3, tau2=0.4, rho=0.3,
-        )
-        g, S, data = irregular_problem(rng, 5, 20, theta)
-        if q == 2:
-            X2 = np.column_stack([data.X[:, 0], data.amap.matrix @ g.node_coords()[:, 0]])
-            y2 = data.y + X2[:, 1] * theta.beta[1]
-            data = ModelData(y=y2, X=X2, amap=data.amap, grid=g, nu=data.nu)
-        st = evaluate_objective(data, theta, k=g.n, reorthogonalize=True)
-        D = pairwise_distances(g)
-        dS = matern_corr_drho(D, theta.rho, 0.5)
-        d2S = matern_corr_d2rho(D, theta.rho, 0.5)
-        H_ref, d2L = dense_hessian(
-            S, dS, d2S, data.amap.toarray(), data.X, data.y,
-            theta.beta, theta.lam2, theta.lam_e2,
-        )
-        H = hessian_full_approx(data, theta, st.fact, st.solution, d2l=d2L)
-        err = np.abs(H - H_ref) / np.maximum(np.abs(H_ref), 1e-8)
-        assert err.max() < 1e-4
-
-    def test_symmetric_output(self, rng):
-        g, S, data = colocated_problem(rng, 5, THETA)
-        st = evaluate_objective(data, THETA, k=10)
-        H = hessian_full_approx(data, THETA, st.fact, st.solution)
-        np.testing.assert_array_equal(H, H.T)
-
-    def test_noise_precision_curvature_negative(self, rng):
-        # d2 pl / d lam_e2^2 must be negative (concavity in the precision)
-        g, S, data = colocated_problem(rng, 6, THETA)
-        st = evaluate_objective(data, THETA, k=12)
-        H = hessian_full_approx(data, THETA, st.fact, st.solution)
-        assert H[2, 2] < 0.0

@@ -44,6 +44,15 @@ class TestBuildMap:
         assert row.data[0] == pytest.approx(1.0)
         assert row.indices[0] == 3 * g.n1 + 2
 
+    def test_colocated_nodes_give_row_selection(self):
+        # rounding in the node coordinates must not leave tiny weights on
+        # neighbouring nodes
+        g = GridSpec(200, 200)
+        amap = build_map(g.node_coords(), g)
+        assert amap.matrix.nnz == amap.p
+        np.testing.assert_array_equal(amap.matrix.data, 1.0)
+        np.testing.assert_array_equal(amap.matrix.indices, np.arange(g.n))
+
     def test_cell_center_four_equal_weights(self):
         g = GridSpec(4, 4)
         loc = np.array([[0.5 * g.dx1, 0.5 * g.dx2]])
