@@ -21,15 +21,14 @@ class TestMatvec:
         np.testing.assert_allclose(op.matvec(v), v, atol=1e-13)
 
     def test_matches_dense_product(self, rng):
-        # 7x6 pads both embedding axes (13 -> 15, 11 -> 12)
+        g = GridSpec(4, 4)
         spec = MaternSpec(1.0, 0.2, 0.5)
-        for g in (GridSpec(4, 4), GridSpec(7, 6)):
-            S = dense_corr(g, spec.rho, spec.nu)
-            op = BttbOperator.from_matern(g, spec)
-            v = rng.standard_normal(g.n)
-            out = op.matvec(v)
-            ref = S @ v
-            assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-10
+        S = dense_corr(g, spec.rho, spec.nu)
+        op = BttbOperator.from_matern(g, spec)
+        v = rng.standard_normal(g.n)
+        out = op.matvec(v)
+        ref = S @ v
+        assert np.linalg.norm(out - ref) / np.linalg.norm(ref) < 1e-10
 
     def test_zero_vector(self):
         g = GridSpec(4, 3)
@@ -43,6 +42,24 @@ class TestMatvec:
         e1 = np.zeros(g.n)
         e1[0] = 1.0
         np.testing.assert_allclose(op.matvec(e1), col, atol=1e-12)
+
+    def test_fast_padding_matches_minimal_embedding(self, rng):
+        # 7x6 pads both embedding axes (13 -> 15, 11 -> 12); the padded
+        # product must equal one through the minimal (2n-1) embedding
+        g = GridSpec(7, 6)
+        col = first_column(g, MaternSpec(1.0, 0.3, 0.5))
+        op = BttbOperator(g, col)
+        assert op.clamp_count == 0
+        m1, m2 = op.embed_dims
+        v = rng.standard_normal(g.n)
+        vpad = np.zeros((m2, m1))
+        vpad[: g.n2, : g.n1] = v.reshape(g.n2, g.n1)
+        exact = np.fft.ifft2(np.fft.fft2(vpad) * op.eigs).real[: g.n2, : g.n1]
+        np.testing.assert_allclose(op.matvec(v), exact.ravel(), atol=1e-12)
+        # and to the dense matrix itself
+        S = dense_corr(g, 0.3, 0.5)
+        ref = S @ v
+        assert np.linalg.norm(op.matvec(v) - ref) / np.linalg.norm(ref) < 1e-10
 
     def test_linearity(self, rng):
         g = GridSpec(6, 6)
