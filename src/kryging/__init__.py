@@ -21,13 +21,7 @@ from .grid import (
     matern_corr,
     matern_corr_drho,
 )
-from .likelihood import (
-    ModelData,
-    ObjectiveState,
-    gradient,
-    hessian_rank_one,
-    profile_loglik,
-)
+from .likelihood import ModelData, ObjectiveState, gradient, profile_loglik
 from .mapping import LocationError, SparseMap, build_map, wendland
 from .simulate import simulate_dataset
 from .toeplitz import BttbOperator, EmbeddingError, dlogdet_drho
@@ -58,7 +52,6 @@ __all__ = [
     "fit",
     "gengk_factorize",
     "gradient",
-    "hessian_rank_one",
     "load_fit_artifact",
     "matern_corr",
     "matern_corr_drho",

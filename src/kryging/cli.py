@@ -184,8 +184,8 @@ def _predict_common(args, with_uncertainty) -> int:
               file=sys.stderr)
     locations = read_locations(args.locations)
     if locations.shape[0] == 0:
-        write_predictions(args.out, locations, np.zeros(0), *(np.zeros(0),) * 3) \
-            if with_uncertainty else write_predictions(args.out, locations, np.zeros(0))
+        empty = (np.zeros(0),) * (4 if with_uncertainty else 1)
+        write_predictions(args.out, locations, *empty)
         return 0
     q = res.theta_hat.beta.size
     if q != 1:

@@ -2,7 +2,7 @@
 
 Input CSV schema: header ``lon,lat,y[,name1,name2,...]`` with one
 observation per row; extra columns are covariates and an intercept is
-prepended unless disabled. Prediction output schema: header
+always prepended. Prediction output schema: header
 ``lon,lat,y_hat,se,ci_lo,ci_hi`` (the uncertainty columns are omitted
 when no bootstrap was run).
 
@@ -85,10 +85,8 @@ def _parse_float(token: str, line_no: int, col: str) -> float:
     return v
 
 
-def read_dataset(
-    path, covariates: list | None = None, add_intercept: bool = True
-) -> Dataset:
-    """Read observations from CSV.
+def read_dataset(path, covariates: list | None = None) -> Dataset:
+    """Read observations from CSV; an intercept column is always prepended.
 
     Parameters
     ----------
@@ -97,8 +95,6 @@ def read_dataset(
     covariates : list of str, optional
         Names of covariate columns to use. Defaults to every column after
         y. A named column missing from the header is an error.
-    add_intercept : bool
-        Prepend a constant-1 column to the covariate matrix.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -143,13 +139,8 @@ def read_dataset(
     if not ys:
         raise InputError(f"{path}: no observations")
     p = len(ys)
-    X = np.asarray(covs, dtype=float).reshape(p, len(cols))
-    if add_intercept:
-        X = np.column_stack([np.ones(p), X]) if cols else np.ones((p, 1))
-    elif not cols:
-        raise InputError(f"{path}: no covariates and intercept disabled")
-    names = tuple((["intercept"] if add_intercept else []) + use)
-    return Dataset(np.asarray(locs), np.asarray(ys), X, names)
+    X = np.column_stack([np.ones(p), np.asarray(covs, dtype=float).reshape(p, len(cols))])
+    return Dataset(np.asarray(locs), np.asarray(ys), X, ("intercept", *use))
 
 
 def read_locations(path) -> np.ndarray:
@@ -175,44 +166,30 @@ def read_locations(path) -> np.ndarray:
     return np.asarray(locs, dtype=float).reshape(len(locs), 2)
 
 
-def write_dataset(path, dataset: Dataset, covariate_names: list | None = None):
+def write_dataset(path, dataset: Dataset):
     """Write a dataset in the input CSV schema (intercept column not
     written)."""
-    names = covariate_names
-    if names is None:
-        names = [n for n in dataset.covariate_names if n != "intercept"]
+    names = [n for n in dataset.covariate_names if n != "intercept"]
     skip_first = dataset.covariate_names[:1] == ("intercept",)
     Xout = dataset.X[:, 1:] if skip_first else dataset.X
+    rows = np.column_stack([dataset.locations, dataset.y, Xout]).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["lon", "lat", "y"] + list(names))
-        for i in range(dataset.p):
-            writer.writerow(
-                [repr(float(dataset.locations[i, 0])), repr(float(dataset.locations[i, 1])),
-                 repr(float(dataset.y[i]))] + [repr(float(v)) for v in Xout[i]]
-            )
+        writer.writerow(["lon", "lat", "y"] + names)
+        writer.writerows([repr(v) for v in row] for row in rows)
 
 
 def write_predictions(path, locations, y_hat, se=None, ci_lo=None, ci_hi=None):
     """Write predictions CSV; uncertainty columns included when given."""
     locations = np.atleast_2d(locations)
+    columns = {"lon": locations[:, 0], "lat": locations[:, 1], "y_hat": y_hat}
+    if se is not None:
+        columns.update(se=se, ci_lo=ci_lo, ci_hi=ci_hi)
+    rows = np.column_stack(list(columns.values())).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if se is not None:
-            writer.writerow(["lon", "lat", "y_hat", "se", "ci_lo", "ci_hi"])
-            for i in range(locations.shape[0]):
-                writer.writerow(
-                    [repr(float(locations[i, 0])), repr(float(locations[i, 1])),
-                     repr(float(y_hat[i])), repr(float(se[i])),
-                     repr(float(ci_lo[i])), repr(float(ci_hi[i]))]
-                )
-        else:
-            writer.writerow(["lon", "lat", "y_hat"])
-            for i in range(locations.shape[0]):
-                writer.writerow(
-                    [repr(float(locations[i, 0])), repr(float(locations[i, 1])),
-                     repr(float(y_hat[i]))]
-                )
+        writer.writerow(columns)
+        writer.writerows([repr(v) for v in row] for row in rows)
 
 
 def save_fit_artifact(path, fitres: FitResult, dataset: Dataset):

@@ -2,9 +2,12 @@
 
 Fitting minimizes the negative approximate profile log-likelihood with a
 trust-region iteration whose model Hessian is the rank-one gradient outer
-product plus a small ridge; the subproblem is solved exactly (for this
-model the step always lies along the negative gradient). Embedding
-failures at trial parameters reject the step and shrink the radius.
+product plus a small ridge. The gradient is an eigenvector of that model,
+so the exact subproblem step is closed-form: the Newton step along the
+negative gradient, shortened to the trust radius, then clipped to the
+feasibility box. The fit starts from ``"auto"`` (:func:`auto_init`) or a
+given ``ThetaParams``. Embedding failures at trial parameters reject the
+step and shrink the radius.
 
 Prediction applies the fitted mean and the observation mapping at new
 locations. Uncertainty comes from a parametric bootstrap: simulate fields
@@ -22,12 +25,7 @@ import numpy as np
 
 from .gengk import gengk_factorize, solve
 from .grid import GridSpec, ThetaParams
-from .likelihood import (
-    ModelData,
-    correlation_operator,
-    evaluate_objective,
-    hessian_rank_one,
-)
+from .likelihood import ModelData, correlation_operator, evaluate_objective
 from .mapping import SparseMap, build_map
 from .toeplitz import EmbeddingError
 
@@ -75,42 +73,26 @@ def auto_init(data: ModelData) -> ThetaParams:
     return ThetaParams(beta=coef, sigma2=v / 2, tau2=v / 2, rho=rho0, nu=data.nu)
 
 
-def _solve_trust_subproblem(H, g, radius):
-    """Exact minimizer of g's + s'Hs/2 over ||s|| <= radius.
+def _trust_step(g, radius, vec, lo, hi):
+    """Trust-region step from ``vec`` and the reduction its model predicts.
 
-    The parameter dimension is tiny, so an eigendecomposition plus a
-    safeguarded bisection on the boundary multiplier is cheap and robust
-    for indefinite models; the Cauchy point along -g is the fallback when
-    the secular solve degenerates.
+    The model Hessian is H = g g' + ridge I, and g is an eigenvector of
+    H, so the exact minimizer of g's + s'Hs/2 over ||s|| <= radius is the
+    Newton step -g / (|g|^2 + ridge), shortened to the radius when longer.
+    The step is then clipped to the box [lo, hi]; clipping keeps every
+    component's sign, so the predicted reduction is never negative and
+    is zero only when the whole step is clipped away.
     """
-    lam, Q = np.linalg.eigh(H)
-    gq = Q.T @ g
-    if lam[0] > 0:
-        s = -(gq / lam)
-        if np.linalg.norm(s) <= radius:
-            return Q @ s
-
-    def step_norm(mu):
-        return np.linalg.norm(gq / (lam + mu))
-
-    mu_lo = max(0.0, -lam[0]) + 1e-14 * max(1.0, abs(lam[0]))
-    if step_norm(mu_lo) <= radius:
-        # hard case: pad with the bottom eigenvector to reach the boundary
-        s = -(gq / (lam + mu_lo))
-        gap = radius**2 - float(s @ s)
-        if gap > 0:
-            s[0] += np.sqrt(gap) * np.sign(s[0] if s[0] != 0 else 1.0)
-        return Q @ s
-    mu_hi = mu_lo + np.linalg.norm(gq) / radius + 1.0
-    while step_norm(mu_hi) > radius:
-        mu_hi *= 2.0
-    for _ in range(100):
-        mu = 0.5 * (mu_lo + mu_hi)
-        if step_norm(mu) > radius:
-            mu_lo = mu
-        else:
-            mu_hi = mu
-    return Q @ (-(gq / (lam + mu_hi)))
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient must be finite")
+    gg = float(g @ g)
+    ridge = 1e-6 * (1.0 + gg)
+    t = 1.0 / (gg + ridge)
+    if t * math.sqrt(gg) > radius:
+        t = radius / math.sqrt(gg)
+    s = np.clip(vec - t * g, lo, hi) - vec
+    a = -float(g @ s)
+    return s, a - 0.5 * (a * a + ridge * float(s @ s))
 
 
 def _feasible_box(data: ModelData, theta0: ThetaParams):
@@ -176,18 +158,11 @@ def _trust_region_minimize(data, theta0, k, max_iter, tol, gtol):
             converged, note = True, "trust-region radius collapsed"
             break
 
-        H = hessian_rank_one(g, ridge=1e-6 * (1.0 + float(g @ g)))
-        s = _solve_trust_subproblem(H, g, radius)
-        s = np.clip(vec + s, lo, hi) - vec
-        predicted = -(float(g @ s) + 0.5 * float(s @ (H @ s)))
+        s, predicted = _trust_step(g, radius, vec, lo, hi)
         if predicted <= 0:
-            # degenerate model or box-mangled step: Cauchy-point fallback
-            s = -radius / np.linalg.norm(g) * g
-            s = np.clip(vec + s, lo, hi) - vec
-            predicted = -(float(g @ s) + 0.5 * float(s @ (H @ s)))
-            if predicted <= 0:
-                radius /= 4.0
-                continue
+            # the feasibility box clipped the whole step away
+            radius /= 4.0
+            continue
 
         try:
             trial_theta = ThetaParams.from_optimizer_vector(vec + s, nu=data.nu)
@@ -228,7 +203,7 @@ def _trust_region_minimize(data, theta0, k, max_iter, tol, gtol):
 def fit(
     data: ModelData,
     k: int = 50,
-    init: ThetaParams | list | str = "auto",
+    init: ThetaParams | str = "auto",
     max_iter: int = 200,
     tol: float = 1e-8,
     gtol: float = 1e-3,
@@ -236,15 +211,19 @@ def fit(
     """Estimate the model parameters by approximate profile maximum
     likelihood.
 
+    Each trust-region step is taken in closed form: the Newton step of
+    the rank-one-plus-ridge model along the negative gradient, shortened
+    to the trust radius and clipped to the feasibility box.
+
     Parameters
     ----------
     data : ModelData
         Observations, covariates, observation mapping, and grid.
     k : int
         Krylov subspace order used throughout (default 50).
-    init : "auto", ThetaParams, or list of ThetaParams
-        Starting point(s). A list runs a multi-start and keeps the best
-        final objective.
+    init : "auto" or ThetaParams
+        Starting point: :func:`auto_init`'s heuristic for ``"auto"``, else
+        the given parameters. Any other value raises ``TypeError``.
     max_iter : int
         Cap on objective evaluations.
     tol : float
@@ -258,22 +237,17 @@ def fit(
         Parameter estimates, latent estimate, trace, and diagnostics.
         The objective trace is non-increasing by construction.
     """
-    if init == "auto":
-        starts = [auto_init(data)]
-    elif isinstance(init, ThetaParams):
-        starts = [init]
+    if isinstance(init, ThetaParams):
+        theta0 = init
+    elif isinstance(init, str) and init == "auto":
+        theta0 = auto_init(data)
     else:
-        starts = list(init)
+        raise TypeError(f'init must be "auto" or a ThetaParams, got {init!r}')
 
     t0 = time.perf_counter()
-    best = None
-    for theta0 in starts:
-        state, trace, n_eval, converged, note = _trust_region_minimize(
-            data, theta0, k, max_iter, tol, gtol
-        )
-        if best is None or state.value < best[0].value:
-            best = (state, trace, n_eval, converged, note)
-    state, trace, n_eval, converged, note = best
+    state, trace, n_eval, converged, note = _trust_region_minimize(
+        data, theta0, k, max_iter, tol, gtol
+    )
     wall = time.perf_counter() - t0
 
     return FitResult(
@@ -328,7 +302,7 @@ def _rekryge(amap, op, bsim, theta, k, reorthogonalize):
     if np.linalg.norm(bsim) == 0.0:
         return np.zeros(amap.n)
     fact = gengk_factorize(amap, op, bsim, theta.tau2, k, reorthogonalize=reorthogonalize)
-    return solve(fact, theta.sigma2, op, amap, bsim).x_star
+    return solve(fact, theta.sigma2, op).x_star
 
 
 def bootstrap_uq(

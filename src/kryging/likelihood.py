@@ -1,5 +1,4 @@
-"""Approximate profile log-likelihood, its gradient, and the rank-one
-Hessian estimate.
+"""Approximate profile log-likelihood and its gradient.
 
 The latent field is profiled out of the Gaussian log-likelihood and
 replaced by its Krylov-subspace estimate, the covariance-weighted
@@ -33,7 +32,6 @@ __all__ = [
     "evaluate_objective",
     "profile_loglik",
     "gradient",
-    "hessian_rank_one",
 ]
 
 
@@ -240,17 +238,3 @@ def evaluate_objective(
     state.diagnostics["dlogdet"] = dld
     return state
 
-
-def hessian_rank_one(grad: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Rank-one Hessian estimate g g' (+ ridge I).
-
-    The outer product of the score estimates the information matrix, so
-    for the minimized negative objective this is a PSD model Hessian.
-    """
-    g = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gradient must be finite")
-    h = np.outer(g, g)
-    if ridge:
-        h[np.diag_indices_from(h)] += ridge
-    return h

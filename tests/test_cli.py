@@ -1,11 +1,14 @@
 import csv
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kryging
 from kryging.cli import main
 
 
@@ -154,6 +157,14 @@ class TestPredict:
         lines = out.read_text().strip().splitlines()
         assert lines == ["lon,lat,y_hat,se,ci_lo,ci_hi"]
 
+    def test_zero_rows_without_bootstrap_gives_header_only(self, workdir, fitted):
+        locs = workdir / "locs.csv"
+        locs.write_text("lon,lat\n")
+        out = workdir / "pred.csv"
+        assert run_cli(["predict", "--fit", fitted, "--locations", locs,
+                        "--B", 0, "--out", out]) == 0
+        assert out.read_text().splitlines() == ["lon,lat,y_hat"]
+
     def test_locations_outside_fitted_grid_exit_2(self, workdir, fitted, capsys):
         locs = workdir / "locs.csv"
         locs.write_text("lon,lat\n5.0,5.0\n")
@@ -212,10 +223,14 @@ class TestConfig:
 class TestEntrypoint:
     def test_module_invocation(self, workdir):
         out = workdir / "sim.csv"
+        # the child finds the package where this process imported it from
+        src = str(Path(kryging.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "kryging.cli", "simulate", "--grid", "8x8",
              "--theta", "1,1,0.3,0.1", "--seed", "0", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kryging.estimation import FitResult, auto_init, bootstrap_uq, fit, predict
+from kryging.estimation import FitResult, _trust_step, auto_init, bootstrap_uq, fit, predict
 from kryging.gengk import gengk_factorize, solve
 from kryging.grid import GridSpec, MaternSpec, ThetaParams
 from kryging.likelihood import ModelData
@@ -65,12 +65,67 @@ class TestFit:
         assert theta0.rho == pytest.approx(0.1 * np.sqrt(2.0), rel=1e-6)
         assert theta0.beta[0] == pytest.approx(sim.y.mean(), rel=1e-6)
 
-    def test_multi_start_keeps_best(self):
-        g, sim, data = simulated_data(8, TRUTH, seed=5)
-        other = ThetaParams(np.array([5.0]), 2.5, 0.6, 0.15)
-        single = fit(data, k=10, init=TRUTH, max_iter=25)
-        multi = fit(data, k=10, init=[TRUTH, other], max_iter=25)
-        assert multi.objective_trace[-1] <= single.objective_trace[-1] + 1e-12
+    def test_init_other_than_auto_or_theta_rejected(self):
+        g, sim, data = simulated_data(6, TRUTH, seed=5)
+        for init in ([TRUTH], "truth", None):
+            with pytest.raises(TypeError, match="init"):
+                fit(data, k=5, init=init, max_iter=2)
+
+
+class TestTrustStep:
+    """The closed-form step against the trust-region subproblem's
+    optimality conditions for the model Hessian H = g g' + ridge I."""
+
+    @staticmethod
+    def model(scale):
+        g = scale * np.array([0.6, -0.3, 0.7, -0.25])
+        ridge = 1e-6 * (1.0 + g @ g)
+        return g, np.outer(g, g) + ridge * np.eye(g.size)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 2.5e4])
+    @pytest.mark.parametrize("radius_factor", [10.0, 0.1])
+    def test_kkt_conditions(self, scale, radius_factor):
+        g, H = self.model(scale)
+        radius = radius_factor * np.linalg.norm(np.linalg.solve(H, g))
+        s, predicted = _trust_step(g, radius, np.zeros(4), np.full(4, -np.inf), np.full(4, np.inf))
+        norm = np.linalg.norm(s)
+        lam = np.linalg.norm(H, 2)
+        # the multiplier that makes (H + mu I) s = -g hold along s
+        mu = -float((H @ s + g) @ s) / float(s @ s)
+        assert mu >= -1e-12 * lam
+        assert np.linalg.norm(H @ s + mu * s + g) <= 1e-12 * np.linalg.norm(g)
+        assert norm <= radius * (1.0 + 1e-12)
+        assert abs(mu * (radius - norm)) <= 1e-12 * lam * radius
+        if radius_factor > 1.0:
+            assert abs(mu) <= 1e-12 * lam
+        else:
+            assert norm == pytest.approx(radius, rel=1e-12)
+        assert predicted == pytest.approx(-(g @ s + 0.5 * s @ H @ s), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 2.5e4])
+    def test_predicted_reduction_with_box_clipping(self, scale):
+        g, H = self.model(scale)
+        vec = np.zeros(4)
+        free = np.full(4, np.inf)
+        radius = 0.5 * np.linalg.norm(np.linalg.solve(H, g))
+        s_free, _ = _trust_step(g, radius, vec, -free, free)
+        # bounds halfway along the first two components' steps
+        lo, hi = -free, free.copy()
+        for i in (0, 1):
+            (lo if s_free[i] < 0 else hi)[i] = 0.5 * s_free[i]
+        s, predicted = _trust_step(g, radius, vec, lo, hi)
+        np.testing.assert_allclose(s, s_free * [0.5, 0.5, 1.0, 1.0], rtol=1e-12)
+        assert predicted > 0
+        assert predicted == pytest.approx(-(g @ s + 0.5 * s @ H @ s), rel=1e-12)
+        # every component already at the bound it moves toward: no step
+        s, predicted = _trust_step(g, radius, vec, np.where(g > 0, 0.0, -np.inf),
+                                   np.where(g < 0, 0.0, np.inf))
+        assert np.all(s == 0) and predicted == 0
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="finite"):
+            _trust_step(np.array([1.0, np.nan]), 1.0, np.zeros(2),
+                        np.full(2, -np.inf), np.full(2, np.inf))
 
 
 class TestPredict:

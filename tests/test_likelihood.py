@@ -6,7 +6,6 @@ from kryging.likelihood import (
     ModelData,
     evaluate_objective,
     gradient,
-    hessian_rank_one,
     profile_loglik,
 )
 from kryging.mapping import SparseMap, build_map
@@ -164,21 +163,3 @@ class TestGradient:
             assert np.isfinite(st.value)
             assert np.all(np.isfinite(st.grad))
 
-
-class TestHessianRankOne:
-    def test_zero_gradient_gives_ridge_only(self):
-        h = hessian_rank_one(np.zeros(4), ridge=0.5)
-        np.testing.assert_allclose(h, 0.5 * np.eye(4))
-
-    def test_outer_product_structure(self, rng):
-        gvec = rng.standard_normal(5)
-        h = hessian_rank_one(gvec)
-        np.testing.assert_allclose(h, np.outer(gvec, gvec))
-        eigs = np.linalg.eigvalsh(h)
-        assert eigs.min() > -1e-12
-        assert eigs.max() == pytest.approx(gvec @ gvec, rel=1e-12)
-        assert np.linalg.matrix_rank(h, tol=1e-10) == 1
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            hessian_rank_one(np.array([1.0, np.nan]))
