@@ -168,14 +168,17 @@ def read_locations(path) -> np.ndarray:
 
 def write_dataset(path, dataset: Dataset):
     """Write a dataset in the input CSV schema (intercept column not
-    written)."""
-    names = [n for n in dataset.covariate_names if n != "intercept"]
-    skip_first = dataset.covariate_names[:1] == ("intercept",)
-    Xout = dataset.X[:, 1:] if skip_first else dataset.X
-    rows = np.column_stack([dataset.locations, dataset.y, Xout]).tolist()
+    written). ``covariate_names`` must name every column of X, with
+    "intercept" first, so the header describes every field."""
+    names = tuple(dataset.covariate_names)
+    if len(names) != dataset.X.shape[1] or names[:1] != ("intercept",):
+        raise InputError(
+            f"covariate_names {names} must name every column of X, intercept first"
+        )
+    rows = np.column_stack([dataset.locations, dataset.y, dataset.X[:, 1:]]).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["lon", "lat", "y"] + names)
+        writer.writerow(["lon", "lat", "y", *names[1:]])
         writer.writerows([repr(v) for v in row] for row in rows)
 
 

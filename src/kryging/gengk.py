@@ -45,25 +45,22 @@ class GenGKFactorization:
         Observation-space basis; the final column is zero if the
         recurrence broke down while computing it. A transposed view of
         row-major (k+1, p) storage, so each basis vector is contiguous.
-    V : ndarray, shape (n, k+1)
-        Latent-space basis, Sigma-orthonormal; same zero-column rule and
-        the same transposed-view layout over (k+1, n) storage.
+    Vk : ndarray, shape (n, k)
+        Latent-space basis, Sigma-orthonormal; the same transposed-view
+        layout over (k, n) storage.
     B : ndarray, shape (k+1, k)
         Bidiagonal projection with diagonals alpha and subdiagonals beta.
     breakdown_at : int or None
-        Iteration at which a normalizer vanished, if any.
+        Iteration at which a normalizer vanished, if any; v_{k+1} is never
+        computed (B and the solve do not read it), so it cannot break down.
     """
 
     k: int
     beta1: float
     U: np.ndarray
-    V: np.ndarray
+    Vk: np.ndarray
     B: np.ndarray
     breakdown_at: int | None = None
-
-    @property
-    def Vk(self) -> np.ndarray:
-        return self.V[:, : self.k]
 
 
 @dataclass
@@ -125,70 +122,56 @@ def gengk_factorize(
     tau = np.sqrt(tau2)
     # one basis vector per row, so every update touches contiguous memory
     U = np.zeros((k + 1, p))
-    V = np.zeros((k + 1, n))
-    SV = np.zeros((k + 1, n)) if reorthogonalize else None  # Sigma @ V rows
-    alphas = np.zeros(k + 1)
-    betas = np.zeros(k + 1)  # betas[i] = beta_{i+1}
+    V = np.zeros((k, n))
+    SV = np.zeros((k, n)) if reorthogonalize else None  # Sigma @ V rows
+    B = np.zeros((k + 1, k))
 
     beta1 = bnorm / tau
     np.divide(b, beta1, out=U[0])
 
-    w = amap.apply_t(U[0])
-    w /= tau2
-    t = sigma_op.matvec(w)
-    alpha = np.sqrt(max(np.dot(w, t), 0.0))
-    scale = max(beta1, alpha, 1.0)
-    tol = BREAKDOWN_REL_TOL * scale
-    if alpha <= tol:
-        raise ValueError("first basis vector vanished: A^T b is zero")
-    alphas[0] = alpha
-    np.divide(w, alpha, out=V[0])
-    sv = np.divide(t, alpha, out=SV[0] if reorthogonalize else t)  # Sigma @ v_i
-
     k_eff = k
     breakdown_at = None
     for i in range(k):
-        r = amap.apply(sv)
-        r -= alphas[i] * U[i]
-        if reorthogonalize:
-            r -= U[: i + 1].T @ (U[: i + 1] @ r) / tau2
-        beta = np.linalg.norm(r) / tau
-        if beta <= tol:
-            k_eff = i + 1
-            breakdown_at = i + 1
-            break
-        betas[i] = beta
-        np.divide(r, beta, out=U[i + 1])
-
-        w = amap.apply_t(U[i + 1])
+        w = amap.apply_t(U[i])
         w /= tau2
-        w -= beta * V[i]
+        if i:
+            w -= beta * V[i - 1]
         t = sigma_op.matvec(w)
         if reorthogonalize:
             # project out previous V rows in the Sigma inner product;
             # SV @ w = V Sigma w, and t tracks Sigma w without a new matvec
-            coeffs = SV[: i + 1] @ w
-            w -= V[: i + 1].T @ coeffs
-            t -= SV[: i + 1].T @ coeffs
+            coeffs = SV[:i] @ w
+            w -= V[:i].T @ coeffs
+            t -= SV[:i].T @ coeffs
         alpha = np.sqrt(max(np.dot(w, t), 0.0))
-        if alpha <= tol:
-            k_eff = i + 1
-            breakdown_at = i + 1
+        if i == 0:
+            tol = BREAKDOWN_REL_TOL * max(beta1, alpha, 1.0)
+            if alpha <= tol:
+                raise ValueError("first basis vector vanished: A^T b is zero")
+        elif alpha <= tol:
+            k_eff = breakdown_at = i
             break
-        alphas[i + 1] = alpha
-        np.divide(w, alpha, out=V[i + 1])
-        sv = np.divide(t, alpha, out=SV[i + 1] if reorthogonalize else t)
+        B[i, i] = alpha
+        np.divide(w, alpha, out=V[i])
+        sv = np.divide(t, alpha, out=SV[i] if reorthogonalize else t)  # Sigma @ v_i
 
-    B = np.zeros((k_eff + 1, k_eff))
-    for j in range(k_eff):
-        B[j, j] = alphas[j]
-        B[j + 1, j] = betas[j]
+        r = amap.apply(sv)
+        r -= alpha * U[i]
+        if reorthogonalize:
+            r -= U[: i + 1].T @ (U[: i + 1] @ r) / tau2
+        beta = np.linalg.norm(r) / tau
+        if beta <= tol:
+            k_eff = breakdown_at = i + 1
+            break
+        B[i + 1, i] = beta
+        np.divide(r, beta, out=U[i + 1])
+
     return GenGKFactorization(
         k=k_eff,
         beta1=beta1,
         U=U[: k_eff + 1].T,
-        V=V[: k_eff + 1].T,
-        B=B,
+        Vk=V[:k_eff].T,
+        B=B[: k_eff + 1, :k_eff],
         breakdown_at=breakdown_at,
     )
 
@@ -211,7 +194,7 @@ def solve(
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     B = fact.B
     k = fact.k
-    rhs = B.T @ (fact.beta1 * np.eye(k + 1)[:, 0])
+    rhs = fact.beta1 * B[0]
     M = B.T @ B + np.eye(k) / sigma2
     c, low = scipy.linalg.cho_factor(M)
     z = scipy.linalg.cho_solve((c, low), rhs)

@@ -147,11 +147,6 @@ class ThetaParams:
         )
 
 
-# Smoothness values with polynomial-times-exponential closed forms; these
-# cover the half-integer cases used on the hot path.
-_HALF_INTEGER = (0.5, 1.5, 2.5)
-
-
 def _check_corr_args(rho, nu):
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be finite and positive, got {rho}")

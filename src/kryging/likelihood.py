@@ -168,7 +168,7 @@ def gradient(
     theta: ThetaParams,
     solution: KrygingSolution,
     fact: GenGKFactorization | None,
-    dlogdet: float | None = None,
+    dlogdet: float,
 ) -> np.ndarray:
     """Gradient of the negative objective in optimizer space.
 
@@ -182,13 +182,10 @@ def gradient(
 
     and the log transforms contribute factors -lam2, -lam_e2 and rho.
     ``solution`` and ``fact`` must come from the same theta. The
-    rho-derivative trace ``dlogdet`` is computed from the derivative
-    operator unless supplied.
+    rho-derivative trace ``dlogdet`` (see :func:`dlogdet_drho`) must be
+    supplied for the same theta.
     """
-    dop = derivative_operator(data, theta)
-    if dlogdet is None:
-        dlogdet = dlogdet_drho(correlation_operator(data, theta), dop)
-    return _score(data, theta, solution, fact, dop, dlogdet)
+    return _score(data, theta, solution, fact, derivative_operator(data, theta), dlogdet)
 
 
 def _score(

@@ -331,3 +331,34 @@ class TestArtifact:
                       "--B", 2, "--out", workdir / "pred.csv"])
         assert rc == 2
         assert "refusing" in capsys.readouterr().err
+
+
+class TestWriteDataset:
+    def _dataset(self, names):
+        from kryging.data import Dataset
+
+        locs = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+        X = np.column_stack([np.ones(3), [10.0, 20.5, 31.0]])
+        return Dataset(locs, np.array([1.0, 2.0, 3.5]), X, names)
+
+    @pytest.mark.parametrize("names", [(), ("elev",), ("elev", "intercept"), ("intercept",)])
+    def test_unnamed_covariates_refused(self, workdir, names):
+        from kryging.data import InputError, write_dataset
+
+        out = workdir / "data.csv"
+        with pytest.raises(InputError, match="covariate_names"):
+            write_dataset(out, self._dataset(names))
+        assert not out.exists()
+
+    def test_named_covariates_round_trip(self, workdir):
+        from kryging.data import read_dataset, write_dataset
+
+        ds = self._dataset(("intercept", "elev"))
+        out = workdir / "data.csv"
+        write_dataset(out, ds)
+        assert out.read_text().splitlines()[0] == "lon,lat,y,elev"
+        back = read_dataset(out)
+        assert back.covariate_names == ("intercept", "elev")
+        np.testing.assert_array_equal(back.X, ds.X)
+        np.testing.assert_array_equal(back.y, ds.y)
+        np.testing.assert_array_equal(back.locations, ds.locations)

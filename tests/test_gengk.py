@@ -37,7 +37,7 @@ class TestFactorize:
         assert f.beta1 == pytest.approx(np.linalg.norm(b))
         np.testing.assert_allclose(f.U[:, 0], b / np.linalg.norm(b))
         assert f.B[0, 0] == pytest.approx(1.0)
-        np.testing.assert_allclose(f.V[:, 0], f.U[:, 0], atol=1e-14)
+        np.testing.assert_allclose(f.Vk[:, 0], f.U[:, 0], atol=1e-14)
         assert f.B[1, 0] == 0.0
         assert f.breakdown_at == 1
 
@@ -56,10 +56,10 @@ class TestFactorize:
         g, S, op, amap, b = random_problem(rng, 5, 4, 18)
         f = gengk_factorize(amap, op, b, 0.4, k=6, reorthogonalize=reorth)
         assert f.U.shape == (amap.p, f.k + 1)
-        assert f.V.shape == (g.n, f.k + 1)
+        assert f.Vk.shape == (g.n, f.k)
         # each basis vector is one contiguous row of the storage
         assert f.U.T.flags.c_contiguous
-        assert f.V.T.flags.c_contiguous
+        assert f.Vk.T.flags.c_contiguous
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -88,13 +88,42 @@ class TestFactorize:
         assert (fp.k, fp.breakdown_at) == (f.k, f.breakdown_at)
         assert np.abs(fp.B - f.B).max() <= 1e-10 * np.abs(f.B).max()
 
+    @pytest.mark.parametrize("reorth", [False, True])
+    def test_one_covariance_matvec_per_step(self, rng, reorth):
+        # A Sigma V_k = U_{k+1} B_k needs only v_1..v_k: k Sigma matvecs
+        # and k A^T applications, none for an unused v_{k+1}
+        g, S, op, amap, b = random_problem(rng, 5, 5, 20)
+        calls = {"matvec": 0, "apply_t": 0}
+
+        def counted(name, fn):
+            def wrapper(x):
+                calls[name] += 1
+                return fn(x)
+            return wrapper
+
+        op.matvec = counted("matvec", op.matvec)
+        amap.apply_t = counted("apply_t", amap.apply_t)
+        f = gengk_factorize(amap, op, b, 0.3, k=6, reorthogonalize=reorth)
+        assert (f.k, f.breakdown_at) == (6, None)
+        assert calls == {"matvec": 6, "apply_t": 6}
+
+    @pytest.mark.parametrize("k,expected", [(6, (4, 4)), (4, (4, None))])
+    def test_breakdown_only_on_vectors_that_are_used(self, rng, k, expected):
+        # n = 4 latent nodes: v_5 vanishes, which truncates k = 6 to 4 but
+        # is never computed for k = 4
+        g, S, op, amap, b = random_problem(rng, 2, 2, 10)
+        f = gengk_factorize(amap, op, b, 0.25, k=k, reorthogonalize=True)
+        assert (f.k, f.breakdown_at) == expected
+        assert f.B.shape == (f.k + 1, f.k)
+        assert np.abs(f.Vk.T @ S @ f.Vk - np.eye(f.k)).max() < 1e-8
+
     def test_rhs_scaling_homogeneity(self, rng):
         g, S, op, amap, b = random_problem(rng, 4, 4, 12)
         f1 = gengk_factorize(amap, op, b, 0.5, k=5)
         f2 = gengk_factorize(amap, op, 3.0 * b, 0.5, k=5)
         assert f2.beta1 == pytest.approx(3.0 * f1.beta1, rel=1e-13)
         np.testing.assert_allclose(f2.U, f1.U, atol=1e-12)
-        np.testing.assert_allclose(f2.V, f1.V, atol=1e-12)
+        np.testing.assert_allclose(f2.Vk, f1.Vk, atol=1e-12)
         np.testing.assert_allclose(f2.B, f1.B, atol=1e-12)
 
     def test_deterministic(self, rng):
@@ -102,7 +131,7 @@ class TestFactorize:
         f1 = gengk_factorize(amap, op, b, 0.3, k=6)
         f2 = gengk_factorize(amap, op, b, 0.3, k=6)
         np.testing.assert_array_equal(f1.U, f2.U)
-        np.testing.assert_array_equal(f1.V, f2.V)
+        np.testing.assert_array_equal(f1.Vk, f2.Vk)
         np.testing.assert_array_equal(f1.B, f2.B)
 
     def test_rejects_bad_inputs(self, rng):
