@@ -46,7 +46,6 @@ CONFIG_KEYS = {
     "seed": int,
     "init": str,
     "tol": float,
-    "gtol": float,
     "max_iter": int,
     "nu": float,
     "theta": str,
@@ -150,7 +149,6 @@ def cmd_fit(args) -> int:
         init=_resolve_init(args.init, args.nu),
         max_iter=args.max_iter,
         tol=args.tol,
-        gtol=args.gtol,
     )
     save_fit_artifact(args.out, res, dataset)
 
@@ -330,8 +328,6 @@ def _add_common(p):
                    help='"auto", "truth" (studies), or beta,sigma2,tau2,rho')
     p.add_argument("--tol", type=float, default=1e-8,
                    help="relative objective-change stopping tolerance")
-    p.add_argument("--gtol", type=float, default=1e-3,
-                   help="gradient sup-norm stopping tolerance")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=200)
     p.add_argument("--nu", type=float, default=0.5, help="fixed smoothness")
     p.add_argument("--clamp-threshold", dest="clamp_threshold", type=float,

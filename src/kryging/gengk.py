@@ -13,7 +13,9 @@ In exact arithmetic the factorization satisfies
     V_k' Sigma V_k = I_k
 
 and these identities are the correctness contract tested against dense
-oracles. One scaled matvec with Sigma is spent per iteration.
+oracles. One scaled matvec with Sigma is spent per iteration. U is always
+re-orthogonalized against its earlier vectors, and that alone keeps V
+Sigma-orthonormal in floating point.
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ def gengk_factorize(
     b: np.ndarray,
     tau2: float,
     k: int,
-    reorthogonalize: bool = False,
 ) -> GenGKFactorization:
     """Run k steps of generalized Golub-Kahan bidiagonalization.
 
@@ -103,11 +104,11 @@ def gengk_factorize(
         Nugget variance, > 0.
     k : int
         Requested subspace order, >= 1. Truncated on breakdown.
-    reorthogonalize : bool
-        Re-orthogonalize new basis vectors against all previous ones
-        (U in the noise metric, V in the covariance metric). Off by
-        default; the recurrences are self-orthogonalizing in exact
-        arithmetic.
+
+    Each new u is re-orthogonalized against all earlier U rows in the
+    noise metric. That one-sided projection also keeps V Sigma-orthonormal
+    to working precision (Simon & Zha 2000), so V needs no projection of
+    its own and the Krylov space's exhaustion shows up as a breakdown.
     """
     b = np.asarray(b, dtype=float)
     if tau2 <= 0:
@@ -123,7 +124,6 @@ def gengk_factorize(
     # one basis vector per row, so every update touches contiguous memory
     U = np.zeros((k + 1, p))
     V = np.zeros((k, n))
-    SV = np.zeros((k, n)) if reorthogonalize else None  # Sigma @ V rows
     B = np.zeros((k + 1, k))
 
     beta1 = bnorm / tau
@@ -137,12 +137,6 @@ def gengk_factorize(
         if i:
             w -= beta * V[i - 1]
         t = sigma_op.matvec(w)
-        if reorthogonalize:
-            # project out previous V rows in the Sigma inner product;
-            # SV @ w = V Sigma w, and t tracks Sigma w without a new matvec
-            coeffs = SV[:i] @ w
-            w -= V[:i].T @ coeffs
-            t -= SV[:i].T @ coeffs
         alpha = np.sqrt(max(np.dot(w, t), 0.0))
         if i == 0:
             tol = BREAKDOWN_REL_TOL * max(beta1, alpha, 1.0)
@@ -153,12 +147,11 @@ def gengk_factorize(
             break
         B[i, i] = alpha
         np.divide(w, alpha, out=V[i])
-        sv = np.divide(t, alpha, out=SV[i] if reorthogonalize else t)  # Sigma @ v_i
+        t /= alpha  # Sigma @ v_i
 
-        r = amap.apply(sv)
+        r = amap.apply(t)
         r -= alpha * U[i]
-        if reorthogonalize:
-            r -= U[: i + 1].T @ (U[: i + 1] @ r) / tau2
+        r -= U[: i + 1].T @ (U[: i + 1] @ r) / tau2
         beta = np.linalg.norm(r) / tau
         if beta <= tol:
             k_eff = breakdown_at = i + 1

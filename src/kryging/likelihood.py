@@ -102,12 +102,7 @@ def _zero_solution(data: ModelData) -> KrygingSolution:
     )
 
 
-def profile_loglik(
-    data: ModelData,
-    theta: ThetaParams,
-    k: int,
-    reorthogonalize: bool = False,
-) -> ObjectiveState:
+def profile_loglik(data: ModelData, theta: ThetaParams, k: int) -> ObjectiveState:
     """Evaluate the negative approximate profile log-likelihood.
 
     Runs the Golub-Kahan factorization on b = y - X beta, recovers the
@@ -119,13 +114,11 @@ def profile_loglik(
     which is minimized during fitting. Embedding failures propagate with
     clamp diagnostics attached.
     """
-    return _profile_state(
-        data, theta, correlation_operator(data, theta), k, reorthogonalize
-    )
+    return _profile_state(data, theta, correlation_operator(data, theta), k)
 
 
 def _profile_state(
-    data: ModelData, theta: ThetaParams, op: BttbOperator, k: int, reorthogonalize: bool
+    data: ModelData, theta: ThetaParams, op: BttbOperator, k: int
 ) -> ObjectiveState:
     """:func:`profile_loglik` on a prebuilt correlation operator ``op``."""
     op.require_trustworthy()
@@ -135,9 +128,7 @@ def _profile_state(
         fact = None
         sol = _zero_solution(data)
     else:
-        fact = gengk_factorize(
-            data.amap, op, b, theta.tau2, k, reorthogonalize=reorthogonalize
-        )
+        fact = gengk_factorize(data.amap, op, b, theta.tau2, k)
         sol = solve(fact, theta.sigma2, op, data.amap, b)
 
     ld = op.logdet()
@@ -220,15 +211,10 @@ def _score(
     )
 
 
-def evaluate_objective(
-    data: ModelData,
-    theta: ThetaParams,
-    k: int,
-    reorthogonalize: bool = False,
-) -> ObjectiveState:
+def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> ObjectiveState:
     """Objective value and gradient in one pass, sharing the operators."""
     op = correlation_operator(data, theta)
-    state = _profile_state(data, theta, op, k, reorthogonalize)
+    state = _profile_state(data, theta, op, k)
     dop = derivative_operator(data, theta)
     dld = dlogdet_drho(op, dop)
     state.grad = _score(data, theta, state.solution, state.fact, dop, dld)

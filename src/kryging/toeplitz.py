@@ -10,7 +10,9 @@ derivative, and exact Gaussian sampling.
 The minimal (2*n_i - 1) embedding is mandatory for the log-determinant
 (the frequency-subset rule depends on it); matrix-vector products run on
 a padded fast-length embedding, which changes speed only, never the
-extracted lattice values.
+extracted lattice values. Each matvec runs a pruned transform on that
+fast-length layout: the zero padding is never materialized, and the row
+transforms touch only the lattice's own rows on the way in and out.
 """
 
 from __future__ import annotations
@@ -127,10 +129,12 @@ class BttbOperator:
             raise ValueError(f"vector must have length {self.grid.n}, got {v.shape}")
         n1, n2 = self.grid.n1, self.grid.n2
         f1, f2 = self._fast_dims
-        vpad = np.zeros((f2, f1))
-        vpad[:n2, :n1] = v.reshape(n2, n1)
-        prod = np.fft.irfft2(np.fft.rfft2(vpad) * self._fast_eigs, s=(f2, f1))
-        return prod[:n2, :n1].ravel()
+        # pruned 2-D transform: the zero padding stays implicit, so only the
+        # n2 nonzero rows go through the row transforms in either direction
+        spec = sfft.fft(sfft.rfft(v.reshape(n2, n1), n=f1, axis=1), n=f2, axis=0)
+        spec *= self._fast_eigs
+        rows = sfft.ifft(spec, axis=0)[:n2]
+        return sfft.irfft(rows, n=f1, axis=1)[:, :n1].ravel()
 
     def logdet(self) -> float:
         """Log-determinant approximation from the embedding spectrum.

@@ -47,7 +47,7 @@ def test_criterion_1_dense_solver_equivalence(report):
         op = BttbOperator.from_matern(g, spec)
         amap = SparseMap.identity(g.n)
         b = rng.standard_normal(g.n)
-        fact = gengk_factorize(amap, op, b, 0.25, k=g.n, reorthogonalize=True)
+        fact = gengk_factorize(amap, op, b, 0.25, k=g.n)
         sol = solve(fact, 1.0, op, amap, b)
         ref = dense_solution(S, np.eye(g.n), b, 1.0, 0.25)
         worst = max(worst, np.linalg.norm(sol.x_star - ref) / np.linalg.norm(ref))
@@ -80,7 +80,7 @@ def test_criterion_2_gengk_relations(report):
         locs = np.column_stack([rng.uniform(0, 1, p), rng.uniform(0, 1, p)])
         amap = build_map(locs, g)
         b = rng.standard_normal(p)
-        f = gengk_factorize(amap, op, b, tau2, k, reorthogonalize=True)
+        f = gengk_factorize(amap, op, b, tau2, k)
         Ad = amap.toarray()
         scale = max(1.0, np.abs(f.B).max())
         r1 = np.abs(Ad @ S @ f.Vk - f.U @ f.B).max() / scale
@@ -154,12 +154,12 @@ def test_criterion_4_gradient_correctness(report):
         _, ld_exact = np.linalg.slogdet(S)
 
         def dense_substituted_value(th):
-            st = profile_loglik(data, th, k=g.n, reorthogonalize=True)
+            st = profile_loglik(data, th, k=g.n)
             Sd = dense_corr(g, th.rho, 0.5)
             _, ld = np.linalg.slogdet(Sd)
             return st.value - 0.5 * st.diagnostics["logdet"] + 0.5 * ld
 
-        st = profile_loglik(data, theta, k=g.n, reorthogonalize=True)
+        st = profile_loglik(data, theta, k=g.n)
         dS = matern_corr_drho(D, theta.rho, 0.5)
         dL_dense = np.trace(np.linalg.solve(S, dS))
         grad = gradient(data, theta, st.solution, st.fact, dlogdet=dL_dense)
@@ -289,7 +289,7 @@ def test_criterion_8_bootstrap_contract(report):
         theta_hat=theta0, x_hat=np.zeros(g0.n), objective_trace=[0.0],
         converged=True, iterations=1, grid=g0, k=g0.n, nu=0.5,
     )
-    p0 = bootstrap_uq(res0, data0, g0.node_coords(), B=20, seed=3, reorthogonalize=True)
+    p0 = bootstrap_uq(res0, data0, g0.node_coords(), B=20, seed=3)
     limit_ok = bool(p0.se.max() < 1e-4)
 
     ok = identical and nonneg and limit_ok

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kryging
 from kryging.estimation import FitResult, _trust_step, auto_init, bootstrap_uq, fit, predict
 from kryging.gengk import gengk_factorize, solve
 from kryging.grid import GridSpec, MaternSpec, ThetaParams
@@ -48,6 +55,17 @@ class TestFit:
         assert th.sigma2 > 0 and th.tau2 > 0 and th.rho > 0
         assert res.iterations <= 60
 
+    def test_stops_once_objective_is_linear_along_gradient(self):
+        # far from a stationary point the model's step gains about twice
+        # its predicted reduction; the fit stops there instead of walking
+        # one unit of log-likelihood per evaluation toward the boundary
+        g, sim, data = simulated_data(10, TRUTH, seed=2)
+        for init in (TRUTH, "auto"):
+            res = fit(data, k=20, init=init, max_iter=60)
+            assert res.diagnostics["stop_reason"] == "objective linear along the gradient"
+            assert res.converged
+            assert (res.iterations, len(res.objective_trace)) == (2, 2)
+
     def test_reproducible(self):
         g, sim, data = simulated_data(8, TRUTH, seed=3)
         r1 = fit(data, k=10, init=TRUTH, max_iter=30)
@@ -55,6 +73,38 @@ class TestFit:
         assert r1.theta_hat.sigma2 == r2.theta_hat.sigma2
         assert r1.theta_hat.rho == r2.theta_hat.rho
         np.testing.assert_array_equal(r1.x_hat, r2.x_hat)
+
+    def test_same_fit_under_one_and_two_blas_threads(self):
+        # the thread count changes OpenBLAS's summation order; the fit
+        # must take the same steps and the objective may move only at
+        # the level of the smoothness bound in test_likelihood
+        code = (
+            "import json, numpy as np\n"
+            "from kryging.estimation import fit\n"
+            "from kryging.grid import GridSpec, ThetaParams\n"
+            "from kryging.likelihood import ModelData\n"
+            "from kryging.mapping import build_map\n"
+            "from kryging.simulate import simulate_dataset\n"
+            "theta = ThetaParams(np.array([44.49]), 3.0, 0.5, 0.1)\n"
+            "g = GridSpec(200, 200)\n"
+            "ds = simulate_dataset(g, theta, seed=7).dataset\n"
+            "data = ModelData(y=ds.y, X=ds.X, amap=build_map(ds.locations, g), grid=g)\n"
+            "r = fit(data, k=50, init=theta, max_iter=4)\n"
+            "print(json.dumps([r.iterations, r.converged, r.diagnostics['stop_reason'],\n"
+            "    r.objective_trace, r.theta_hat.to_optimizer_vector().tolist()]))\n"
+        )
+        src = str(Path(kryging.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env=env, check=True)
+            runs.append(json.loads(proc.stdout))
+        (n1, c1, stop1, trace1, vec1), (n2, c2, stop2, trace2, vec2) = runs
+        assert (n1, c1, stop1) == (n2, c2, stop2)
+        np.testing.assert_allclose(trace2, trace1, rtol=1e-8)
+        np.testing.assert_allclose(vec2, vec1, rtol=1e-12)
 
     def test_auto_init_heuristic(self):
         g, sim, data = simulated_data(8, TRUTH, seed=4)
@@ -156,7 +206,7 @@ class TestPredict:
         op = BttbOperator.from_matern(g, MaternSpec(1.0, theta.rho, theta.nu))
         amap = SparseMap.identity(g.n)
         y = op.sample(rng)
-        fact = gengk_factorize(amap, op, y, theta.tau2, k=g.n, reorthogonalize=True)
+        fact = gengk_factorize(amap, op, y, theta.tau2, k=g.n)
         sol = solve(fact, theta.sigma2, op, amap, y)
         res = manual_fit(g, theta, sol.x_star, k=g.n)
         yhat = predict(res, SparseMap.identity(g.n))
@@ -204,7 +254,7 @@ class TestBootstrap:
             amap=SparseMap.identity(g.n), grid=g,
         )
         res = manual_fit(g, theta, np.zeros(g.n), k=g.n)
-        pset = bootstrap_uq(res, data, g.node_coords(), B=3, seed=5, reorthogonalize=True)
+        pset = bootstrap_uq(res, data, g.node_coords(), B=3, seed=5)
         assert pset.se.max() < 1e-4
 
     def test_coverage_sanity_theta_known(self):
@@ -247,7 +297,7 @@ class TestBootstrap:
 class TestConvergenceGate:
     def test_predict_refuses_unconverged_without_override(self):
         g, sim, data = simulated_data(6, TRUTH, seed=9)
-        res = fit(data, k=5, init=TRUTH, max_iter=3)
+        res = fit(data, k=5, init=TRUTH, max_iter=1)
         assert not res.converged
         amap = SparseMap.identity(g.n)
         with pytest.raises(ValueError, match="converge"):
