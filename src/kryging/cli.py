@@ -162,6 +162,7 @@ def cmd_fit(args) -> int:
             f"sigma2: {th.sigma2:.6g}   tau2: {th.tau2:.6g}   rho: {th.rho:.6g}   nu: {th.nu:g}",
             f"converged: {res.converged} ({res.diagnostics['stop_reason']})",
             f"evaluations: {res.iterations}   accepted steps: {len(trace) - 1}",
+            f"embedding failures: {res.diagnostics['embedding_failures']}",
             f"objective: {trace[0]:.4f} -> {trace[-1]:.4f}",
             f"effective k: {res.diagnostics.get('k_effective')}   "
             f"logdet clamp_count: {res.diagnostics.get('clamp_count')}",

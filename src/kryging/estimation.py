@@ -123,7 +123,7 @@ def _feasible_box(data: ModelData, theta0: ThetaParams):
 
 def _trust_region_minimize(data, theta0, k, max_iter, tol):
     """Minimize the negative objective from theta0; returns (state, trace,
-    n_eval, converged, note).
+    n_eval, converged, note, embedding_failures).
 
     The model Hessian is the rank-one gradient outer product plus a small
     ridge, rebuilt at every iterate. The profiled objective is unbounded
@@ -143,6 +143,10 @@ def _trust_region_minimize(data, theta0, k, max_iter, tol):
     it is linear at the step scale and no stationary point is within
     reach; each further step would gain about one unit of
     log-likelihood and move the estimate by 1/|g| toward the boundary.
+
+    A trial point whose embedding fails (:class:`EmbeddingError`) counts
+    as an evaluation and a rejected step; ``embedding_failures`` counts
+    them.
     """
     vec = theta0.to_optimizer_vector()
     lo, hi = _feasible_box(data, theta0)
@@ -157,6 +161,7 @@ def _trust_region_minimize(data, theta0, k, max_iter, tol):
     converged = False
     note = "max_iter reached"
     consecutive_failures = 0
+    embedding_failures = 0
 
     while n_eval < max_iter:
         g = state.grad
@@ -179,6 +184,7 @@ def _trust_region_minimize(data, theta0, k, max_iter, tol):
             consecutive_failures = 0
         except EmbeddingError:
             n_eval += 1
+            embedding_failures += 1
             consecutive_failures += 1
             if consecutive_failures >= 10:
                 note = "persistent embedding failure"
@@ -208,7 +214,7 @@ def _trust_region_minimize(data, theta0, k, max_iter, tol):
     if at_bound:
         converged = False
         note += "; estimate at feasibility bound"
-    return state, trace, n_eval, converged, note
+    return state, trace, n_eval, converged, note, embedding_failures
 
 
 def fit(
@@ -224,7 +230,9 @@ def fit(
     Each trust-region step is taken in closed form: the Newton step of
     the rank-one-plus-ridge model along the negative gradient, shortened
     to the trust radius and clipped to the feasibility box.
-    ``diagnostics["stop_reason"]`` names the test that ended the fit.
+    ``diagnostics["stop_reason"]`` names the test that ended the fit, and
+    ``diagnostics["embedding_failures"]`` counts the trial points rejected
+    because their circulant embedding failed.
 
     Parameters
     ----------
@@ -254,7 +262,7 @@ def fit(
         raise TypeError(f'init must be "auto" or a ThetaParams, got {init!r}')
 
     t0 = time.perf_counter()
-    state, trace, n_eval, converged, note = _trust_region_minimize(
+    state, trace, n_eval, converged, note, embedding_failures = _trust_region_minimize(
         data, theta0, k, max_iter, tol
     )
     wall = time.perf_counter() - t0
@@ -270,6 +278,7 @@ def fit(
         nu=data.nu,
         diagnostics={
             "stop_reason": note,
+            "embedding_failures": embedding_failures,
             "gradient": state.grad,
             "wall_time": wall,
             **state.diagnostics,

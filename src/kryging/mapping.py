@@ -34,14 +34,11 @@ class SparseMap:
 
     Wraps a scipy CSR matrix of shape (p, n) whose rows are convex
     weights: nonnegative, summing to one, with at most four nonzeros.
-    A CSR copy of the transpose is built once at construction and serves
-    :meth:`apply_t`, so treat ``matrix`` as immutable.
     """
 
     def __init__(self, matrix: sparse.csr_matrix):
         self.matrix = sparse.csr_matrix(matrix)
         self.p, self.n = self.matrix.shape
-        self._matrix_t = self.matrix.T.tocsr()
 
     @classmethod
     def selection(cls, indices: np.ndarray, n: int) -> "SparseMap":
@@ -70,7 +67,7 @@ class SparseMap:
         u = np.asarray(u)
         if u.shape[0] != self.p:
             raise ValueError(f"expected length {self.p}, got {u.shape}")
-        return self._matrix_t @ u
+        return self.matrix.T @ u
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()

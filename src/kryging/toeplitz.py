@@ -5,7 +5,9 @@ with Toeplitz blocks and embeds in a block-circulant (BCCB) matrix of
 size (2*n1 - 1) x (2*n2 - 1) blocks, which the 2-D DFT diagonalizes.
 That embedding gives O(n log n) matrix-vector products, a log-determinant
 approximation over the leading n1 x n2 frequencies, its range-parameter
-derivative, and exact Gaussian sampling.
+derivative, and exact Gaussian sampling. The embedding is real and even
+in both axes, so its spectrum is real and even too: each operator
+computes one quarter of it with real transforms and mirrors the rest.
 
 The minimal (2*n_i - 1) embedding is mandatory for the log-determinant
 (the frequency-subset rule depends on it); matrix-vector products run on
@@ -37,20 +39,34 @@ class EmbeddingError(RuntimeError):
     or too many eigenvalues had to be clamped for results to be trusted."""
 
 
-def _embed(base: np.ndarray, m1: int, m2: int) -> np.ndarray:
-    """Place the (n2, n1) lag array into an (m2, m1) circulant layout."""
+def _quarter_spectrum(base: np.ndarray, m1: int, m2: int) -> np.ndarray:
+    """Spectrum of the (m2, m1) circulant embedding of the (n2, n1) lag
+    array at frequencies 0..m2//2 by 0..m1//2.
+
+    The embedding is real and even in both axes, so its spectrum is too,
+    and two real transforms give this quarter: one along axis 1 of the n2
+    base rows only (the mirrored rows have the same transform), then one
+    along axis 0 of the even column sequence built from those rows.
+    """
     n2, n1 = base.shape
     if m1 < 2 * n1 - 1 or m2 < 2 * n2 - 1:
         raise ValueError("embedding dimensions too small for exact products")
-    emb = np.zeros((m2, m1))
-    emb[:n2, :n1] = base
-    if n1 > 1:
-        emb[:n2, m1 - n1 + 1 :] = base[:, :0:-1]
-    if n2 > 1:
-        emb[m2 - n2 + 1 :, :n1] = base[:0:-1, :]
-    if n1 > 1 and n2 > 1:
-        emb[m2 - n2 + 1 :, m1 - n1 + 1 :] = base[:0:-1, :0:-1]
-    return emb
+    rows = np.zeros((n2, m1))
+    rows[:, :n1] = base
+    rows[:, m1 - n1 + 1 :] = base[:, :0:-1]
+    half = sfft.rfft(rows, axis=1).real
+    cols = np.zeros((m2, half.shape[1]))
+    cols[:n2] = half
+    cols[m2 - n2 + 1 :] = half[:0:-1]
+    return sfft.rfft(cols, axis=0).real
+
+
+def _unfold(q: np.ndarray, m: int, axis: int) -> np.ndarray:
+    """Extend frequencies 0..m//2 along ``axis`` to all m of an even
+    spectrum, where frequency k equals frequency m - k."""
+    h = q.shape[axis]
+    tail = q[m - h : 0 : -1] if axis == 0 else q[:, m - h : 0 : -1]
+    return np.concatenate([q, tail], axis=axis)
 
 
 class BttbOperator:
@@ -88,9 +104,7 @@ class BttbOperator:
 
         base = first_col.reshape(grid.n2, grid.n1)
         m1, m2 = self.embed_dims
-        emb = _embed(base, m1, m2)
-        # the embedding is even in both axes, so its transform is real
-        eig = np.fft.fft2(emb).real
+        eig = _unfold(_unfold(_quarter_spectrum(base, m1, m2), m2, 0), m1, 1)
 
         self.clamp_count = 0
         if clamp:
@@ -107,7 +121,8 @@ class BttbOperator:
         f1 = sfft.next_fast_len(m1, real=True)
         f2 = sfft.next_fast_len(m2, real=True)
         self._fast_dims = (f1, f2)
-        self._fast_eigs = np.fft.rfft2(_embed(base, f1, f2)).real
+        # rfft2 layout: every axis-0 frequency, axis-1 frequencies 0..f1//2
+        self._fast_eigs = _unfold(_quarter_spectrum(base, f1, f2), f2, 0)
 
     @classmethod
     def from_matern(cls, grid: GridSpec, spec: MaternSpec, **kwargs) -> "BttbOperator":
@@ -133,7 +148,7 @@ class BttbOperator:
         # n2 nonzero rows go through the row transforms in either direction
         spec = sfft.fft(sfft.rfft(v.reshape(n2, n1), n=f1, axis=1), n=f2, axis=0)
         spec *= self._fast_eigs
-        rows = sfft.ifft(spec, axis=0)[:n2]
+        rows = sfft.ifft(spec, axis=0, overwrite_x=True)[:n2]
         return sfft.irfft(rows, n=f1, axis=1)[:, :n1].ravel()
 
     def logdet(self) -> float:

@@ -39,3 +39,17 @@ def dense_negative_profile(S, A, y, X, beta, sigma2, tau2):
     return 0.5 * (
         p * np.log(tau2) + psi @ psi / tau2 + n * np.log(sigma2) + ld + quad / sigma2
     )
+
+
+def circulant_embedding(base: np.ndarray, m1: int, m2: int) -> np.ndarray:
+    """The (m2, m1) block-circulant embedding of an (n2, n1) lag array,
+    entry by entry: position (j2, j1) holds the lag (min(j2, m2 - j2),
+    min(j1, m1 - j1)) when that lag is on the lattice, else zero."""
+    n2, n1 = base.shape
+    emb = np.zeros((m2, m1))
+    for j2 in range(m2):
+        for j1 in range(m1):
+            l2, l1 = min(j2, m2 - j2), min(j1, m1 - j1)
+            if l2 < n2 and l1 < n1:
+                emb[j2, j1] = base[l2, l1]
+    return emb

@@ -88,6 +88,7 @@ class TestFit:
         assert fitfile.exists()
         report = (workdir / "fit.npz.report.txt").read_text()
         assert "clamp_count" in report
+        assert "embedding failures: 0" in report
         assert "sigma2" in report
         out = capsys.readouterr().out
         assert "effective k" in out

@@ -14,7 +14,7 @@ from kryging.grid import GridSpec, MaternSpec, ThetaParams
 from kryging.likelihood import ModelData
 from kryging.mapping import SparseMap, build_map
 from kryging.simulate import simulate_dataset
-from kryging.toeplitz import BttbOperator
+from kryging.toeplitz import BttbOperator, EmbeddingError
 
 
 def simulated_data(m, theta, seed):
@@ -105,6 +105,47 @@ class TestFit:
         assert (n1, c1, stop1) == (n2, c2, stop2)
         np.testing.assert_allclose(trace2, trace1, rtol=1e-8)
         np.testing.assert_allclose(vec2, vec1, rtol=1e-12)
+
+    @pytest.mark.parametrize("source, latent, thin", [(40, 40, 0.0), (60, 30, 0.9)])
+    def test_same_fit_under_permuted_observations(self, source, latent, thin):
+        # permuting the rows permutes y and the rows of A together, which
+        # leaves the objective unchanged up to summation order
+        sim = simulate_dataset(GridSpec(source, source), TRUTH, seed=5, thin_fraction=thin)
+        grid = GridSpec(latent, latent)
+        ds = sim.dataset
+        perm = np.random.default_rng(11).permutation(ds.p)
+
+        def fit_rows(rows, init):
+            sub = ds.subset(rows)
+            data = ModelData(y=sub.y, X=sub.X, amap=build_map(sub.locations, grid),
+                             grid=grid, nu=TRUTH.nu)
+            res = fit(data, k=30, init=init)
+            th = res.theta_hat
+            vec = np.concatenate([th.beta, [th.sigma2, th.tau2, th.rho]])
+            return (res.converged, res.diagnostics["stop_reason"], res.iterations), vec
+
+        for init in (TRUTH, "auto"):
+            verdict, vec = fit_rows(np.arange(ds.p), init)
+            verdict_perm, vec_perm = fit_rows(perm, init)
+            assert verdict_perm == verdict
+            np.testing.assert_allclose(vec_perm, vec, rtol=1e-6)
+
+    def test_embedding_failure_at_trial_point_is_counted(self, monkeypatch):
+        g, sim, data = simulated_data(10, TRUTH, seed=2)
+        evaluate = kryging.estimation.evaluate_objective
+        calls = []
+
+        def fail_first_trial(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise EmbeddingError("injected")
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(kryging.estimation, "evaluate_objective", fail_first_trial)
+        res = fit(data, k=20, init=TRUTH, max_iter=60)
+        assert res.diagnostics["embedding_failures"] == 1
+        assert res.iterations == len(calls) > 2
+        assert len(res.objective_trace) >= 2
 
     def test_auto_init_heuristic(self):
         g, sim, data = simulated_data(8, TRUTH, seed=4)

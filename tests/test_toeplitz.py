@@ -4,7 +4,7 @@ import pytest
 from kryging.grid import GridSpec, MaternSpec, first_column, matern_corr
 from kryging.toeplitz import BttbOperator, EmbeddingError, dlogdet_drho
 
-from oracles import dense_corr, pairwise_distances
+from oracles import circulant_embedding, dense_corr, pairwise_distances
 
 
 def identity_operator(grid, **kw):
@@ -99,6 +99,29 @@ class TestStructure:
         assert op.eigs.dtype.kind == "f"
         assert op.clamp_count == 0
         assert np.all(op.eigs > 0)
+
+    # minimal embedding lengths: prime (13, 11, 17, 7, 23) and odd
+    # composite (21, 9, 15); fast lengths, even (12, 8, 18, 24) or odd
+    # (15, 9), differ from the minimal ones on the first four grids
+    @pytest.mark.parametrize("n1, n2", [(7, 6), (9, 4), (12, 7), (11, 5), (8, 5)])
+    def test_spectrum_matches_full_transform_oracle(self, n1, n2):
+        g = GridSpec(n1, n2)
+        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5))
+        assert op.clamp_count == 0
+        base = op.first_col.reshape(n2, n1)
+        m1, m2 = op.embed_dims
+        eigs = op.eigs
+        # exactly even: frequency (k2, k1) equals (-k2, -k1) bit for bit
+        mirrored = eigs[(-np.arange(m2)) % m2][:, (-np.arange(m1)) % m1]
+        assert np.array_equal(eigs, mirrored)
+        oracle = np.fft.fft2(circulant_embedding(base, m1, m2)).real
+        peak = np.abs(oracle).max()
+        assert np.abs(eigs - oracle).max() <= 1e-14 * peak
+        ref = np.log(oracle[:n2, :n1]).sum()
+        assert abs(op.logdet() - ref) <= 1e-13 * abs(ref)
+        f1, f2 = op._fast_dims
+        fast = np.fft.rfft2(circulant_embedding(base, f1, f2)).real
+        assert np.abs(op._fast_eigs - fast).max() <= 1e-14 * peak
 
 
 class TestLogdet:
