@@ -179,7 +179,8 @@ def _predict_common(args, with_uncertainty) -> int:
     _validate_counts(args)
     res, dataset = load_fit_artifact(args.fit)
     if not res.converged:
-        print("warning: fit artifact did not converge; predicting anyway",
+        print(f"warning: fit artifact did not converge "
+              f"({res.diagnostics['stop_reason']}); predicting anyway",
               file=sys.stderr)
     locations = read_locations(args.locations)
     if locations.shape[0] == 0:

@@ -6,10 +6,10 @@ always prepended. Prediction output schema: header
 ``lon,lat,y_hat,se,ci_lo,ci_hi`` (the uncertainty columns are omitted
 when no bootstrap was run).
 
-The fit artifact is a compressed numpy archive with a format version
-field; all arrays needed to predict and bootstrap from the fit are
-stored, so the artifact is self-contained. Keys are documented in
-:func:`save_fit_artifact`.
+The fit artifact is an uncompressed numpy archive (``.npz``) with a
+format version field; all arrays needed to predict and bootstrap from
+the fit are stored, so the artifact is self-contained. Keys are
+documented in :func:`save_fit_artifact`.
 """
 
 from __future__ import annotations
@@ -85,6 +85,46 @@ def _parse_float(token: str, line_no: int, col: str) -> float:
     return v
 
 
+def _read_columns(reader, columns: list, width: int) -> np.ndarray:
+    """The named columns of the data rows left in ``reader``, as a
+    (rows, len(columns)) float array.
+
+    ``columns`` lists (field index, name) pairs; every row needs at least
+    ``width`` fields. Rows that are empty or all blank are skipped but
+    still count toward line numbers. All tokens are converted in one
+    array operation, which applies ``float()`` to each; only when that
+    fails or yields a non-finite value is the first bad token located.
+    Faults are reported in file order: a bad token wins over a short row
+    or a malformed record after it.
+    """
+    index = [i for i, _ in columns]
+    tokens, lines = [], []
+    fault = None
+    try:
+        for line_no, row in enumerate(reader, start=2):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) < width:
+                fault = InputError(f"line {line_no}: expected {width} fields, got {len(row)}")
+                break
+            tokens.extend([row[i] for i in index])
+            lines.append(line_no)
+    except csv.Error as exc:
+        fault = exc
+    try:
+        values = np.array(tokens, dtype=float)
+        clean = bool(np.isfinite(values).all())
+    except ValueError:
+        clean = False
+    if not clean:
+        ncol = len(columns)
+        for j, token in enumerate(tokens):
+            _parse_float(token, lines[j // ncol], columns[j % ncol][1])
+    if fault is not None:
+        raise fault
+    return values.reshape(len(lines), len(columns))
+
+
 def read_dataset(path, covariates: list | None = None) -> Dataset:
     """Read observations from CSV; an intercept column is always prepended.
 
@@ -118,29 +158,14 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
                 )
             use = list(covariates)
         cols = [extra.index(c) + 3 for c in use]
+        columns = [(0, "lon"), (1, "lat"), (2, "y")] + [(c, header[c]) for c in cols]
+        values = _read_columns(reader, columns, 3 + len(extra))
 
-        locs, ys, covs = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 3 + len(extra):
-                raise InputError(
-                    f"line {line_no}: expected {3 + len(extra)} fields, got {len(row)}"
-                )
-            locs.append(
-                (
-                    _parse_float(row[0], line_no, "lon"),
-                    _parse_float(row[1], line_no, "lat"),
-                )
-            )
-            ys.append(_parse_float(row[2], line_no, "y"))
-            covs.append([_parse_float(row[c], line_no, header[c]) for c in cols])
-
-    if not ys:
+    p = values.shape[0]
+    if not p:
         raise InputError(f"{path}: no observations")
-    p = len(ys)
-    X = np.column_stack([np.ones(p), np.asarray(covs, dtype=float).reshape(p, len(cols))])
-    return Dataset(np.asarray(locs), np.asarray(ys), X, ("intercept", *use))
+    X = np.column_stack([np.ones(p), values[:, 3:]])
+    return Dataset(values[:, :2].copy(), values[:, 2].copy(), X, ("intercept", *use))
 
 
 def read_locations(path) -> np.ndarray:
@@ -153,17 +178,7 @@ def read_locations(path) -> np.ndarray:
             raise InputError(f"{path}: empty file")
         if header[:2] != ["lon", "lat"]:
             raise InputError(f"{path}: header must start with lon,lat")
-        locs = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            locs.append(
-                (
-                    _parse_float(row[0], line_no, "lon"),
-                    _parse_float(row[1], line_no, "lat"),
-                )
-            )
-    return np.asarray(locs, dtype=float).reshape(len(locs), 2)
+        return _read_columns(reader, [(0, "lon"), (1, "lat")], 2)
 
 
 def write_dataset(path, dataset: Dataset):
@@ -200,12 +215,15 @@ def save_fit_artifact(path, fitres: FitResult, dataset: Dataset):
 
     Keys: format_version, grid (n1, n2, x_min, x_max, y_min, y_max), nu,
     k, beta, sigma2, tau2, rho, x_hat, converged, iterations,
-    objective_trace, locations, y, X, covariate_names, plus scalar
-    diagnostics (clamp_count, wall_time).
+    objective_trace, locations, y, X, covariate_names, plus the
+    diagnostics clamp_count, wall_time, stop_reason (a str array) and
+    embedding_failures. The archive is uncompressed: zlib on the float64
+    fields halves the file but costs more time than the rest of the save.
     """
     g = fitres.grid
     th = fitres.theta_hat
-    np.savez_compressed(
+    diag = fitres.diagnostics
+    np.savez(
         path,
         format_version=ARTIFACT_VERSION,
         grid=np.array([g.n1, g.n2, g.x_min, g.x_max, g.y_min, g.y_max]),
@@ -223,17 +241,20 @@ def save_fit_artifact(path, fitres: FitResult, dataset: Dataset):
         y=dataset.y,
         X=dataset.X,
         covariate_names=np.asarray(dataset.covariate_names, dtype=str),
-        clamp_count=fitres.diagnostics.get("clamp_count", 0),
-        wall_time=fitres.diagnostics.get("wall_time", float("nan")),
+        clamp_count=diag.get("clamp_count", 0),
+        wall_time=diag.get("wall_time", float("nan")),
+        stop_reason=np.asarray(diag.get("stop_reason", "unknown"), dtype=str),
+        embedding_failures=diag.get("embedding_failures", 0),
     )
 
 
 def load_fit_artifact(path):
     """Load a fit artifact; returns (FitResult, Dataset).
 
-    Arrays are read with pickling disabled, so an archive holding object
-    arrays (which could run code when unpickled) is refused with
-    :class:`InputError`.
+    Artifacts written before ``stop_reason`` and ``embedding_failures``
+    were stored load with "unknown" and 0 for them. Arrays are read with
+    pickling disabled, so an archive holding object arrays (which could
+    run code when unpickled) is refused with :class:`InputError`.
     """
     with np.load(path, allow_pickle=False) as archive:
         try:
@@ -268,6 +289,8 @@ def load_fit_artifact(path):
         diagnostics={
             "clamp_count": int(z["clamp_count"]),
             "wall_time": float(z["wall_time"]),
+            "stop_reason": str(z.get("stop_reason", "unknown")),
+            "embedding_failures": int(z.get("embedding_failures", 0)),
         },
     )
     dataset = Dataset(

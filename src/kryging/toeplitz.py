@@ -183,17 +183,30 @@ class BttbOperator:
         """One exact draw from N(0, Sigma) by circulant embedding.
 
         ``rng`` is an integer seed or a numpy Generator. Complex standard
-        normals are scaled by the square root of the embedding spectrum,
-        inverse-transformed, and the lattice block extracted. Fails when
-        the clamped fraction exceeds the operator's threshold.
+        normals a + ib over the whole embedding are scaled by the square
+        root of the embedding spectrum, and the real part of their inverse
+        transform is kept on the lattice block. Because the spectrum is
+        even, that real part is the transform of the Hermitian part
+        sqrt(lam) (a_even + i b_odd), so only the non-negative axis-1
+        frequencies are transformed: ``ifft`` along axis 0 keeping the
+        lattice rows, then ``irfft`` along axis 1. Both normal arrays are
+        still drawn in full, so the generator advances as it always has.
+        Fails when the clamped fraction exceeds the operator's threshold.
         """
         self.require_trustworthy()
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        lam = np.maximum(self.eigs, 0.0)
-        m = lam.size
-        noise = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
-        field = np.fft.ifft2(np.sqrt(lam) * noise) * np.sqrt(m)
-        return field.real[: self.grid.n2, : self.grid.n1].ravel()
+        m2, m1 = self.eigs.shape
+        a = rng.standard_normal((m2, m1))
+        b = rng.standard_normal((m2, m1))
+        # frequency -k of each kept frequency k, in both axes
+        neg = np.ix_(-np.arange(m2) % m2, -np.arange(m1 // 2 + 1) % m1)
+        half = (slice(None), slice(0, m1 // 2 + 1))
+        h = np.sqrt(np.maximum(self.eigs[half], 0.0)) * (
+            (a[half] + a[neg]) / 2 + 1j * ((b[half] - b[neg]) / 2)
+        )
+        rows = sfft.ifft(h, axis=0, overwrite_x=True)[: self.grid.n2]
+        field = sfft.irfft(rows, n=m1, axis=1)[:, : self.grid.n1]
+        return (field * np.sqrt(m2 * m1)).ravel()
 
 
 def dlogdet_drho(op: BttbOperator, dop: BttbOperator) -> float:

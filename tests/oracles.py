@@ -53,3 +53,14 @@ def circulant_embedding(base: np.ndarray, m1: int, m2: int) -> np.ndarray:
             if l2 < n2 and l1 < n1:
                 emb[j2, j1] = base[l2, l1]
     return emb
+
+
+def complex_embedding_sample(eigs: np.ndarray, n1: int, n2: int, rng) -> np.ndarray:
+    """One circulant-embedding draw by the full complex route: normals
+    a + ib over the whole (m2, m1) embedding scaled by the square root of
+    the clamped spectrum, a complex 2-D inverse FFT, and the real part of
+    the leading (n2, n1) block."""
+    lam = np.maximum(eigs, 0.0)
+    noise = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
+    field = np.fft.ifft2(np.sqrt(lam) * noise) * np.sqrt(lam.size)
+    return field.real[:n2, :n1].ravel()

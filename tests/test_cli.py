@@ -174,6 +174,14 @@ class TestPredict:
         assert rc == 2
         assert "outside" in capsys.readouterr().err
 
+    def test_short_locations_row_exits_2(self, workdir, fitted, capsys):
+        locs = workdir / "locs.csv"
+        locs.write_text("lon,lat\n0.5,0.5\n0.25\n")
+        rc = run_cli(["predict", "--fit", fitted, "--locations", locs,
+                      "--B", 0, "--out", workdir / "pred.csv"])
+        assert rc == 2
+        assert "error: line 3: expected 2 fields, got 1" in capsys.readouterr().err
+
     def test_bootstrap_subcommand(self, workdir, fitted):
         locs = workdir / "locs.csv"
         locs.write_text("lon,lat\n0.4,0.6\n")
@@ -332,6 +340,50 @@ class TestArtifact:
                       "--B", 2, "--out", workdir / "pred.csv"])
         assert rc == 2
         assert "refusing" in capsys.readouterr().err
+
+
+    def test_stop_reason_and_embedding_failures_round_trip(self, workdir, capsys):
+        from kryging.data import load_fit_artifact, save_fit_artifact
+
+        data = simulate(workdir)
+        fitfile = workdir / "fit.npz"
+        assert run_cli(["fit", "--grid", "12x12", "--extent", "0,1,0,1", "--k", 10,
+                        "--max-iter", 10, "--out", fitfile, data]) == 0
+        report = (workdir / "fit.npz.report.txt").read_text()
+        res, dataset = load_fit_artifact(fitfile)
+        assert res.diagnostics["stop_reason"] != "unknown"
+        assert f"({res.diagnostics['stop_reason']})" in report
+        assert res.diagnostics["embedding_failures"] == 0
+
+        res.converged = False
+        res.diagnostics.update(stop_reason="max_iter reached", embedding_failures=3)
+        unconverged = workdir / "unconverged.npz"
+        save_fit_artifact(unconverged, res, dataset)
+        back, _ = load_fit_artifact(unconverged)
+        assert back.diagnostics["stop_reason"] == "max_iter reached"
+        assert back.diagnostics["embedding_failures"] == 3
+        locs = workdir / "locs.csv"
+        locs.write_text("lon,lat\n0.5,0.5\n")
+        capsys.readouterr()
+        assert run_cli(["predict", "--fit", unconverged, "--locations", locs,
+                        "--B", 0, "--out", workdir / "pred.csv"]) == 0
+        assert "did not converge (max_iter reached)" in capsys.readouterr().err
+
+    def test_artifact_without_stop_reason_loads(self, workdir):
+        from kryging.data import load_fit_artifact
+
+        data = simulate(workdir)
+        fitfile = workdir / "fit.npz"
+        assert run_cli(["fit", "--grid", "12x12", "--extent", "0,1,0,1", "--k", 10,
+                        "--max-iter", 10, "--out", fitfile, data]) == 0
+        with np.load(fitfile, allow_pickle=False) as z:
+            payload = dict(z)
+        del payload["stop_reason"], payload["embedding_failures"]
+        older = workdir / "older.npz"
+        np.savez_compressed(older, **payload)
+        res, _ = load_fit_artifact(older)
+        assert res.diagnostics["stop_reason"] == "unknown"
+        assert res.diagnostics["embedding_failures"] == 0
 
 
 class TestWriteDataset:

@@ -4,7 +4,12 @@ import pytest
 from kryging.grid import GridSpec, MaternSpec, first_column, matern_corr
 from kryging.toeplitz import BttbOperator, EmbeddingError, dlogdet_drho
 
-from oracles import circulant_embedding, dense_corr, pairwise_distances
+from oracles import (
+    circulant_embedding,
+    complex_embedding_sample,
+    dense_corr,
+    pairwise_distances,
+)
 
 
 def identity_operator(grid, **kw):
@@ -224,6 +229,17 @@ class TestSampling:
             prods = draws[:, i] * draws[:, j]
             mc_se = prods.std() / np.sqrt(n_draws)
             assert abs(prods.mean() - target) < 3 * mc_se
+
+    @pytest.mark.parametrize("n1, n2", [(37, 23), (5, 9), (2, 2), (64, 31), (40, 40)])
+    def test_matches_full_complex_transform(self, n1, n2):
+        g = GridSpec(n1, n2)
+        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.15, 0.5))
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = op.sample(rng)
+            want = complex_embedding_sample(op.eigs, n1, n2, ref_rng)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_untrustworthy_embedding_refuses_to_sample(self):
         # smooth kernel + range far beyond the domain: heavy clamping
