@@ -134,7 +134,9 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
         CSV file whose header starts with lon,lat,y.
     covariates : list of str, optional
         Names of covariate columns to use. Defaults to every column after
-        y. A named column missing from the header is an error.
+        y. A named column missing from the header, or a name that repeats
+        in ``covariates`` or among the header's columns after y, is an
+        error; a repeated header name that is not used is not.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -157,6 +159,12 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
                     f"{path}: covariate column(s) not found: {', '.join(missing)}"
                 )
             use = list(covariates)
+        # a repeated name would silently read its first column twice
+        repeated = [c for c in use if use.count(c) > 1 or extra.count(c) > 1]
+        if repeated:
+            raise InputError(
+                f"{path}: duplicate column name(s): {', '.join(dict.fromkeys(repeated))}"
+            )
         cols = [extra.index(c) + 3 for c in use]
         columns = [(0, "lon"), (1, "lat"), (2, "y")] + [(c, header[c]) for c in cols]
         values = _read_columns(reader, columns, 3 + len(extra))

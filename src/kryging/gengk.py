@@ -3,10 +3,7 @@
 Builds paired bases U (noise-weighted orthogonal, U'U = tau2 I) and V
 (covariance-weighted orthonormal, V' Sigma V = I) for the Krylov subspace
 of the regularized weighted least-squares problem, together with the
-bidiagonal projection B. The regularized latent estimate is recovered
-from a small k x k solve and one covariance matvec.
-
-In exact arithmetic the factorization satisfies
+bidiagonal projection B. In exact arithmetic the factorization satisfies
 
     A Sigma V_k = U_{k+1} B_k
     U_{k+1}' U_{k+1} = tau2 I
@@ -16,6 +13,18 @@ and these identities are the correctness contract tested against dense
 oracles. One scaled matvec with Sigma is spent per iteration. U is always
 re-orthogonalized against its earlier vectors, and that alone keeps V
 Sigma-orthonormal in floating point.
+
+Only U ((k+1) x p) and B are stored; the latent basis V (k x n) is not.
+The recurrence's latent step, alpha_i v_i = A' u_i / tau2 - beta_i v_{i-1},
+reads in matrix form
+
+    V_k L_k' = A' U_k / tau2,   L_k = B[:k, :k] (lower bidiagonal),
+
+so the latent estimate m = V_k z is A' (U_k g) / tau2 with L_k' g = z: a
+k x k triangular solve, one product with U and one A' application. The
+regularized estimate is then x* = Sigma m, one covariance matvec.
+:attr:`GenGKFactorization.Vk` rebuilds V on demand by replaying the
+latent steps, for inspection and the identity checks.
 """
 
 from __future__ import annotations
@@ -33,9 +42,24 @@ __all__ = ["GenGKFactorization", "KrygingSolution", "gengk_factorize", "solve"]
 BREAKDOWN_REL_TOL = 1e-14
 
 
+def _latent_step(amap, u, tau2, beta, v_prev):
+    """Unnormalized latent vector A' u / tau2 - beta v_prev, where
+    ``v_prev`` is None on the first step. The recurrence and the replay
+    in :attr:`GenGKFactorization.Vk` share it, so both round alike."""
+    w = amap.apply_t(u)
+    w /= tau2
+    if v_prev is not None:
+        w -= beta * v_prev
+    return w
+
+
 @dataclass
 class GenGKFactorization:
     """Output of :func:`gengk_factorize`.
+
+    Stores the observation-space basis U and the projection B, plus the
+    mapping and nugget needed to map coefficients back to the latent
+    space; the latent basis is never stored (see :attr:`Vk`).
 
     Attributes
     ----------
@@ -47,11 +71,12 @@ class GenGKFactorization:
         Observation-space basis; the final column is zero if the
         recurrence broke down while computing it. A transposed view of
         row-major (k+1, p) storage, so each basis vector is contiguous.
-    Vk : ndarray, shape (n, k)
-        Latent-space basis, Sigma-orthonormal; the same transposed-view
-        layout over (k, n) storage.
     B : ndarray, shape (k+1, k)
         Bidiagonal projection with diagonals alpha and subdiagonals beta.
+    amap : SparseMap
+        The observation mapping the factorization was built with.
+    tau2 : float
+        The nugget variance it was built with.
     breakdown_at : int or None
         Iteration at which a normalizer vanished, if any; v_{k+1} is never
         computed (B and the solve do not read it), so it cannot break down.
@@ -60,9 +85,28 @@ class GenGKFactorization:
     k: int
     beta1: float
     U: np.ndarray
-    Vk: np.ndarray
     B: np.ndarray
+    amap: SparseMap
+    tau2: float
     breakdown_at: int | None = None
+
+    @property
+    def Vk(self) -> np.ndarray:
+        """Latent-space basis, shape (n, k), Sigma-orthonormal.
+
+        Rebuilt on each access by replaying the latent steps of
+        :func:`gengk_factorize` from U and B (k applications of A', no
+        covariance matvec), so it is bitwise equal to the vectors the
+        recurrence used. A transposed view of row-major (k, n) storage,
+        like U. The solve does not read it.
+        """
+        V = np.empty((self.k, self.amap.n))
+        v = beta = None
+        for i in range(self.k):
+            w = _latent_step(self.amap, self.U[:, i], self.tau2, beta, v)
+            v = np.divide(w, self.B[i, i], out=V[i])
+            beta = self.B[i + 1, i]
+        return V.T
 
 
 @dataclass
@@ -72,7 +116,8 @@ class KrygingSolution:
     ``quad = ||z||^2`` approximates the covariance-weighted quadratic form
     of the latent estimate and feeds straight into the profile likelihood.
     ``m = V_k z`` is the latent estimate before the covariance matvec
-    (``x_star = Sigma m``); the rho-gradient reuses it.
+    (``x_star = Sigma m``), computed without V_k (see :func:`solve`); the
+    rho-gradient reuses it.
     """
 
     z: np.ndarray
@@ -109,6 +154,8 @@ def gengk_factorize(
     noise metric. That one-sided projection also keeps V Sigma-orthonormal
     to working precision (Simon & Zha 2000), so V needs no projection of
     its own and the Krylov space's exhaustion shows up as a breakdown.
+    Only the latest latent vector is kept while the loop runs; U and B
+    determine the rest.
     """
     b = np.asarray(b, dtype=float)
     if tau2 <= 0:
@@ -119,11 +166,9 @@ def gengk_factorize(
     if bnorm == 0:
         raise ValueError("right-hand side is identically zero")
 
-    p, n = amap.p, amap.n
     tau = np.sqrt(tau2)
     # one basis vector per row, so every update touches contiguous memory
-    U = np.zeros((k + 1, p))
-    V = np.zeros((k, n))
+    U = np.zeros((k + 1, amap.p))
     B = np.zeros((k + 1, k))
 
     beta1 = bnorm / tau
@@ -131,11 +176,9 @@ def gengk_factorize(
 
     k_eff = k
     breakdown_at = None
+    v = beta = None
     for i in range(k):
-        w = amap.apply_t(U[i])
-        w /= tau2
-        if i:
-            w -= beta * V[i - 1]
+        w = _latent_step(amap, U[i], tau2, beta, v)
         t = sigma_op.matvec(w)
         alpha = np.sqrt(max(np.dot(w, t), 0.0))
         if i == 0:
@@ -146,7 +189,8 @@ def gengk_factorize(
             k_eff = breakdown_at = i
             break
         B[i, i] = alpha
-        np.divide(w, alpha, out=V[i])
+        v = w
+        v /= alpha
         t /= alpha  # Sigma @ v_i
 
         r = amap.apply(t)
@@ -163,8 +207,9 @@ def gengk_factorize(
         k=k_eff,
         beta1=beta1,
         U=U[: k_eff + 1].T,
-        Vk=V[:k_eff].T,
         B=B[: k_eff + 1, :k_eff],
+        amap=amap,
+        tau2=tau2,
         breakdown_at=breakdown_at,
     )
 
@@ -179,9 +224,11 @@ def solve(
     """Recover the regularized latent estimate from a factorization.
 
     Solves the k x k projected ridge system
-    (B'B + I/sigma2) z = B' beta1 e1, then maps back with one covariance
-    matvec: x* = Sigma (V_k z). When ``amap`` and ``b`` are given, the
-    observation-space residual b - A x* is attached to the solution.
+    (B'B + I/sigma2) z = B' beta1 e1 and maps back without the latent
+    basis: m = V_k z = A' (U_k g) / tau2 with L_k' g = z, L_k = B[:k, :k],
+    then x* = Sigma m with one covariance matvec. When ``amap`` and ``b``
+    are given, the observation-space residual b - A x* is attached to the
+    solution.
     """
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
@@ -191,7 +238,9 @@ def solve(
     M = B.T @ B + np.eye(k) / sigma2
     c, low = scipy.linalg.cho_factor(M)
     z = scipy.linalg.cho_solve((c, low), rhs)
-    m = fact.Vk @ z
+    g = scipy.linalg.solve_triangular(B[:k], z, trans="T", lower=True)
+    m = fact.amap.apply_t(fact.U[:, :k] @ g)
+    m /= fact.tau2
     x_star = sigma_op.matvec(m)
     psi = b - amap.apply(x_star) if amap is not None and b is not None else None
     return KrygingSolution(

@@ -69,7 +69,12 @@ class ModelData:
 
 @dataclass
 class ObjectiveState:
-    """One evaluation of the negative approximate profile log-likelihood."""
+    """One evaluation of the negative approximate profile log-likelihood.
+
+    ``fact`` is the Golub-Kahan factorization behind ``solution``;
+    :func:`evaluate_objective` drops it (None) once the solution is
+    formed, so a fit holds one factorization at a time.
+    """
 
     theta: ThetaParams
     value: float
@@ -172,18 +177,18 @@ def gradient(
         d pl / d lam_e2  = p / (2 lam_e2) - psi'psi / 2
 
     and the log transforms contribute factors -lam2, -lam_e2 and rho.
-    ``solution`` and ``fact`` must come from the same theta. The
-    rho-derivative trace ``dlogdet`` (see :func:`dlogdet_drho`) must be
-    supplied for the same theta.
+    ``solution`` must come from the same theta; ``m`` is read from it, so
+    ``fact`` is not needed and may be None. The rho-derivative trace
+    ``dlogdet`` (see :func:`dlogdet_drho`) must be supplied for the same
+    theta.
     """
-    return _score(data, theta, solution, fact, derivative_operator(data, theta), dlogdet)
+    return _score(data, theta, solution, derivative_operator(data, theta), dlogdet)
 
 
 def _score(
     data: ModelData,
     theta: ThetaParams,
     solution: KrygingSolution,
-    fact: GenGKFactorization | None,
     dop: BttbOperator,
     dlogdet: float,
 ) -> np.ndarray:
@@ -192,7 +197,7 @@ def _score(
     psi = solution.psi_star
     psi2 = float(psi @ psi)
 
-    if fact is not None and solution.z.size:
+    if solution.m is not None:
         dsig_quad = float(solution.m @ dop.matvec(solution.m))
     else:
         dsig_quad = 0.0
@@ -212,12 +217,19 @@ def _score(
 
 
 def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> ObjectiveState:
-    """Objective value and gradient in one pass, sharing the operators."""
+    """Objective value and gradient in one pass, sharing the operators.
+
+    The returned state keeps the solution but not the factorization
+    (``fact`` is None): the gradient reads only the solution, and a fit
+    holding the accepted state would otherwise keep its basis alive
+    while the trial point builds another.
+    """
     op = correlation_operator(data, theta)
     state = _profile_state(data, theta, op, k)
+    state.fact = None
     dop = derivative_operator(data, theta)
     dld = dlogdet_drho(op, dop)
-    state.grad = _score(data, theta, state.solution, state.fact, dop, dld)
+    state.grad = _score(data, theta, state.solution, dop, dld)
     state.diagnostics["dlogdet"] = dld
     return state
 

@@ -114,6 +114,16 @@ class TestFit:
         assert rc == 2
         assert "outside" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header,flags", [
+        ("lon,lat,y,a,a", []), ("lon,lat,y,a,b", ["--covariates", "a,a"]),
+    ])
+    def test_duplicate_covariate_exits_2(self, workdir, capsys, header, flags):
+        bad = workdir / "dup.csv"
+        bad.write_text(f"{header}\n0.1,0.2,1.0,5,7\n0.3,0.4,2.0,6,8\n")
+        rc = run_cli(["fit", "--grid", "8x8", *flags, "--out", workdir / "f.npz", bad])
+        assert rc == 2
+        assert "duplicate column name(s): a" in capsys.readouterr().err
+
     def test_parse_error_reports_line(self, workdir, capsys):
         bad = workdir / "bad.csv"
         bad.write_text("lon,lat,y\n0.1,0.2,1.0\n0.3,oops,2.0\n")

@@ -108,6 +108,20 @@ class TestFaults:
         np.testing.assert_array_equal(ds.y, [1.0, 2.0])
         np.testing.assert_array_equal(ds.locations, [[0.1, 0.2], [0.3, 0.4]])
 
+    def test_duplicate_column_names_refused_when_read(self, tmp_path):
+        path = write_rows(tmp_path / "d.csv", [
+            ["lon", "lat", "y", "a", "a", "b"],
+            ["0.1", "0.2", "1.0", "5", "7", "9"],
+            ["0.3", "0.4", "2.0", "6", "8", "4"],
+        ])
+        assert read_error(path) == f"{path}: duplicate column name(s): a"
+        assert read_error(path, covariates=["a"]) == f"{path}: duplicate column name(s): a"
+        assert read_error(path, covariates=["b", "a", "b"]) == (
+            f"{path}: duplicate column name(s): b, a"
+        )
+        # a repeated name that is not read leaves the other columns usable
+        np.testing.assert_array_equal(read_dataset(path, covariates=["b"]).X, [[1, 9], [1, 4]])
+
     def test_header_only_dataset(self, tmp_path):
         path = write_rows(tmp_path / "d.csv", [["lon", "lat", "y", "elev"]])
         assert read_error(path) == f"{path}: no observations"

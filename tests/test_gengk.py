@@ -17,6 +17,52 @@ def identity_operator(grid):
     return BttbOperator(grid, col)
 
 
+def criterion_2_problems():
+    """The randomized problems of acceptance criterion 2 (seed 2):
+    operator, map, right-hand side, nugget and order."""
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        n1 = int(rng.integers(3, 21))
+        n2 = int(rng.integers(3, min(21, 400 // n1 + 1)))
+        g = GridSpec(n1, n2)
+        p = int(rng.integers(5, 61))
+        k = int(rng.integers(1, min(p, 25) + 1))
+        rho = float(rng.uniform(0.05, 0.6))
+        nu = float(rng.choice([0.5, 1.5]))
+        tau2 = float(rng.uniform(0.05, 2.0))
+        op = BttbOperator.from_matern(g, MaternSpec(1.0, rho, nu))
+        locs = np.column_stack([rng.uniform(0, 1, p), rng.uniform(0, 1, p)])
+        yield op, build_map(locs, g), rng.standard_normal(p), tau2, k
+
+
+def stored_basis_gengk(amap, op, b, tau2, k):
+    """Reference recurrence that stores every latent vector as it goes:
+    returns (U, V, B) as row-major (k+1, p), (k, n), (k+1, k) arrays."""
+    tau = np.sqrt(tau2)
+    U = np.zeros((k + 1, amap.p))
+    V = np.zeros((k, amap.n))
+    B = np.zeros((k + 1, k))
+    beta1 = np.linalg.norm(b) / tau
+    np.divide(b, beta1, out=U[0])
+    for i in range(k):
+        w = amap.apply_t(U[i])
+        w /= tau2
+        if i:
+            w -= beta * V[i - 1]
+        t = op.matvec(w)
+        alpha = np.sqrt(max(np.dot(w, t), 0.0))
+        B[i, i] = alpha
+        np.divide(w, alpha, out=V[i])
+        t /= alpha
+        r = amap.apply(t)
+        r -= alpha * U[i]
+        r -= U[: i + 1].T @ (U[: i + 1] @ r) / tau2
+        beta = np.linalg.norm(r) / tau
+        B[i + 1, i] = beta
+        np.divide(r, beta, out=U[i + 1])
+    return U, V, B
+
+
 def random_problem(rng, n1, n2, p, rho=0.3, nu=0.5):
     g = GridSpec(n1, n2)
     S = dense_corr(g, rho, nu)
@@ -124,6 +170,22 @@ class TestFactorize:
         np.testing.assert_allclose(f2.Vk, f1.Vk, atol=1e-12)
         np.testing.assert_allclose(f2.B, f1.B, atol=1e-12)
 
+    def test_replayed_latent_basis_is_the_recurrences_own(self):
+        # V is not stored; Vk replays the latent steps from U and B and must
+        # reproduce, bit for bit, the vectors a stored-basis loop computes
+        rng = np.random.default_rng(5)
+        g = GridSpec(30, 25)
+        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5))
+        locs = np.column_stack([rng.uniform(0, 1, 400), rng.uniform(0, 1, 400)])
+        amap = build_map(locs, g)
+        b = rng.standard_normal(amap.p)
+        f = gengk_factorize(amap, op, b, 0.3, k=20)
+        U, V, B = stored_basis_gengk(amap, op, b, 0.3, k=20)
+        assert (f.k, f.breakdown_at) == (20, None)
+        np.testing.assert_array_equal(f.U, U.T)
+        np.testing.assert_array_equal(f.B, B)
+        np.testing.assert_array_equal(f.Vk, V.T)
+
     def test_deterministic(self, rng):
         g, S, op, amap, b = random_problem(rng, 4, 5, 15)
         f1 = gengk_factorize(amap, op, b, 0.3, k=6)
@@ -160,8 +222,22 @@ class TestSolve:
         g, S, op, amap, b = random_problem(rng, 5, 5, 20)
         f = gengk_factorize(amap, op, b, 0.3, k=6)
         sol = solve(f, 1.2, op, amap, b)
-        np.testing.assert_array_equal(sol.m, f.Vk @ sol.z)
+        # m comes from A' U_k L_k^{-T} z / tau2, not from a stored V_k, so
+        # it agrees with V_k z to rounding rather than bitwise
+        np.testing.assert_allclose(sol.m, f.Vk @ sol.z, rtol=1e-12)
         np.testing.assert_array_equal(sol.x_star, op.matvec(sol.m))
+
+    def test_latent_estimate_matches_replayed_basis(self):
+        # V_k L_k' = A' U_k / tau2 over the criterion-2 problems
+        worst = 0.0
+        for op, amap, b, tau2, k in criterion_2_problems():
+            f = gengk_factorize(amap, op, b, tau2, k)
+            Vk = f.Vk
+            for sigma2 in (1e-2, 1.0, 1e2):
+                sol = solve(f, sigma2, op)
+                ref = Vk @ sol.z
+                worst = max(worst, np.linalg.norm(sol.m - ref) / np.linalg.norm(ref))
+        assert worst <= 1e-12
 
     def test_full_order_matches_dense_solution_colocated(self, rng):
         g = GridSpec(6, 6)

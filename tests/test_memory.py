@@ -1,0 +1,62 @@
+"""Memory regressions, traced with the stdlib ``tracemalloc`` (numpy
+reports its array buffers to it; FFT work buffers are not counted).
+
+A Golub-Kahan run stores one basis, U ((k+1) x p floats), and a fit
+holds one factorization at a time.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from kryging.estimation import fit
+from kryging.gengk import gengk_factorize
+from kryging.grid import GridSpec, MaternSpec, ThetaParams
+from kryging.likelihood import ModelData, evaluate_objective
+from kryging.mapping import SparseMap
+from kryging.toeplitz import BttbOperator
+
+K = 30
+THETA = ThetaParams(beta=np.array([2.0]), sigma2=1.0, tau2=0.5, rho=0.1, nu=0.5)
+
+
+@pytest.fixture
+def traced():
+    """Peak bytes newly allocated while ``fn`` runs, and its result."""
+    tracemalloc.start()
+
+    def peak(fn):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+
+    try:
+        yield peak
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def colocated():
+    g = GridSpec(80, 80)
+    rng = np.random.default_rng(0)
+    y = 2.0 + rng.standard_normal(g.n)
+    return ModelData(y, np.ones((g.n, 1)), SparseMap.identity(g.n), g)
+
+
+def test_factorization_stores_only_the_observation_basis(traced, colocated):
+    op = BttbOperator.from_matern(colocated.grid, MaternSpec(1.0, THETA.rho, 0.5))
+    b = colocated.y - 2.0
+    f, peak = traced(lambda: gengk_factorize(colocated.amap, op, b, THETA.tau2, K))
+    assert f.k == K
+    # U alone is 8 (k+1) p bytes; storing V as well would add 8 k n
+    assert peak <= 1.6 * 8 * (K + 1) * colocated.p
+
+
+def test_fit_holds_one_factorization_at_a_time(traced, colocated):
+    _, one = traced(lambda: evaluate_objective(colocated, THETA, K))
+    res, peak = traced(lambda: fit(colocated, k=K, init=THETA, max_iter=2))
+    assert res.iterations == 2
+    assert peak <= 1.25 * one
