@@ -21,7 +21,7 @@ from .grid import (
     matern_corr,
     matern_corr_drho,
 )
-from .likelihood import ModelData, ObjectiveState, gradient, profile_loglik
+from .likelihood import ModelData, ObjectiveState, evaluate_objective
 from .mapping import LocationError, SparseMap, build_map, wendland
 from .simulate import simulate_dataset
 from .toeplitz import BttbOperator, EmbeddingError, dlogdet_drho
@@ -47,16 +47,15 @@ __all__ = [
     "bootstrap_uq",
     "build_map",
     "dlogdet_drho",
+    "evaluate_objective",
     "first_column",
     "first_column_drho",
     "fit",
     "gengk_factorize",
-    "gradient",
     "load_fit_artifact",
     "matern_corr",
     "matern_corr_drho",
     "predict",
-    "profile_loglik",
     "read_dataset",
     "save_fit_artifact",
     "simulate_dataset",

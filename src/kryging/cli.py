@@ -240,6 +240,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_study(args) -> int:
+    if args.replicates < 1:
+        raise InputError(f"replicates must be >= 1, got {args.replicates}")
     common = dict(
         k=args.k, replicates=args.replicates, scale=args.scale, seed=args.seed,
         B=args.B, init="truth" if args.init == "truth" else _resolve_init(args.init, args.nu),
@@ -408,7 +410,7 @@ def main(argv=None) -> int:
         if getattr(args, "requires_out", False) and not args.out:
             parser.error(f"{args.command} requires --out")
         return args.func(args)
-    except (InputError, LocationError, FileNotFoundError, ValueError) as exc:
+    except (InputError, LocationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EmbeddingError as exc:

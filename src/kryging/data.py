@@ -15,6 +15,7 @@ documented in :func:`save_fit_artifact`.
 from __future__ import annotations
 
 import csv
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,13 +263,23 @@ def load_fit_artifact(path):
     Artifacts written before ``stop_reason`` and ``embedding_failures``
     were stored load with "unknown" and 0 for them. Arrays are read with
     pickling disabled, so an archive holding object arrays (which could
-    run code when unpickled) is refused with :class:`InputError`.
+    run code when unpickled) is refused with :class:`InputError`, as is
+    a truncated archive or one missing a required array.
     """
-    with np.load(path, allow_pickle=False) as archive:
-        try:
+    try:
+        with np.load(path, allow_pickle=False) as archive:
             z = {key: archive[key] for key in archive.files}
-        except ValueError as exc:
-            raise InputError(f"{path}: refusing to load fit artifact: {exc}") from exc
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise InputError(f"{path}: not a readable fit artifact: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"{path}: refusing to load fit artifact: {exc}") from exc
+    try:
+        return _unpack_artifact(path, z)
+    except KeyError as exc:
+        raise InputError(f"{path}: fit artifact has no {exc.args[0]!r} array") from exc
+
+
+def _unpack_artifact(path, z):
     version = int(z["format_version"])
     if version != ARTIFACT_VERSION:
         raise InputError(

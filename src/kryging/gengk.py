@@ -123,8 +123,7 @@ class KrygingSolution:
     z: np.ndarray
     x_star: np.ndarray
     quad: float
-    psi_star: np.ndarray | None = None
-    m: np.ndarray | None = None
+    m: np.ndarray
 
 
 def gengk_factorize(
@@ -215,20 +214,14 @@ def gengk_factorize(
 
 
 def solve(
-    fact: GenGKFactorization,
-    sigma2: float,
-    sigma_op: BttbOperator,
-    amap: SparseMap | None = None,
-    b: np.ndarray | None = None,
+    fact: GenGKFactorization, sigma2: float, sigma_op: BttbOperator
 ) -> KrygingSolution:
     """Recover the regularized latent estimate from a factorization.
 
     Solves the k x k projected ridge system
     (B'B + I/sigma2) z = B' beta1 e1 and maps back without the latent
     basis: m = V_k z = A' (U_k g) / tau2 with L_k' g = z, L_k = B[:k, :k],
-    then x* = Sigma m with one covariance matvec. When ``amap`` and ``b``
-    are given, the observation-space residual b - A x* is attached to the
-    solution.
+    then x* = Sigma m with one covariance matvec.
     """
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
@@ -242,7 +235,4 @@ def solve(
     m = fact.amap.apply_t(fact.U[:, :k] @ g)
     m /= fact.tau2
     x_star = sigma_op.matvec(m)
-    psi = b - amap.apply(x_star) if amap is not None and b is not None else None
-    return KrygingSolution(
-        z=z, x_star=x_star, quad=float(np.dot(z, z)), psi_star=psi, m=m
-    )
+    return KrygingSolution(z=z, x_star=x_star, quad=float(np.dot(z, z)), m=m)

@@ -8,20 +8,19 @@ gradient uses the analytic score in the precision parametrization
 (lam2 = 1/sigma2, lam_e2 = 1/tau2) chain-ruled into optimizer space
 (beta raw, variances and range log-transformed).
 
-:func:`evaluate_objective` builds the correlation and derivative
-operators once and returns the value and the gradient together; the fit
-calls it at every trial point. :func:`profile_loglik` and
-:func:`gradient` expose its two halves on their own.
+:func:`evaluate_objective` is the one evaluation path: the value from
+the Golub-Kahan solve and the log-determinant, then the score from the
+derivative operator. The fit calls it at every trial point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gengk import GenGKFactorization, KrygingSolution, gengk_factorize, solve
+from .gengk import KrygingSolution, gengk_factorize, solve
 from .grid import GridSpec, MaternSpec, ThetaParams
 from .mapping import SparseMap
 from .toeplitz import DEFAULT_CLAMP_FAIL_FRACTION, BttbOperator, dlogdet_drho
@@ -30,8 +29,6 @@ __all__ = [
     "ModelData",
     "ObjectiveState",
     "evaluate_objective",
-    "profile_loglik",
-    "gradient",
 ]
 
 
@@ -71,17 +68,17 @@ class ModelData:
 class ObjectiveState:
     """One evaluation of the negative approximate profile log-likelihood.
 
-    ``fact`` is the Golub-Kahan factorization behind ``solution``;
-    :func:`evaluate_objective` drops it (None) once the solution is
-    formed, so a fit holds one factorization at a time.
+    ``psi`` is the observation-space residual b - A x*, with
+    b = y - X beta. The Golub-Kahan factorization behind ``solution`` is
+    not kept, so a fit holds one factorization at a time.
     """
 
     theta: ThetaParams
     value: float
     solution: KrygingSolution
-    fact: GenGKFactorization | None
-    grad: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
+    psi: np.ndarray
+    grad: np.ndarray
+    diagnostics: dict
 
 
 def correlation_operator(data: ModelData, theta: ThetaParams) -> BttbOperator:
@@ -93,51 +90,47 @@ def correlation_operator(data: ModelData, theta: ThetaParams) -> BttbOperator:
     )
 
 
-def derivative_operator(data: ModelData, theta: ThetaParams) -> BttbOperator:
-    """BTTB operator of the rho-derivative of the correlation."""
-    return BttbOperator.from_matern_drho(data.grid, MaternSpec(1.0, theta.rho, data.nu))
+def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> ObjectiveState:
+    """Negative approximate profile log-likelihood and its gradient.
 
-
-def _zero_solution(data: ModelData) -> KrygingSolution:
-    return KrygingSolution(
-        z=np.zeros(0),
-        x_star=np.zeros(data.n),
-        quad=0.0,
-        psi_star=np.zeros(data.p),
-    )
-
-
-def profile_loglik(data: ModelData, theta: ThetaParams, k: int) -> ObjectiveState:
-    """Evaluate the negative approximate profile log-likelihood.
-
-    Runs the Golub-Kahan factorization on b = y - X beta, recovers the
-    latent estimate, and assembles (up to an additive constant)
+    Solves for the latent estimate x* from b = y - X beta, forms the
+    residual psi = b - A x*, and assembles (up to an additive constant)
 
         value = (p/2) log tau2 + psi'psi / (2 tau2)
               + (n/2) log sigma2 + logdet/2 + ||z||^2 / (2 sigma2)
 
-    which is minimized during fitting. Embedding failures propagate with
-    clamp diagnostics attached.
+    which is minimized during fitting. The gradient, ordered
+    [beta..., log sigma2, log tau2, log rho], comes from the score in
+    the precision parametrization
+
+        d pl / d beta    = lam_e2 X' psi
+        d pl / d lam2    = n / (2 lam2) - ||z||^2 / 2
+        d pl / d rho     = -dlogdet/2 + (lam2/2) m' dSigma m,  m = V z
+        d pl / d lam_e2  = p / (2 lam_e2) - psi'psi / 2
+
+    with the log transforms contributing factors -lam2, -lam_e2 and rho;
+    dlogdet is the rho-derivative of the log-determinant approximation
+    (see :func:`dlogdet_drho`). Embedding failures propagate with clamp
+    diagnostics attached.
     """
-    return _profile_state(data, theta, correlation_operator(data, theta), k)
-
-
-def _profile_state(
-    data: ModelData, theta: ThetaParams, op: BttbOperator, k: int
-) -> ObjectiveState:
-    """:func:`profile_loglik` on a prebuilt correlation operator ``op``."""
+    op = correlation_operator(data, theta)
     op.require_trustworthy()
     b = data.y - data.X @ theta.beta
 
     if np.linalg.norm(b) == 0.0:
-        fact = None
-        sol = _zero_solution(data)
+        k_eff = 0
+        sol = KrygingSolution(
+            z=np.zeros(0), x_star=np.zeros(data.n), quad=0.0, m=np.zeros(data.n)
+        )
     else:
         fact = gengk_factorize(data.amap, op, b, theta.tau2, k)
-        sol = solve(fact, theta.sigma2, op, data.amap, b)
+        k_eff = fact.k
+        sol = solve(fact, theta.sigma2, op)
+        del fact  # the basis is not needed past the solve
+    psi = b - data.amap.apply(sol.x_star)
 
     ld = op.logdet()
-    psi2 = float(sol.psi_star @ sol.psi_star)
+    psi2 = float(psi @ psi)
     value = 0.5 * (
         data.p * math.log(theta.tau2)
         + psi2 / theta.tau2
@@ -145,91 +138,19 @@ def _profile_state(
         + ld
         + sol.quad / theta.sigma2
     )
-    return ObjectiveState(
-        theta=theta,
-        value=value,
-        solution=sol,
-        fact=fact,
-        diagnostics={
-            "logdet": ld,
-            "clamp_count": op.clamp_count,
-            "clamp_fraction": op.clamp_fraction,
-            "k_effective": fact.k if fact is not None else 0,
-        },
-    )
 
-
-def gradient(
-    data: ModelData,
-    theta: ThetaParams,
-    solution: KrygingSolution,
-    fact: GenGKFactorization | None,
-    dlogdet: float,
-) -> np.ndarray:
-    """Gradient of the negative objective in optimizer space.
-
-    Components are ordered [beta..., log sigma2, log tau2, log rho]. The
-    score in the precision parametrization is
-
-        d pl / d beta    = lam_e2 X' psi
-        d pl / d lam2    = n / (2 lam2) - ||z||^2 / 2
-        d pl / d rho     = -dlogdet/2 + (lam2/2) m' dSigma m,  m = V z
-        d pl / d lam_e2  = p / (2 lam_e2) - psi'psi / 2
-
-    and the log transforms contribute factors -lam2, -lam_e2 and rho.
-    ``solution`` must come from the same theta; ``m`` is read from it, so
-    ``fact`` is not needed and may be None. The rho-derivative trace
-    ``dlogdet`` (see :func:`dlogdet_drho`) must be supplied for the same
-    theta.
-    """
-    return _score(data, theta, solution, derivative_operator(data, theta), dlogdet)
-
-
-def _score(
-    data: ModelData,
-    theta: ThetaParams,
-    solution: KrygingSolution,
-    dop: BttbOperator,
-    dlogdet: float,
-) -> np.ndarray:
-    """:func:`gradient` on a prebuilt derivative operator ``dop``."""
-    lam2, lam_e2 = theta.lam2, theta.lam_e2
-    psi = solution.psi_star
-    psi2 = float(psi @ psi)
-
-    if solution.m is not None:
-        dsig_quad = float(solution.m @ dop.matvec(solution.m))
-    else:
-        dsig_quad = 0.0
-
-    d_beta = lam_e2 * (data.X.T @ psi)
-    d_lam2 = data.n / (2.0 * lam2) - 0.5 * solution.quad
-    d_rho = -0.5 * dlogdet + 0.5 * lam2 * dsig_quad
-    d_lam_e2 = data.p / (2.0 * lam_e2) - 0.5 * psi2
-
-    # chain rule into [beta, log sigma2, log tau2, log rho] for -pl
-    return np.concatenate(
-        [
-            -d_beta,
-            [lam2 * d_lam2, lam_e2 * d_lam_e2, -theta.rho * d_rho],
-        ]
-    )
-
-
-def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> ObjectiveState:
-    """Objective value and gradient in one pass, sharing the operators.
-
-    The returned state keeps the solution but not the factorization
-    (``fact`` is None): the gradient reads only the solution, and a fit
-    holding the accepted state would otherwise keep its basis alive
-    while the trial point builds another.
-    """
-    op = correlation_operator(data, theta)
-    state = _profile_state(data, theta, op, k)
-    state.fact = None
-    dop = derivative_operator(data, theta)
+    dop = BttbOperator.from_matern_drho(data.grid, MaternSpec(1.0, theta.rho, data.nu))
     dld = dlogdet_drho(op, dop)
-    state.grad = _score(data, theta, state.solution, dop, dld)
-    state.diagnostics["dlogdet"] = dld
-    return state
-
+    lam2, lam_e2 = theta.lam2, theta.lam_e2
+    dsig_quad = float(sol.m @ dop.matvec(sol.m))
+    d_beta = lam_e2 * (data.X.T @ psi)
+    d_lam2 = data.n / (2.0 * lam2) - 0.5 * sol.quad
+    d_rho = -0.5 * dld + 0.5 * lam2 * dsig_quad
+    d_lam_e2 = data.p / (2.0 * lam_e2) - 0.5 * psi2
+    # chain rule into [beta, log sigma2, log tau2, log rho] for -pl
+    grad = np.concatenate([-d_beta, [lam2 * d_lam2, lam_e2 * d_lam_e2, -theta.rho * d_rho]])
+    diagnostics = {
+        "logdet": ld, "clamp_count": op.clamp_count, "clamp_fraction": op.clamp_fraction,
+        "k_effective": k_eff, "dlogdet": dld,
+    }
+    return ObjectiveState(theta, value, sol, psi, grad, diagnostics)

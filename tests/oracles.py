@@ -29,7 +29,7 @@ def dense_solution(S, A, b, sigma2, tau2):
 
 def dense_negative_profile(S, A, y, X, beta, sigma2, tau2):
     """Exact negative profile objective (up to constants): the dense
-    counterpart of the value assembled by profile_loglik."""
+    counterpart of the value assembled by evaluate_objective."""
     p, n = A.shape
     b = y - X @ beta
     xh = dense_solution(S, A, b, sigma2, tau2)

@@ -78,6 +78,22 @@ def test_bad_extent_exits_2(workdir, capsys, command, extent):
     assert "extent must be xmin,xmax,ymin,ymax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", ["data", "config", "out"])
+def test_directory_as_path_exits_2(workdir, capsys, role):
+    data = simulate(workdir)
+    folder = workdir / "folder"
+    folder.mkdir()
+    if role == "out":
+        args = ["simulate", "--grid", "8x8", "--out", folder]
+    else:
+        args = ["fit", "--grid", "12x12", "--out", workdir / "f.npz",
+                folder if role == "data" else data]
+        if role == "config":
+            args += ["--config", folder]
+    assert run_cli(args) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
 class TestFit:
     def test_fit_writes_artifact_and_report(self, workdir, capsys):
         data = simulate(workdir)
@@ -284,6 +300,12 @@ class TestStudyCommand:
         assert "rmse=" in text and "coverage=" in text and "se " in text
         assert "sigma2=" in text  # parameter recovery table
 
+    def test_zero_replicates_exits_2(self, workdir, capsys):
+        rc = run_cli(["study", "--study", "settings", "--scale", 0.08,
+                      "--replicates", 0, "--k", 8, "--B", 3, "--max-iter", 10])
+        assert rc == 2
+        assert "replicates must be >= 1" in capsys.readouterr().err
+
     def test_modis_runner_on_synthetic_split(self, workdir, capsys):
         # exercise the archived-data code path with a synthetic stand-in
         full = simulate(workdir, grid="14x14", theta="20,2,0.3,0.2", seed=9)
@@ -351,6 +373,39 @@ class TestArtifact:
         assert rc == 2
         assert "refusing" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("kept", [0.5, 0.0])
+    def test_truncated_artifact_exits_2(self, workdir, capsys, kept):
+        data = simulate(workdir)
+        fitfile = workdir / "fit.npz"
+        assert run_cli(["fit", "--grid", "12x12", "--extent", "0,1,0,1", "--k", 10,
+                        "--max-iter", 10, "--out", fitfile, data]) == 0
+        truncated = workdir / "trunc.npz"
+        blob = fitfile.read_bytes()
+        truncated.write_bytes(blob[: int(kept * len(blob))])
+        locs = workdir / "locs.csv"
+        locs.write_text("lon,lat\n0.5,0.5\n")
+        rc = run_cli(["bootstrap", "--fit", truncated, "--locations", locs,
+                      "--B", 2, "--out", workdir / "pred.csv"])
+        assert rc == 2
+        assert f"{truncated}: not a readable fit artifact" in capsys.readouterr().err
+
+    def test_artifact_missing_array_exits_2(self, workdir, capsys):
+        data = simulate(workdir)
+        fitfile = workdir / "fit.npz"
+        assert run_cli(["fit", "--grid", "12x12", "--extent", "0,1,0,1", "--k", 10,
+                        "--max-iter", 10, "--out", fitfile, data]) == 0
+        with np.load(fitfile, allow_pickle=False) as z:
+            payload = dict(z)
+        del payload["grid"]
+        gridless = workdir / "gridless.npz"
+        np.savez(gridless, **payload)
+        locs = workdir / "locs.csv"
+        locs.write_text("lon,lat\n0.5,0.5\n")
+        rc = run_cli(["bootstrap", "--fit", gridless, "--locations", locs,
+                      "--B", 2, "--out", workdir / "pred.csv"])
+        assert rc == 2
+        assert f"{gridless}: fit artifact has no 'grid' array" in capsys.readouterr().err
 
     def test_stop_reason_and_embedding_failures_round_trip(self, workdir, capsys):
         from kryging.data import load_fit_artifact, save_fit_artifact

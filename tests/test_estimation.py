@@ -11,7 +11,7 @@ import kryging
 from kryging.estimation import FitResult, _trust_step, auto_init, bootstrap_uq, fit, predict
 from kryging.gengk import gengk_factorize, solve
 from kryging.grid import GridSpec, MaternSpec, ThetaParams
-from kryging.likelihood import ModelData
+from kryging.likelihood import ModelData, evaluate_objective
 from kryging.mapping import SparseMap, build_map
 from kryging.simulate import simulate_dataset
 from kryging.toeplitz import BttbOperator, EmbeddingError
@@ -248,7 +248,7 @@ class TestPredict:
         amap = SparseMap.identity(g.n)
         y = op.sample(rng)
         fact = gengk_factorize(amap, op, y, theta.tau2, k=g.n)
-        sol = solve(fact, theta.sigma2, op, amap, y)
+        sol = solve(fact, theta.sigma2, op)
         res = manual_fit(g, theta, sol.x_star, k=g.n)
         yhat = predict(res, SparseMap.identity(g.n))
         assert np.abs(yhat - y).max() < 1e-4
@@ -318,7 +318,7 @@ class TestBootstrap:
             )
             op = BttbOperator.from_matern(g, MaternSpec(1.0, theta.rho, theta.nu))
             fact = gengk_factorize(amap, op, data.y, theta.tau2, k=40)
-            sol = solve(fact, theta.sigma2, op, amap, data.y)
+            sol = solve(fact, theta.sigma2, op)
             res = manual_fit(g, theta, sol.x_star, k=40)
             locs = g.node_coords()[hold]
             pset = bootstrap_uq(res, data, locs, B=20, seed=300 + rep)
@@ -361,3 +361,35 @@ class TestCovariateMean:
         res = fit(data, k=25, init=theta, max_iter=80)
         np.testing.assert_allclose(res.theta_hat.beta, beta_true, atol=0.5)
         assert res.theta_hat.beta.size == 2
+
+
+class TestMatvecBudget:
+    """Covariance matvecs, counted across every operator: k in the
+    Golub-Kahan run, one for x* = Sigma m, and in an evaluation one
+    derivative product for the rho-score."""
+
+    K = 12
+
+    @pytest.fixture
+    def matvecs(self, monkeypatch):
+        calls = []
+        matvec = BttbOperator.matvec
+
+        def counted(op, v):
+            calls.append(op)
+            return matvec(op, v)
+
+        monkeypatch.setattr(BttbOperator, "matvec", counted)
+        return calls
+
+    def test_evaluation_makes_k_plus_two(self, matvecs):
+        g, sim, data = simulated_data(16, TRUTH, seed=3)
+        st = evaluate_objective(data, TRUTH, self.K)
+        assert st.diagnostics["k_effective"] == self.K
+        assert len(matvecs) == self.K + 2
+
+    def test_bootstrap_replicate_makes_k_plus_one(self, matvecs):
+        g, sim, data = simulated_data(16, TRUTH, seed=3)
+        res = manual_fit(g, TRUTH, np.zeros(g.n), k=self.K)
+        bootstrap_uq(res, data, g.node_coords()[:5], B=3, seed=0)
+        assert len(matvecs) == 3 * (self.K + 1)

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from kryging.grid import GridSpec, MaternSpec, ThetaParams
-from kryging.likelihood import (
-    ModelData,
-    evaluate_objective,
-    gradient,
-    profile_loglik,
-)
+from kryging.likelihood import ModelData, evaluate_objective
 from kryging.mapping import SparseMap, build_map
 from kryging.simulate import simulate_dataset
 from kryging.toeplitz import BttbOperator
@@ -52,7 +47,7 @@ class TestModelData:
 class TestProfileLoglik:
     def test_matches_dense_profile_with_exact_logdet(self, rng):
         g, S, data = colocated_problem(rng, 6, THETA)
-        st = profile_loglik(data, THETA, k=g.n)
+        st = evaluate_objective(data, THETA, k=g.n)
         _, ld_exact = np.linalg.slogdet(S)
         ours = st.value - 0.5 * st.diagnostics["logdet"] + 0.5 * ld_exact
         ref = dense_negative_profile(
@@ -68,7 +63,7 @@ class TestProfileLoglik:
             amap=SparseMap.identity(g.n), grid=g,
         )
         theta = ThetaParams(beta=np.array([beta]), sigma2=1.2, tau2=0.7, rho=0.2)
-        st = profile_loglik(data, theta, k=5)
+        st = evaluate_objective(data, theta, k=5)
         expected = 0.5 * (
             data.p * np.log(theta.tau2)
             + data.n * np.log(theta.sigma2)
@@ -76,11 +71,11 @@ class TestProfileLoglik:
         )
         assert st.value == pytest.approx(expected, rel=1e-12)
         assert st.solution.quad == 0.0
-        np.testing.assert_array_equal(st.solution.psi_star, 0.0)
+        np.testing.assert_array_equal(st.psi, 0.0)
 
     def test_diagnostics_present(self, rng):
         g, S, data = colocated_problem(rng, 5, THETA)
-        st = profile_loglik(data, THETA, k=8)
+        st = evaluate_objective(data, THETA, k=8)
         for key in ("logdet", "clamp_count", "clamp_fraction", "k_effective"):
             assert key in st.diagnostics
         assert st.diagnostics["k_effective"] == 8
@@ -97,23 +92,13 @@ class TestGradient:
         st = evaluate_objective(data, theta, k=4)
         assert st.grad[0] == 0.0
 
-    def test_sill_component_vanishes_at_its_stationary_value(self):
-        # when the projected quadratic equals n * sigma2 the log-sill
-        # component is exactly zero
-        from kryging.gengk import KrygingSolution
-
-        g = GridSpec(4, 4)
-        data = ModelData(
-            y=np.ones(g.n), X=np.ones((g.n, 1)),
-            amap=SparseMap.identity(g.n), grid=g,
-        )
-        theta = ThetaParams(np.array([0.5]), sigma2=1.7, tau2=0.4, rho=0.2)
-        sol = KrygingSolution(
-            z=np.zeros(0), x_star=np.zeros(g.n),
-            quad=g.n * theta.sigma2, psi_star=np.zeros(g.n),
-        )
-        grad = gradient(data, theta, sol, fact=None, dlogdet=0.0)
-        assert grad[1] == pytest.approx(0.0, abs=1e-12)
+    def test_sill_component_vanishes_at_its_stationary_value(self, rng):
+        # the log-sill component is n/2 - quad/(2 sigma2), so it vanishes
+        # where the projected quadratic equals n * sigma2
+        g, S, data = colocated_problem(rng, 5, THETA)
+        st = evaluate_objective(data, THETA, k=8)
+        expected = g.n / 2 - st.solution.quad / (2 * THETA.sigma2)
+        assert st.grad[-3] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_matches_finite_differences_internally(self, rng):
         # dlogdet is the exact derivative of the subset log-determinant,
@@ -128,8 +113,8 @@ class TestGradient:
             vp, vm = v0.copy(), v0.copy()
             vp[i] += h
             vm[i] -= h
-            fp = profile_loglik(data, ThetaParams.from_optimizer_vector(vp), k=g.n).value
-            fm = profile_loglik(data, ThetaParams.from_optimizer_vector(vm), k=g.n).value
+            fp = evaluate_objective(data, ThetaParams.from_optimizer_vector(vp), k=g.n).value
+            fm = evaluate_objective(data, ThetaParams.from_optimizer_vector(vm), k=g.n).value
             fd = (fp - fm) / (2 * h)
             assert st.grad[i] == pytest.approx(fd, rel=2e-4, abs=1e-8)
 
@@ -141,9 +126,7 @@ class TestGradient:
         th_shift = ThetaParams(THETA.beta + 10.0, THETA.sigma2, THETA.tau2, THETA.rho)
         st1 = evaluate_objective(data, THETA, k=10)
         st2 = evaluate_objective(shifted, th_shift, k=10)
-        np.testing.assert_allclose(
-            st1.solution.psi_star, st2.solution.psi_star, atol=1e-10
-        )
+        np.testing.assert_allclose(st1.psi, st2.psi, atol=1e-10)
         assert st1.grad[0] == pytest.approx(st2.grad[0], abs=1e-10)
 
     def test_finite_on_log_box_with_valid_embeddings(self, rng):
