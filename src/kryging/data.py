@@ -264,13 +264,20 @@ def load_fit_artifact(path):
     were stored load with "unknown" and 0 for them. Arrays are read with
     pickling disabled, so an archive holding object arrays (which could
     run code when unpickled) is refused with :class:`InputError`, as is
-    a truncated archive or one missing a required array.
+    a truncated archive, one missing a required array, or a file that is
+    not an ``.npz`` archive at all (a single ``.npy`` array, a CSV).
     """
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            z = {key: archive[key] for key in archive.files}
+        archive = np.load(path, allow_pickle=False)
     except (zipfile.BadZipFile, EOFError) as exc:
         raise InputError(f"{path}: not a readable fit artifact: {exc}") from exc
+    except ValueError as exc:  # neither a zip archive nor an .npy array
+        raise InputError(f"{path}: not a fit archive (.npz)") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise InputError(f"{path}: not a fit archive (.npz) but a single .npy array")
+    try:
+        with archive:
+            z = {key: archive[key] for key in archive.files}
     except ValueError as exc:
         raise InputError(f"{path}: refusing to load fit artifact: {exc}") from exc
     try:

@@ -14,18 +14,28 @@ and shrink the radius.
 Prediction applies the fitted mean and the observation mapping at new
 locations. Uncertainty comes from a parametric bootstrap: simulate fields
 and noise from the fitted model, re-estimate each replicate with the
-parameters held fixed, and average squared prediction errors.
+parameters held fixed, and average squared prediction errors. The
+replicates run concurrently, one thread per usable CPU (the calling
+thread among them), and their squared errors are summed in replicate
+order, so the result is bitwise that of a serial loop. A replicate's
+Golub-Kahan sums and products run through ``np.einsum``, never BLAS (see
+:mod:`kryging.gengk`), and its k x k projected solve is small enough at
+the default k = 50 for BLAS to run it on the calling thread, so
+replicates do not contend for the BLAS thread pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gengk import gengk_factorize, solve
+from .gengk import _blas_free, gengk_factorize, solve
 from .grid import GridSpec, ThetaParams
 from .likelihood import ModelData, correlation_operator, evaluate_objective
 from .mapping import SparseMap, build_map
@@ -316,11 +326,72 @@ def predict(
 
 
 def _rekryge(amap, op, bsim, theta, k):
-    """Latent re-estimate for one bootstrap replicate with theta known."""
-    if np.linalg.norm(bsim) == 0.0:
+    """Latent re-estimate for one bootstrap replicate with theta known.
+    Replicates run concurrently, so its factorization calls no BLAS."""
+    if not bsim.any():
         return np.zeros(amap.n)
-    fact = gengk_factorize(amap, op, bsim, theta.tau2, k)
+    with _blas_free():
+        fact = gengk_factorize(amap, op, bsim, theta.tau2, k)
     return solve(fact, theta.sigma2, op).x_star
+
+
+def _workers(count: int) -> int:
+    """Threads for ``count`` independent tasks: one per CPU this process
+    may use (``os.sched_getaffinity`` exists on Linux only)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(count, cpus))
+
+
+def _sum_in_order(task, count: int, total: np.ndarray) -> np.ndarray:
+    """Add ``task(0) + ... + task(count - 1)`` to ``total`` in index order.
+
+    The tasks run on :func:`_workers` threads, the calling thread among
+    them, each taking the next index as it frees up. A result that
+    finishes before its predecessors is held until they are added, so the
+    sum rounds exactly as a serial loop's. A failing task stops further
+    tasks from starting, and its exception is raised once the running
+    ones end.
+    """
+    lock = threading.Lock()
+    todo = iter(range(count))
+    ready = {}
+    added = 0
+
+    def work():
+        nonlocal added
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                part = task(i)
+            except BaseException:
+                with lock:
+                    for _ in todo:  # drain, so no other thread starts a task
+                        pass
+                raise
+            with lock:
+                ready[i] = part
+                while added in ready:
+                    np.add(total, ready.pop(added), out=total)
+                    added += 1
+
+    workers = _workers(count)
+    if workers == 1:
+        work()
+        return total
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="kryging") as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        try:
+            work()
+        finally:
+            for helper in helpers:
+                helper.result()
+    return total
 
 
 def bootstrap_uq(
@@ -342,8 +413,12 @@ def bootstrap_uq(
     observations of the noisy process). The pointwise mean squared error
     over replicates is the bootstrap variance.
 
-    Deterministic given ``seed``; replicate streams are independent, so
-    the result does not depend on replicate ordering.
+    Replicates run concurrently on up to one thread per usable CPU,
+    the calling thread included (B = 1 runs inline), and share one
+    covariance operator. Each replicate draws from its own child stream
+    of ``seed``, and the squared errors are summed in replicate order, so
+    the result is deterministic given ``seed`` and bitwise equal to a
+    serial loop's, whatever the thread count or finishing order.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -356,18 +431,19 @@ def bootstrap_uq(
     op.require_trustworthy()
     sigma = np.sqrt(theta.sigma2)
     tau = np.sqrt(theta.tau2)
-
     streams = np.random.SeedSequence(seed).spawn(B)
-    sq = np.zeros(amap_pred.p)
-    for child in streams:
-        rng = np.random.default_rng(child)
+
+    def replicate(i):
+        rng = np.random.default_rng(streams[i])
         x_b = sigma * op.sample(rng)
         noise_train = tau * rng.standard_normal(data.p)
         noise_pred = tau * rng.standard_normal(amap_pred.p)
         bsim = data.amap.apply(x_b) + noise_train
         x_hat_b = _rekryge(data.amap, op, bsim, theta, fitres.k)
         diff = amap_pred.apply(x_b - x_hat_b) + noise_pred
-        sq += diff * diff
+        return diff * diff
+
+    sq = _sum_in_order(replicate, B, np.zeros(amap_pred.p))
     se = np.sqrt(sq / B)
     return PredictionSet(
         locations=locations,

@@ -25,10 +25,26 @@ k x k triangular solve, one product with U and one A' application. The
 regularized estimate is then x* = Sigma m, one covariance matvec.
 :attr:`GenGKFactorization.Vk` rebuilds V on demand by replaying the
 latent steps, for inspection and the identity checks.
+
+The reductions (the re-orthogonalization coefficients U r, alpha's inner
+product, beta's and ||b||'s norms, the product with U in the solve) run
+through ``np.einsum`` without ``optimize``, which never calls BLAS and
+sums in one fixed order; a threaded BLAS splits these sums differently
+for each thread count. The re-orthogonalization's update U' c is not a
+reduction over p: OpenBLAS computes each of its p outputs on one thread,
+so it rounds alike under any thread count, and it runs there, where two
+threads roughly halve it. Inside :func:`_blas_free`, which the bootstrap
+holds around each replicate's factorization, the update is an einsum
+too, so concurrent replicates never contend for the BLAS thread pool.
+Either way a factorization gives bitwise the same B and U whatever the
+BLAS thread count (a test pins this).
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +57,34 @@ __all__ = ["GenGKFactorization", "KrygingSolution", "gengk_factorize", "solve"]
 
 BREAKDOWN_REL_TOL = 1e-14
 
+_without_blas = threading.local()
 
-def _latent_step(amap, u, tau2, beta, v_prev):
+
+@contextmanager
+def _blas_free():
+    """Factorize on this thread without any BLAS call until the block ends."""
+    previous = getattr(_without_blas, "active", False)
+    _without_blas.active = True
+    try:
+        yield
+    finally:
+        _without_blas.active = previous
+
+
+def _dot(a, b) -> float:
+    """Inner product of two vectors, summed without BLAS."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _latent_step(amap, u, tau2, beta, v_prev, scratch):
     """Unnormalized latent vector A' u / tau2 - beta v_prev, where
-    ``v_prev`` is None on the first step. The recurrence and the replay
-    in :attr:`GenGKFactorization.Vk` share it, so both round alike."""
+    ``v_prev`` is None on the first step and ``scratch`` holds beta v_prev.
+    The recurrence and the replay in :attr:`GenGKFactorization.Vk` share
+    it, so both round alike."""
     w = amap.apply_t(u)
     w /= tau2
     if v_prev is not None:
-        w -= beta * v_prev
+        w -= np.multiply(v_prev, beta, out=scratch)
     return w
 
 
@@ -78,7 +113,8 @@ class GenGKFactorization:
     tau2 : float
         The nugget variance it was built with.
     breakdown_at : int or None
-        Iteration at which a normalizer vanished, if any; v_{k+1} is never
+        Iteration at which a normalizer vanished or the basis filled its
+        space (n latent or p observation vectors), if any; v_{k+1} is never
         computed (B and the solve do not read it), so it cannot break down.
     """
 
@@ -101,9 +137,10 @@ class GenGKFactorization:
         like U. The solve does not read it.
         """
         V = np.empty((self.k, self.amap.n))
+        scratch = np.empty(self.amap.n)
         v = beta = None
         for i in range(self.k):
-            w = _latent_step(self.amap, self.U[:, i], self.tau2, beta, v)
+            w = _latent_step(self.amap, self.U[:, i], self.tau2, beta, v, scratch)
             v = np.divide(w, self.B[i, i], out=V[i])
             beta = self.B[i + 1, i]
         return V.T
@@ -153,22 +190,27 @@ def gengk_factorize(
     noise metric. That one-sided projection also keeps V Sigma-orthonormal
     to working precision (Simon & Zha 2000), so V needs no projection of
     its own and the Krylov space's exhaustion shows up as a breakdown.
-    Only the latest latent vector is kept while the loop runs; U and B
-    determine the rest.
+    Once n latent or p observation vectors exist, the next one must vanish,
+    so the loop stops there without testing a normalizer that is only
+    rounding noise. Only the latest latent vector is kept while the loop
+    runs; U and B determine the rest.
     """
     b = np.asarray(b, dtype=float)
     if tau2 <= 0:
         raise ValueError(f"tau2 must be positive, got {tau2}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    bnorm = np.linalg.norm(b)
+    bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0:
         raise ValueError("right-hand side is identically zero")
 
-    tau = np.sqrt(tau2)
+    tau = math.sqrt(tau2)
+    blas_free = getattr(_without_blas, "active", False)
     # one basis vector per row, so every update touches contiguous memory
     U = np.zeros((k + 1, amap.p))
     B = np.zeros((k + 1, k))
+    # scratch for the terms subtracted from the latent and observation vectors
+    latent, proj = np.empty(amap.n), np.empty(amap.p)
 
     beta1 = bnorm / tau
     np.divide(b, beta1, out=U[0])
@@ -177,9 +219,12 @@ def gengk_factorize(
     breakdown_at = None
     v = beta = None
     for i in range(k):
-        w = _latent_step(amap, U[i], tau2, beta, v)
+        if i == amap.n:  # v_1..v_n already span the latent space
+            k_eff = breakdown_at = i
+            break
+        w = _latent_step(amap, U[i], tau2, beta, v, latent)
         t = sigma_op.matvec(w)
-        alpha = np.sqrt(max(np.dot(w, t), 0.0))
+        alpha = math.sqrt(max(_dot(w, t), 0.0))
         if i == 0:
             tol = BREAKDOWN_REL_TOL * max(beta1, alpha, 1.0)
             if alpha <= tol:
@@ -193,10 +238,16 @@ def gengk_factorize(
         t /= alpha  # Sigma @ v_i
 
         r = amap.apply(t)
-        r -= alpha * U[i]
-        r -= U[: i + 1].T @ (U[: i + 1] @ r) / tau2
-        beta = np.linalg.norm(r) / tau
-        if beta <= tol:
+        r -= np.multiply(U[i], alpha, out=proj)
+        coef = np.einsum("ij,j->i", U[: i + 1], r)
+        coef /= tau2
+        if blas_free:
+            np.einsum("ij,i->j", U[: i + 1], coef, out=proj)
+        else:
+            np.matmul(U[: i + 1].T, coef, out=proj)
+        r -= proj
+        beta = math.sqrt(_dot(r, r)) / tau
+        if beta <= tol or i + 1 == amap.p:  # or u_1..u_p span R^p
             k_eff = breakdown_at = i + 1
             break
         B[i + 1, i] = beta
@@ -232,7 +283,7 @@ def solve(
     c, low = scipy.linalg.cho_factor(M)
     z = scipy.linalg.cho_solve((c, low), rhs)
     g = scipy.linalg.solve_triangular(B[:k], z, trans="T", lower=True)
-    m = fact.amap.apply_t(fact.U[:, :k] @ g)
+    m = fact.amap.apply_t(np.einsum("ij,j->i", fact.U[:, :k], g))
     m /= fact.tau2
     x_star = sigma_op.matvec(m)
-    return KrygingSolution(z=z, x_star=x_star, quad=float(np.dot(z, z)), m=m)
+    return KrygingSolution(z=z, x_star=x_star, quad=_dot(z, z), m=m)

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .estimation import bootstrap_uq, fit
 from .grid import GridSpec, ThetaParams
@@ -117,9 +117,10 @@ def score_predictions(y_true, y_hat, se=None) -> dict:
     if se is not None:
         se = np.maximum(np.asarray(se), 1e-300)
         zed = err / se
-        out["crps"] = float(
-            np.mean(se * (zed * (2 * stats.norm.cdf(zed) - 1) + 2 * stats.norm.pdf(zed) - 1 / math.sqrt(math.pi)))
-        )
+        # standard normal cdf and pdf, computed as scipy.stats.norm does
+        cdf = ndtr(zed)
+        pdf = np.exp(-zed**2 / 2.0) / np.sqrt(2 * np.pi)
+        out["crps"] = float(np.mean(se * (zed * (2 * cdf - 1) + 2 * pdf - 1 / math.sqrt(math.pi))))
         lo, hi = y_hat - 1.96 * se, y_hat + 1.96 * se
         out["int"] = float(
             np.mean((hi - lo) + 40.0 * (lo - y_true) * (y_true < lo) + 40.0 * (y_true - hi) * (y_true > hi))

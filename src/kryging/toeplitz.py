@@ -13,11 +13,15 @@ The minimal (2*n_i - 1) embedding is mandatory for the log-determinant
 (the frequency-subset rule depends on it); matrix-vector products run on
 a padded fast-length embedding, which changes speed only, never the
 extracted lattice values. Each matvec runs a pruned transform on that
-fast-length layout: the zero padding is never materialized, and the row
-transforms touch only the lattice's own rows on the way in and out.
+fast-length layout: the row transforms touch only the lattice's own rows
+on the way in and out. The transforms write into per-thread scratch kept
+on the operator, so a matvec allocates only the vector it returns, and
+threads may share one operator.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 from scipy import fft as sfft
@@ -123,6 +127,7 @@ class BttbOperator:
         self._fast_dims = (f1, f2)
         # rfft2 layout: every axis-0 frequency, axis-1 frequencies 0..f1//2
         self._fast_eigs = _unfold(_quarter_spectrum(base, f1, f2), f2, 0)
+        self._scratch = threading.local()
 
     @classmethod
     def from_matern(cls, grid: GridSpec, spec: MaternSpec, **kwargs) -> "BttbOperator":
@@ -137,19 +142,34 @@ class BttbOperator:
     def clamp_fraction(self) -> float:
         return self.clamp_count / self.eigs.size
 
+    def _workspace(self) -> tuple:
+        """This thread's spectrum and field arrays for :meth:`matvec`."""
+        arrays = getattr(self._scratch, "arrays", None)
+        if arrays is None:
+            f1, f2 = self._fast_dims
+            arrays = self._scratch.arrays = (
+                np.empty((f2, f1 // 2 + 1), dtype=complex),
+                np.empty((self.grid.n2, f1)),
+            )
+        return arrays
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Product of the BTTB matrix with ``v`` via circulant embedding."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.grid.n,):
             raise ValueError(f"vector must have length {self.grid.n}, got {v.shape}")
         n1, n2 = self.grid.n1, self.grid.n2
-        f1, f2 = self._fast_dims
-        # pruned 2-D transform: the zero padding stays implicit, so only the
-        # n2 nonzero rows go through the row transforms in either direction
-        spec = sfft.fft(sfft.rfft(v.reshape(n2, n1), n=f1, axis=1), n=f2, axis=0)
+        f1 = self._fast_dims[0]
+        spec, field = self._workspace()
+        # pruned 2-D transform: only the n2 nonzero rows go through the row
+        # transforms in either direction; the column transforms run in place
+        np.fft.rfft(v.reshape(n2, n1), n=f1, axis=1, out=spec[:n2])
+        spec[n2:] = 0.0
+        np.fft.fft(spec, axis=0, out=spec)
         spec *= self._fast_eigs
-        rows = sfft.ifft(spec, axis=0, overwrite_x=True)[:n2]
-        return sfft.irfft(rows, n=f1, axis=1)[:, :n1].ravel()
+        np.fft.ifft(spec, axis=0, out=spec)
+        np.fft.irfft(spec[:n2], n=f1, axis=1, out=field)
+        return field[:, :n1].flatten()
 
     def logdet(self) -> float:
         """Log-determinant approximation from the embedding spectrum.

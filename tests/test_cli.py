@@ -407,6 +407,23 @@ class TestArtifact:
         assert rc == 2
         assert f"{gridless}: fit artifact has no 'grid' array" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["npy", "csv"])
+    def test_non_archive_fit_file_exits_2(self, workdir, capsys, kind):
+        # an np.save array and the training CSV are not fit archives
+        data = simulate(workdir)
+        fitfile = data
+        if kind == "npy":
+            fitfile = workdir / "arr.npy"
+            np.save(fitfile, np.arange(5.0))
+        locs = workdir / "locs.csv"
+        locs.write_text("lon,lat\n0.5,0.5\n")
+        rc = run_cli(["bootstrap", "--fit", fitfile, "--locations", locs,
+                      "--B", 2, "--out", workdir / "pred.csv"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{fitfile}: not a fit archive" in err
+        assert "pickled" not in err
+
     def test_stop_reason_and_embedding_failures_round_trip(self, workdir, capsys):
         from kryging.data import load_fit_artifact, save_fit_artifact
 

@@ -2,16 +2,18 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kryging
+from kryging import estimation
 from kryging.estimation import FitResult, _trust_step, auto_init, bootstrap_uq, fit, predict
 from kryging.gengk import gengk_factorize, solve
 from kryging.grid import GridSpec, MaternSpec, ThetaParams
-from kryging.likelihood import ModelData, evaluate_objective
+from kryging.likelihood import ModelData, correlation_operator, evaluate_objective
 from kryging.mapping import SparseMap, build_map
 from kryging.simulate import simulate_dataset
 from kryging.toeplitz import BttbOperator, EmbeddingError
@@ -333,6 +335,95 @@ class TestBootstrap:
         res = fit(data, k=5, init=TRUTH, max_iter=5)
         with pytest.raises(ValueError):
             bootstrap_uq(res, data, g.node_coords()[:4], B=0, allow_unconverged=True)
+
+
+def serial_bootstrap_se(res, data, locs, B, seed):
+    """Reference for :func:`bootstrap_uq`'s standard errors: the same
+    replicates, one after another on the calling thread."""
+    theta = res.theta_hat
+    amap_pred = build_map(locs, res.grid)
+    op = correlation_operator(data, theta)
+    sq = np.zeros(amap_pred.p)
+    for child in np.random.SeedSequence(seed).spawn(B):
+        rng = np.random.default_rng(child)
+        x_b = np.sqrt(theta.sigma2) * op.sample(rng)
+        noise_train = np.sqrt(theta.tau2) * rng.standard_normal(data.p)
+        noise_pred = np.sqrt(theta.tau2) * rng.standard_normal(amap_pred.p)
+        bsim = data.amap.apply(x_b) + noise_train
+        x_hat = estimation._rekryge(data.amap, op, bsim, theta, res.k)
+        diff = amap_pred.apply(x_b - x_hat) + noise_pred
+        sq += diff * diff
+    return np.sqrt(sq / B)
+
+
+class TestConcurrentBootstrap:
+    """Replicates run on several threads; the result must not show it."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        # a thinned Wendland map, so apply and apply_t both do real work
+        grid = GridSpec(20, 20)
+        ds = simulate_dataset(GridSpec(30, 30), TRUTH, seed=4, thin_fraction=0.6).dataset
+        data = ModelData(y=ds.y, X=ds.X, amap=build_map(ds.locations, grid), grid=grid,
+                         nu=TRUTH.nu)
+        res = manual_fit(grid, TRUTH, np.zeros(grid.n), k=15)
+        locs = np.random.default_rng(9).uniform(0.0, 1.0, (40, 2))
+        return res, data, locs
+
+    def test_equals_a_serial_loop_bitwise(self, problem):
+        res, data, locs = problem
+        pset = bootstrap_uq(res, data, locs, B=7, seed=21)
+        np.testing.assert_array_equal(pset.se, serial_bootstrap_se(res, data, locs, 7, 21))
+
+    def test_many_threads_with_fast_switching(self, problem, monkeypatch):
+        # more threads than cores and a thread switch every microsecond:
+        # still the serial result, and in bounded time (no deadlock)
+        res, data, locs = problem
+        monkeypatch.setattr(estimation, "_workers", lambda count: min(count, 8))
+        out = {}
+
+        def run():
+            out["se"] = bootstrap_uq(res, data, locs, B=16, seed=5).se
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "bootstrap_uq did not finish within 120 s"
+        np.testing.assert_array_equal(out["se"], serial_bootstrap_se(res, data, locs, 16, 5))
+
+    def test_replicate_failure_propagates(self, problem, monkeypatch):
+        res, data, locs = problem
+        monkeypatch.setattr(estimation, "_workers", lambda count: min(count, 3))
+        calls = []
+        rekryge = estimation._rekryge
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise FloatingPointError("replicate 4 failed")
+            return rekryge(*args)
+
+        monkeypatch.setattr(estimation, "_rekryge", failing)
+        with pytest.raises(FloatingPointError, match="replicate 4"):
+            bootstrap_uq(res, data, locs, B=40, seed=1)
+        # the failure stops further replicates from starting: each of the two
+        # other threads finishes its current one and starts at most one more
+        assert len(calls) <= 4 + 2 * 2
+
+    def test_single_replicate_runs_inline(self, problem, monkeypatch):
+        res, data, locs = problem
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("B = 1 started a thread pool")
+
+        monkeypatch.setattr(estimation, "ThreadPoolExecutor", no_pool)
+        pset = bootstrap_uq(res, data, locs, B=1, seed=2)
+        np.testing.assert_array_equal(pset.se, serial_bootstrap_se(res, data, locs, 1, 2))
 
 
 class TestConvergenceGate:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kryging
 from kryging.gengk import gengk_factorize, solve
 from kryging.grid import GridSpec, MaternSpec
 from kryging.mapping import SparseMap, build_map
@@ -37,12 +43,14 @@ def criterion_2_problems():
 
 def stored_basis_gengk(amap, op, b, tau2, k):
     """Reference recurrence that stores every latent vector as it goes:
-    returns (U, V, B) as row-major (k+1, p), (k, n), (k+1, k) arrays."""
+    returns (U, V, B) as row-major (k+1, p), (k, n), (k+1, k) arrays.
+    It sums and projects as the library does: einsum reductions and the
+    BLAS update U' c."""
     tau = np.sqrt(tau2)
     U = np.zeros((k + 1, amap.p))
     V = np.zeros((k, amap.n))
     B = np.zeros((k + 1, k))
-    beta1 = np.linalg.norm(b) / tau
+    beta1 = np.sqrt(np.einsum("i,i->", b, b)) / tau
     np.divide(b, beta1, out=U[0])
     for i in range(k):
         w = amap.apply_t(U[i])
@@ -50,14 +58,15 @@ def stored_basis_gengk(amap, op, b, tau2, k):
         if i:
             w -= beta * V[i - 1]
         t = op.matvec(w)
-        alpha = np.sqrt(max(np.dot(w, t), 0.0))
+        alpha = np.sqrt(max(np.einsum("i,i->", w, t), 0.0))
         B[i, i] = alpha
         np.divide(w, alpha, out=V[i])
         t /= alpha
         r = amap.apply(t)
         r -= alpha * U[i]
-        r -= U[: i + 1].T @ (U[: i + 1] @ r) / tau2
-        beta = np.linalg.norm(r) / tau
+        coef = np.einsum("ij,j->i", U[: i + 1], r) / tau2
+        r -= U[: i + 1].T @ coef
+        beta = np.sqrt(np.einsum("i,i->", r, r)) / tau
         B[i + 1, i] = beta
         np.divide(r, beta, out=U[i + 1])
     return U, V, B
@@ -279,3 +288,38 @@ class TestSolve:
         f = gengk_factorize(amap, op, b, 1.0, k=2)
         with pytest.raises(ValueError):
             solve(f, 0.0, op)
+
+
+def test_factorization_is_independent_of_the_blas_thread_count(tmp_path):
+    # the reductions are einsum sums in a fixed order, and the BLAS update
+    # computes each output on one thread, so B and U agree bit for bit under
+    # 1 and 2 BLAS threads, with the update in BLAS and without it
+    code = (
+        "import sys, numpy as np\n"
+        "from kryging.gengk import _blas_free, gengk_factorize\n"
+        "from kryging.grid import GridSpec, MaternSpec\n"
+        "from kryging.mapping import SparseMap\n"
+        "from kryging.toeplitz import BttbOperator\n"
+        "g = GridSpec(120, 120)\n"
+        "op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))\n"
+        "b = np.random.default_rng(0).standard_normal(g.n)\n"
+        "f = gengk_factorize(SparseMap.identity(g.n), op, b, 0.5, 30)\n"
+        "with _blas_free():\n"
+        "    h = gengk_factorize(SparseMap.identity(g.n), op, b, 0.5, 30)\n"
+        "np.savez(sys.argv[1], U=f.U, B=f.B, free_U=h.U, free_B=h.B)\n"
+    )
+    src = str(Path(kryging.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"threads{threads}.npz"
+        subprocess.run([sys.executable, "-c", code, str(out)], env=env, check=True)
+        with np.load(out) as z:
+            runs.append({key: z[key] for key in z.files})
+    one, two = runs
+    assert one["B"].shape == (31, 30)
+    for key in ("B", "U", "free_B", "free_U"):
+        np.testing.assert_array_equal(two[key], one[key], err_msg=key)
+    # the two update products round differently, but only in the last bits
+    np.testing.assert_allclose(one["free_B"], one["B"], rtol=1e-9, atol=1e-12)

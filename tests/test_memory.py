@@ -1,8 +1,8 @@
 """Memory regressions, traced with the stdlib ``tracemalloc`` (numpy
 reports its array buffers to it; FFT work buffers are not counted).
 
-A Golub-Kahan run stores one basis, U ((k+1) x p floats), and a fit
-holds one factorization at a time.
+A Golub-Kahan run stores one basis, U ((k+1) x p floats), a fit holds
+one factorization at a time, and a bootstrap holds one per thread.
 """
 
 import tracemalloc
@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kryging.estimation import fit
+from kryging import estimation
+from kryging.estimation import FitResult, bootstrap_uq, fit
 from kryging.gengk import gengk_factorize
 from kryging.grid import GridSpec, MaternSpec, ThetaParams
 from kryging.likelihood import ModelData, evaluate_objective
@@ -60,3 +61,15 @@ def test_fit_holds_one_factorization_at_a_time(traced, colocated):
     res, peak = traced(lambda: fit(colocated, k=K, init=THETA, max_iter=2))
     assert res.iterations == 2
     assert peak <= 1.25 * one
+
+
+def test_bootstrap_holds_one_replicate_per_thread(traced, colocated, monkeypatch):
+    g = colocated.grid
+    res = FitResult(THETA, np.zeros(g.n), [0.0], True, 1, g, K, THETA.nu)
+    locs = g.node_coords()[::7]
+    _, one = traced(lambda: bootstrap_uq(res, colocated, locs, B=1, seed=0))
+    workers = 3
+    monkeypatch.setattr(estimation, "_workers", lambda count: min(count, workers))
+    _, peak = traced(lambda: bootstrap_uq(res, colocated, locs, B=12, seed=0))
+    # twelve replicates held at once would need about four times this
+    assert peak <= workers * one

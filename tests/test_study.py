@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
+import kryging
 from kryging.grid import GridSpec, ThetaParams
 from kryging.simulate import simulate_dataset
 from kryging.study import (
@@ -43,6 +50,17 @@ class TestScores:
         expected = 1.3 * (2.0 / np.sqrt(2 * np.pi) - 1.0 / np.sqrt(np.pi))
         assert s["crps"] == pytest.approx(expected, rel=1e-12)
 
+    def test_crps_matches_the_scipy_stats_formula(self):
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal(100_000)
+        y_hat = y + 2.0 * rng.standard_normal(y.size)
+        se = rng.uniform(0.2, 3.0, y.size)
+        z = (y_hat - y) / se
+        expected = float(np.mean(se * (
+            z * (2 * stats.norm.cdf(z) - 1) + 2 * stats.norm.pdf(z) - 1 / np.sqrt(np.pi)
+        )))
+        assert score_predictions(y, y_hat, se)["crps"] == expected
+
     def test_interval_score_inside_band(self):
         se = np.ones(10)
         y = np.zeros(10)
@@ -73,3 +91,18 @@ class TestRunners:
         assert len(results) == 1
         table = format_study_tables(results)
         assert "rmse=" in table and "coverage=" in table and "rho=" in table
+
+
+def test_package_import_leaves_out_scipy_stats():
+    # scipy.stats costs about 35 MB resident and half a second to import;
+    # nothing in the package needs it
+    src = str(Path(kryging.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, kryging, kryging.cli, kryging.study\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
