@@ -54,7 +54,6 @@ CONFIG_KEYS = {
     "covariates": str,
     "scale": float,
     "replicates": int,
-    "clamp_threshold": float,
 }
 
 
@@ -139,10 +138,7 @@ def cmd_fit(args) -> int:
     dataset = read_dataset(args.data, covariates=covs)
     grid = _grid_from_args(args, dataset.locations)
     amap = build_map(dataset.locations, grid)
-    data = ModelData(
-        y=dataset.y, X=dataset.X, amap=amap, grid=grid, nu=args.nu,
-        clamp_fail_fraction=args.clamp_threshold,
-    )
+    data = ModelData(y=dataset.y, X=dataset.X, amap=amap, grid=grid, nu=args.nu)
     res = fit(
         data,
         k=args.k,
@@ -195,10 +191,7 @@ def _predict_common(args, with_uncertainty) -> int:
         )
     if with_uncertainty:
         amap = build_map(dataset.locations, res.grid)
-        data = ModelData(
-            y=dataset.y, X=dataset.X, amap=amap, grid=res.grid, nu=res.nu,
-            clamp_fail_fraction=args.clamp_threshold,
-        )
+        data = ModelData(y=dataset.y, X=dataset.X, amap=amap, grid=res.grid, nu=res.nu)
         pset = bootstrap_uq(res, data, locations, B=args.B, seed=args.seed,
                             allow_unconverged=True)
         write_predictions(args.out, locations, pset.y_hat, pset.se, pset.ci_lo, pset.ci_hi)
@@ -267,9 +260,15 @@ def cmd_study(args) -> int:
 
 def _cv_select_init(train, grid, candidates, args):
     """Pick the initial value whose cross-validated prediction error is
-    smallest; folds and the candidate list are explicit options."""
-    rng = np.random.default_rng(args.seed)
-    folds = rng.integers(0, args.cv_folds, size=train.p)
+    smallest; folds and the candidate list are explicit options. Rows are
+    dealt round-robin to the folds in a seeded random order, so every fold
+    holds at least one row."""
+    if not 2 <= args.cv_folds <= train.p:
+        raise InputError(
+            f"--cv-folds must be between 2 and the {train.p} training rows, "
+            f"got {args.cv_folds}"
+        )
+    folds = np.random.default_rng(args.seed).permutation(train.p) % args.cv_folds
     scores = []
     for cand in candidates:
         errs = []
@@ -277,8 +276,7 @@ def _cv_select_init(train, grid, candidates, args):
             tr = train.subset(folds != f)
             te = train.subset(folds == f)
             amap = build_map(tr.locations, grid)
-            data = ModelData(y=tr.y, X=tr.X, amap=amap, grid=grid, nu=args.nu,
-                             clamp_fail_fraction=args.clamp_threshold)
+            data = ModelData(y=tr.y, X=tr.X, amap=amap, grid=grid, nu=args.nu)
             res = fit(data, k=args.k, init=cand, max_iter=args.max_iter)
             amap_te = build_map(te.locations, grid)
             yhat = predict(res, amap_te, X_pred=te.X, allow_unconverged=True)
@@ -305,8 +303,7 @@ def _study_modis(args) -> int:
     else:
         theta0 = _resolve_init(args.init, args.nu)
     amap = build_map(train.locations, grid)
-    data = ModelData(y=train.y, X=train.X, amap=amap, grid=grid, nu=args.nu,
-                     clamp_fail_fraction=args.clamp_threshold)
+    data = ModelData(y=train.y, X=train.X, amap=amap, grid=grid, nu=args.nu)
     res = fit(data, k=args.k, init=theta0, max_iter=args.max_iter)
     pset = bootstrap_uq(res, data, test.locations, X_pred=test.X, B=args.B,
                         seed=args.seed, allow_unconverged=True)
@@ -334,9 +331,6 @@ def _add_common(p):
                    help="relative objective-change stopping tolerance")
     p.add_argument("--max-iter", dest="max_iter", type=int, default=200)
     p.add_argument("--nu", type=float, default=0.5, help="fixed smoothness")
-    p.add_argument("--clamp-threshold", dest="clamp_threshold", type=float,
-                   default=0.05,
-                   help="max tolerated fraction of clamped embedding eigenvalues")
     p.add_argument("--out", help="output path")
 
 

@@ -419,16 +419,24 @@ def bootstrap_uq(
     of ``seed``, and the squared errors are summed in replicate order, so
     the result is deterministic given ``seed`` and bitwise equal to a
     serial loop's, whatever the thread count or finishing order.
+
+    ``data`` must hold the fit's grid and smoothness; otherwise the draws
+    would come from another model than the one that predicts, and a
+    ``ValueError`` is raised. An untrustworthy embedding at theta_hat
+    makes the first draw raise :class:`EmbeddingError`.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
+    if data.grid != fitres.grid or data.nu != fitres.nu:
+        raise ValueError(
+            "data does not match the fit: bootstrap needs the fit's grid and nu"
+        )
     theta = fitres.theta_hat
     locations = np.atleast_2d(np.asarray(locations, dtype=float))
     amap_pred = build_map(locations, fitres.grid)
     y_hat = predict(fitres, amap_pred, X_pred, allow_unconverged=allow_unconverged)
 
     op = correlation_operator(data, theta)
-    op.require_trustworthy()
     sigma = np.sqrt(theta.sigma2)
     tau = np.sqrt(theta.tau2)
     streams = np.random.SeedSequence(seed).spawn(B)

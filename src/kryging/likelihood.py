@@ -23,7 +23,7 @@ import numpy as np
 from .gengk import KrygingSolution, gengk_factorize, solve
 from .grid import GridSpec, MaternSpec, ThetaParams
 from .mapping import SparseMap
-from .toeplitz import DEFAULT_CLAMP_FAIL_FRACTION, BttbOperator, dlogdet_drho
+from .toeplitz import BttbOperator, dlogdet_drho
 
 __all__ = [
     "ModelData",
@@ -42,7 +42,6 @@ class ModelData:
     amap: SparseMap
     grid: GridSpec
     nu: float = 0.5
-    clamp_fail_fraction: float = DEFAULT_CLAMP_FAIL_FRACTION
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
@@ -83,11 +82,7 @@ class ObjectiveState:
 
 def correlation_operator(data: ModelData, theta: ThetaParams) -> BttbOperator:
     """BTTB operator of the unit-sill Matern correlation at theta."""
-    return BttbOperator.from_matern(
-        data.grid,
-        MaternSpec(1.0, theta.rho, data.nu),
-        clamp_fail_fraction=data.clamp_fail_fraction,
-    )
+    return BttbOperator.from_matern(data.grid, MaternSpec(1.0, theta.rho, data.nu))
 
 
 def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> ObjectiveState:
@@ -110,11 +105,12 @@ def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> Objective
 
     with the log transforms contributing factors -lam2, -lam_e2 and rho;
     dlogdet is the rho-derivative of the log-determinant approximation
-    (see :func:`dlogdet_drho`). Embedding failures propagate with clamp
-    diagnostics attached.
+    (see :func:`dlogdet_drho`). The log-determinant is taken first, so an
+    untrustworthy embedding raises :class:`EmbeddingError`, with its clamp
+    counts in the message, before any matvec runs.
     """
     op = correlation_operator(data, theta)
-    op.require_trustworthy()
+    ld = op.logdet()
     b = data.y - data.X @ theta.beta
 
     if np.linalg.norm(b) == 0.0:
@@ -128,8 +124,6 @@ def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> Objective
         sol = solve(fact, theta.sigma2, op)
         del fact  # the basis is not needed past the solve
     psi = b - data.amap.apply(sol.x_star)
-
-    ld = op.logdet()
     psi2 = float(psi @ psi)
     value = 0.5 * (
         data.p * math.log(theta.tau2)

@@ -34,8 +34,9 @@ __all__ = ["BttbOperator", "EmbeddingError", "dlogdet_drho"]
 # log-determinant stays finite; see the clamping notes in the README.
 CLAMP_FLOOR_REL = 1e-12
 
-# Beyond this clamped fraction the embedding is considered untrustworthy.
-DEFAULT_CLAMP_FAIL_FRACTION = 0.05
+# Beyond this clamped fraction of the embedding spectrum, the
+# log-determinant, its rho-derivative and sampling refuse the operator.
+CLAMP_FAIL_FRACTION = 0.05
 
 
 class EmbeddingError(RuntimeError):
@@ -86,25 +87,21 @@ class BttbOperator:
         Apply the eigenvalue floor to the embedding spectrum. Covariance
         operators use True; derivative operators (whose embedding spectrum
         is legitimately signed) use False.
-    clamp_fail_fraction : float
-        Maximum tolerated fraction of clamped eigenvalues before sampling
-        and likelihood use refuse to proceed.
+
+    Any spectrum builds an operator, and matvecs stay exact however much
+    of it was clamped. The readers of the clamped spectrum,
+    :meth:`logdet`, :func:`dlogdet_drho` and :meth:`sample`, raise
+    :class:`EmbeddingError` when more than ``CLAMP_FAIL_FRACTION`` of it
+    was clamped.
     """
 
-    def __init__(
-        self,
-        grid: GridSpec,
-        first_col: np.ndarray,
-        clamp: bool = True,
-        clamp_fail_fraction: float = DEFAULT_CLAMP_FAIL_FRACTION,
-    ):
+    def __init__(self, grid: GridSpec, first_col: np.ndarray, clamp: bool = True):
         first_col = np.asarray(first_col, dtype=float)
         if first_col.shape != (grid.n,):
             raise ValueError(f"first_col must have length {grid.n}, got {first_col.shape}")
         self.grid = grid
         self.first_col = first_col
         self.embed_dims = (2 * grid.n1 - 1, 2 * grid.n2 - 1)
-        self.clamp_fail_fraction = clamp_fail_fraction
 
         base = first_col.reshape(grid.n2, grid.n1)
         m1, m2 = self.embed_dims
@@ -130,17 +127,26 @@ class BttbOperator:
         self._scratch = threading.local()
 
     @classmethod
-    def from_matern(cls, grid: GridSpec, spec: MaternSpec, **kwargs) -> "BttbOperator":
-        return cls(grid, first_column(grid, spec), **kwargs)
+    def from_matern(cls, grid: GridSpec, spec: MaternSpec) -> "BttbOperator":
+        return cls(grid, first_column(grid, spec))
 
     @classmethod
-    def from_matern_drho(cls, grid: GridSpec, spec: MaternSpec, **kwargs) -> "BttbOperator":
-        kwargs.setdefault("clamp", False)
-        return cls(grid, first_column_drho(grid, spec), **kwargs)
+    def from_matern_drho(cls, grid: GridSpec, spec: MaternSpec) -> "BttbOperator":
+        return cls(grid, first_column_drho(grid, spec), clamp=False)
 
     @property
     def clamp_fraction(self) -> float:
         return self.clamp_count / self.eigs.size
+
+    def _check_trustworthy(self):
+        """Fail when too much of the spectrum was clamped."""
+        if self.clamp_fraction > CLAMP_FAIL_FRACTION:
+            raise EmbeddingError(
+                f"{self.clamp_count} embedding eigenvalues "
+                f"({100 * self.clamp_fraction:.2f}%) below the positive floor "
+                f"exceeds the {100 * CLAMP_FAIL_FRACTION:.1f}% threshold; "
+                f"range parameter likely too large for this grid"
+            )
 
     def _workspace(self) -> tuple:
         """This thread's spectrum and field arrays for :meth:`matvec`."""
@@ -176,28 +182,17 @@ class BttbOperator:
 
         Sums the logs of the n1 x n2 leading-frequency eigenvalues of the
         (2*n1-1) x (2*n2-1) BCCB embedding. Exact asymptotically; the
-        error shrinks as the grid grows.
+        error shrinks as the grid grows. Fails on an untrustworthy
+        embedding.
         """
-        sub = self._leading_eigs()
+        self._check_trustworthy()
+        sub = self.eigs[: self.grid.n2, : self.grid.n1]
         if np.any(sub <= 0):
             raise EmbeddingError(
                 f"nonpositive eigenvalues in log-determinant subset "
                 f"(clamp_count={self.clamp_count})"
             )
         return float(np.log(sub).sum())
-
-    def _leading_eigs(self) -> np.ndarray:
-        return self.eigs[: self.grid.n2, : self.grid.n1]
-
-    def require_trustworthy(self):
-        """Fail when too much of the spectrum was clamped."""
-        if self.clamp_fraction > self.clamp_fail_fraction:
-            raise EmbeddingError(
-                f"{self.clamp_count} embedding eigenvalues "
-                f"({100 * self.clamp_fraction:.2f}%) below the positive floor "
-                f"exceeds the {100 * self.clamp_fail_fraction:.1f}% threshold; "
-                f"range parameter likely too large for this grid"
-            )
 
     def sample(self, rng) -> np.ndarray:
         """One exact draw from N(0, Sigma) by circulant embedding.
@@ -211,9 +206,9 @@ class BttbOperator:
         frequencies are transformed: ``ifft`` along axis 0 keeping the
         lattice rows, then ``irfft`` along axis 1. Both normal arrays are
         still drawn in full, so the generator advances as it always has.
-        Fails when the clamped fraction exceeds the operator's threshold.
+        Fails on an untrustworthy embedding.
         """
-        self.require_trustworthy()
+        self._check_trustworthy()
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         m2, m1 = self.eigs.shape
         a = rng.standard_normal((m2, m1))
@@ -235,10 +230,12 @@ def dlogdet_drho(op: BttbOperator, dop: BttbOperator) -> float:
     Computes trace(D1^-1 D2) over the same leading n1 x n2 frequency
     subset used by :meth:`BttbOperator.logdet`, where D1 and D2 are the
     embedding spectra of the covariance and its rho-derivative. Both
-    operators must be built on the same grid.
+    operators must be built on the same grid, and ``op``'s embedding
+    must be trustworthy.
     """
     if dop.grid != op.grid:
         raise ValueError("derivative operator built on a different grid")
+    op._check_trustworthy()
     n1, n2 = op.grid.n1, op.grid.n2
     d1 = op.eigs[:n2, :n1]
     d2 = dop.eigs[:n2, :n1]

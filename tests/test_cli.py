@@ -281,6 +281,17 @@ class TestNumericalFailure:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_clamp_threshold_is_not_an_option(self, workdir, capsys):
+        # the 5% trust threshold is fixed; a nan here once disabled it
+        data = simulate(workdir)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["fit", "--grid", "12x12", "--extent", "0,1,0,1", "--nu", "2.5",
+                     "--init", "10,1,0.5,40", "--max-iter", 5,
+                     "--clamp-threshold", "nan", "--out", workdir / "f.npz", data])
+        assert exc.value.code == 2
+        assert "--clamp-threshold" in capsys.readouterr().err
+        assert not (workdir / "f.npz").exists()
+
     def test_bad_k_exits_2(self, workdir):
         data = simulate(workdir)
         rc = run_cli(["fit", "--grid", "12x12", "--k", 0,
@@ -306,9 +317,10 @@ class TestStudyCommand:
         assert rc == 2
         assert "replicates must be >= 1" in capsys.readouterr().err
 
-    def test_modis_runner_on_synthetic_split(self, workdir, capsys):
-        # exercise the archived-data code path with a synthetic stand-in
-        full = simulate(workdir, grid="14x14", theta="20,2,0.3,0.2", seed=9)
+    @staticmethod
+    def modis_split(workdir, grid="14x14"):
+        """Synthetic train/test CSVs (3/4 and 1/4 of the lattice rows)."""
+        full = simulate(workdir, grid=grid, theta="20,2,0.3,0.2", seed=9)
         rows = list(csv.reader(open(full)))
         header, body = rows[0], rows[1:]
         train = workdir / "train.csv"
@@ -321,6 +333,11 @@ class TestStudyCommand:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(body[3 * len(body) // 4 :])
+        return train, test
+
+    def test_modis_runner_on_synthetic_split(self, workdir, capsys):
+        # exercise the archived-data code path with a synthetic stand-in
+        train, test = self.modis_split(workdir)
         out = workdir / "modis.txt"
         rc = run_cli(["study", "--study", "modis", "--train", train, "--test", test,
                       "--grid", "14x14", "--k", 10, "--B", 4, "--max-iter", 15,
@@ -330,6 +347,27 @@ class TestStudyCommand:
         text = out.read_text()
         for metric in ("MAE=", "RMSE=", "CRPS=", "INT=", "CVG="):
             assert metric in text
+
+    @pytest.mark.parametrize("folds", [-1, 0, 1, 148])
+    def test_cv_folds_outside_range_exit_2(self, workdir, capsys, folds):
+        train, test = self.modis_split(workdir)  # 147 training rows
+        capsys.readouterr()
+        rc = run_cli(["study", "--study", "modis", "--train", train, "--test", test,
+                      "--grid", "14x14", "--init-grid", "20,1,1,0.1",
+                      "--cv-folds", folds])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--cv-folds must be between 2 and the 147 training rows" in err
+
+    def test_every_cv_fold_holds_a_row(self, workdir, capsys):
+        # 48 training rows in 20 folds: independent random labels leave
+        # some fold empty at this seed, and its fit would fail
+        train, test = self.modis_split(workdir, grid="8x8")
+        rc = run_cli(["study", "--study", "modis", "--train", train, "--test", test,
+                      "--grid", "8x8", "--k", 5, "--B", 2, "--max-iter", 3,
+                      "--init-grid", "20,2,0.3,0.2", "--cv-folds", 20])
+        assert rc == 0
+        assert "cv init selection: candidate 0" in capsys.readouterr().out
 
 
 class TestArtifact:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -329,6 +330,17 @@ class TestBootstrap:
             total += y_true.size
         coverage = hits / total
         assert 0.90 <= coverage <= 0.99
+
+    @pytest.mark.parametrize("change", [
+        {"grid": GridSpec(8, 8, 0.0, 2.0, 0.0, 1.0)},  # same size, other extents
+        {"nu": 1.5},
+    ])
+    def test_rejects_data_for_another_model(self, change):
+        g, sim, data = simulated_data(8, TRUTH, seed=6)
+        res = manual_fit(g, TRUTH, np.zeros(g.n))
+        other = dataclasses.replace(data, **change)
+        with pytest.raises(ValueError, match="does not match the fit"):
+            bootstrap_uq(res, other, g.node_coords()[:4], B=2)
 
     def test_rejects_bad_b(self):
         g, sim, data = simulated_data(6, TRUTH, seed=8)

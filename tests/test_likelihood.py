@@ -5,7 +5,7 @@ from kryging.grid import GridSpec, MaternSpec, ThetaParams
 from kryging.likelihood import ModelData, evaluate_objective
 from kryging.mapping import SparseMap, build_map
 from kryging.simulate import simulate_dataset
-from kryging.toeplitz import BttbOperator
+from kryging.toeplitz import BttbOperator, EmbeddingError
 
 from oracles import dense_corr, dense_negative_profile
 
@@ -142,6 +142,24 @@ class TestGradient:
             st = evaluate_objective(data, theta, k=8)
             assert np.isfinite(st.value)
             assert np.all(np.isfinite(st.grad))
+
+    def test_untrustworthy_theta_fails_before_any_matvec(self, monkeypatch):
+        g = GridSpec(12, 12)
+        rng = np.random.default_rng(4)
+        data = ModelData(y=rng.standard_normal(g.n), X=np.ones((g.n, 1)),
+                         amap=SparseMap.identity(g.n), grid=g, nu=2.5)
+        calls = []
+        matvec = BttbOperator.matvec
+
+        def counted(op, v):
+            calls.append(op)
+            return matvec(op, v)
+
+        monkeypatch.setattr(BttbOperator, "matvec", counted)
+        theta = ThetaParams(np.array([0.0]), 1.0, 0.5, 30.0, nu=2.5)
+        with pytest.raises(EmbeddingError):
+            evaluate_objective(data, theta, k=8)
+        assert calls == []
 
     def test_smooth_in_last_bit_changes_of_y(self):
         # Golub-Kahan bases that lose orthogonality within k = 50 steps

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kryging.grid import GridSpec, MaternSpec, first_column, matern_corr
-from kryging.toeplitz import BttbOperator, EmbeddingError, dlogdet_drho
+from kryging.toeplitz import CLAMP_FAIL_FRACTION, BttbOperator, EmbeddingError, dlogdet_drho
 
 from oracles import (
     circulant_embedding,
@@ -193,6 +193,19 @@ class TestDlogdet:
         err_tr = abs(dlogdet_drho(op, dop) - exact_trace) / abs(exact_trace)
         assert err_tr < 2.0 * err_ld + 0.05
 
+    def test_untrustworthy_embedding_refuses_logdet_and_derivative(self):
+        # half the spectrum clamped; the padded matvec is still exact,
+        # but neither spectral reader may use it
+        g = GridSpec(12, 12)
+        spec = MaternSpec(1.0, 30.0, 2.5)
+        op = BttbOperator.from_matern(g, spec)
+        dop = BttbOperator.from_matern_drho(g, spec)
+        assert op.clamp_fraction > 0.49
+        with pytest.raises(EmbeddingError, match="threshold"):
+            op.logdet()
+        with pytest.raises(EmbeddingError, match="threshold"):
+            dlogdet_drho(op, dop)
+
     def test_pair_requires_same_grid(self):
         op = BttbOperator.from_matern(GridSpec(5, 5), MaternSpec(1.0, 0.2, 0.5))
         dop = BttbOperator.from_matern_drho(GridSpec(6, 5), MaternSpec(1.0, 0.2, 0.5))
@@ -245,15 +258,16 @@ class TestSampling:
         # smooth kernel + range far beyond the domain: heavy clamping
         g = GridSpec(12, 12)
         op = BttbOperator.from_matern(g, MaternSpec(1.0, 30.0, 2.5))
-        assert op.clamp_fraction > op.clamp_fail_fraction
+        assert op.clamp_fraction > CLAMP_FAIL_FRACTION
         with pytest.raises(EmbeddingError):
             op.sample(0)
 
     def test_clamped_sampling_allowed_below_threshold(self):
+        # an exponential kernel with a range near the domain clamps a few
+        # percent of the spectrum, under the fixed threshold
         g = GridSpec(12, 12)
-        op = BttbOperator.from_matern(
-            g, MaternSpec(1.0, 30.0, 2.5), clamp_fail_fraction=1.0
-        )
+        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.69, 0.5))
+        assert 0.0 < op.clamp_fraction <= CLAMP_FAIL_FRACTION
         out = op.sample(3)
         assert out.shape == (g.n,)
         assert np.all(np.isfinite(out))
