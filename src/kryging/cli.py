@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: fit, predict, bootstrap, simulate, study. Flags can also be
-supplied through a flat key=value config file (--config); explicit flags
-override config values. Exit codes: 0 success, 2 input error, 3
+Subcommands: fit, predict (point predictions), bootstrap (predictions
+with bootstrap uncertainty), simulate, study; each takes only the flags
+it reads. A --config file of key=value lines supplies defaults: a key
+names one of the subcommand's own long flags (max_iter for --max-iter),
+and explicit flags override it. Exit codes: 0 success, 2 input error, 3
 numerical failure (no usable circulant embedding).
 """
 
@@ -37,27 +39,16 @@ from .study import (
 )
 from .toeplitz import EmbeddingError
 
-# config keys accepted in --config files, with their converters
-CONFIG_KEYS = {
-    "grid": str,
-    "extent": str,
-    "k": int,
-    "B": int,
-    "seed": int,
-    "init": str,
-    "tol": float,
-    "max_iter": int,
-    "nu": float,
-    "theta": str,
-    "thin": float,
-    "out": str,
-    "covariates": str,
-    "scale": float,
-    "replicates": int,
-}
 
-
-def _parse_config(path) -> dict:
+def _parse_config(path, command) -> dict:
+    """Defaults for ``command`` (a subparser) from a key=value file. A key
+    names one of the command's long flags and is converted by its type."""
+    flags = {
+        opt[2:].replace("-", "_"): action
+        for action in command._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and action.dest not in ("help", "config")
+    }
     values = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -68,10 +59,16 @@ def _parse_config(path) -> dict:
                 raise InputError(f"{path} line {line_no}: expected key=value")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise InputError(f"{path} line {line_no}: unknown key {key!r}")
+            action = flags.get(key)
+            if action is None:
+                raise InputError(
+                    f"{path} line {line_no}: unknown key {key!r} "
+                    f"({command.prog} keys: {', '.join(sorted(flags))})"
+                )
             try:
-                values[key] = CONFIG_KEYS[key](val.strip())
+                values[action.dest] = (action.type or str)(val.strip())
+                if action.choices and values[action.dest] not in action.choices:
+                    raise ValueError
             except ValueError:
                 raise InputError(f"{path} line {line_no}: bad value for {key!r}")
     return values
@@ -125,15 +122,9 @@ def _resolve_init(text, nu):
     return _parse_theta(text, nu)
 
 
-def _validate_counts(args):
+def cmd_fit(args) -> int:
     if args.k < 1:
         raise InputError(f"k must be >= 1, got {args.k}")
-    if args.B < 0:
-        raise InputError(f"B must be >= 0, got {args.B}")
-
-
-def cmd_fit(args) -> int:
-    _validate_counts(args)
     covs = args.covariates.split(",") if args.covariates else None
     dataset = read_dataset(args.data, covariates=covs)
     grid = _grid_from_args(args, dataset.locations)
@@ -171,46 +162,46 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _predict_common(args, with_uncertainty) -> int:
-    _validate_counts(args)
+def _load_for_prediction(args):
+    """The fit artifact, its training data and the prediction locations."""
     res, dataset = load_fit_artifact(args.fit)
     if not res.converged:
         print(f"warning: fit artifact did not converge "
               f"({res.diagnostics['stop_reason']}); predicting anyway",
               file=sys.stderr)
     locations = read_locations(args.locations)
-    if locations.shape[0] == 0:
-        empty = (np.zeros(0),) * (4 if with_uncertainty else 1)
-        write_predictions(args.out, locations, *empty)
-        return 0
-    q = res.theta_hat.beta.size
-    if q != 1:
+    if locations.shape[0] and res.theta_hat.beta.size != 1:
         raise InputError(
             "prediction with covariates requires programmatic use; the CLI "
             "supports intercept-only means"
         )
-    if with_uncertainty:
-        amap = build_map(dataset.locations, res.grid)
-        data = ModelData(y=dataset.y, X=dataset.X, amap=amap, grid=res.grid, nu=res.nu)
-        pset = bootstrap_uq(res, data, locations, B=args.B, seed=args.seed,
-                            allow_unconverged=True)
-        write_predictions(args.out, locations, pset.y_hat, pset.se, pset.ci_lo, pset.ci_hi)
-    else:
-        amap_pred = build_map(locations, res.grid)
-        y_hat = predict(res, amap_pred, allow_unconverged=True)
-        write_predictions(args.out, locations, y_hat)
-    print(f"wrote {locations.shape[0]} predictions to {args.out}")
-    return 0
+    return res, dataset, locations
 
 
 def cmd_predict(args) -> int:
-    return _predict_common(args, with_uncertainty=args.B > 0)
+    res, _, locations = _load_for_prediction(args)
+    y_hat = np.zeros(0)
+    if locations.shape[0]:
+        y_hat = predict(res, build_map(locations, res.grid), allow_unconverged=True)
+    write_predictions(args.out, locations, y_hat)
+    print(f"wrote {locations.shape[0]} predictions to {args.out}")
+    return 0
 
 
 def cmd_bootstrap(args) -> int:
     if args.B < 1:
         raise InputError("bootstrap requires B >= 1")
-    return _predict_common(args, with_uncertainty=True)
+    res, dataset, locations = _load_for_prediction(args)
+    columns = (np.zeros(0),) * 4
+    if locations.shape[0]:
+        amap = build_map(dataset.locations, res.grid)
+        data = ModelData(y=dataset.y, X=dataset.X, amap=amap, grid=res.grid, nu=res.nu)
+        pset = bootstrap_uq(res, data, locations, B=args.B, seed=args.seed,
+                            allow_unconverged=True)
+        columns = (pset.y_hat, pset.se, pset.ci_lo, pset.ci_hi)
+    write_predictions(args.out, locations, *columns)
+    print(f"wrote {locations.shape[0]} predictions to {args.out}")
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -235,21 +226,15 @@ def cmd_simulate(args) -> int:
 def cmd_study(args) -> int:
     if args.replicates < 1:
         raise InputError(f"replicates must be >= 1, got {args.replicates}")
-    common = dict(
+    if args.study == "modis":
+        return _study_modis(args)
+    runner = {"grid-scaling": study_grid_scaling, "settings": study_settings,
+              "irregular": study_irregular}[args.study]
+    results = runner(
         k=args.k, replicates=args.replicates, scale=args.scale, seed=args.seed,
         B=args.B, init="truth" if args.init == "truth" else _resolve_init(args.init, args.nu),
         max_iter=args.max_iter,
     )
-    if args.study == "grid-scaling":
-        results = study_grid_scaling(**common)
-    elif args.study == "settings":
-        results = study_settings(**common)
-    elif args.study == "irregular":
-        results = study_irregular(**common)
-    elif args.study == "modis":
-        return _study_modis(args)
-    else:
-        raise InputError(f"unknown study {args.study!r}")
     table = format_study_tables(results)
     print(table)
     if args.out:
@@ -300,8 +285,8 @@ def _study_modis(args) -> int:
             _parse_theta(part, args.nu) for part in args.init_grid.split(";") if part
         ]
         theta0 = _cv_select_init(train, grid, candidates, args)
-    else:
-        theta0 = _resolve_init(args.init, args.nu)
+    else:  # a real dataset has no generating parameters to start from
+        theta0 = _resolve_init("auto" if args.init == "truth" else args.init, args.nu)
     amap = build_map(train.locations, grid)
     data = ModelData(y=train.y, X=train.X, amap=amap, grid=grid, nu=args.nu)
     res = fit(data, k=args.k, init=theta0, max_iter=args.max_iter)
@@ -320,22 +305,28 @@ def _study_modis(args) -> int:
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--k", type=int, default=50, help="Krylov subspace order")
-    p.add_argument("--B", type=int, default=20, help="bootstrap replicates")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", default="auto",
-                   help='"auto", "truth" (studies), or beta,sigma2,tau2,rho')
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="relative objective-change stopping tolerance")
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=200)
-    p.add_argument("--nu", type=float, default=0.5, help="fixed smoothness")
-    p.add_argument("--out", help="output path")
+# flags that several subcommands read; each subparser adds only its own
+_SHARED_FLAGS = {
+    "--config": dict(help="key=value config file; flags override it"),
+    "--k": dict(type=int, default=50, help="Krylov subspace order"),
+    "--B": dict(type=int, default=20, help="bootstrap replicates"),
+    "--seed": dict(type=int, default=0),
+    "--max-iter": dict(type=int, default=200),
+    "--nu": dict(type=float, default=0.5, help="fixed smoothness"),
+    "--fit": dict(help="fit artifact (.npz); required"),
+    "--locations": dict(help="CSV with lon,lat; required"),
+    "--out": dict(help="output path"),
+}
+
+
+def _add_shared(p, *flags):
+    for flag in ("--config", *flags, "--out"):
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> tuple:
-    """The top-level parser and a dict of its subcommand parsers by name."""
+    """The top-level parser and a dict of its subcommand parsers by name.
+    ``needs`` names the flags a command requires, from argv or config."""
     parser = argparse.ArgumentParser(
         prog="kryging",
         description="Krylov-subspace kriging for large spatial datasets",
@@ -343,40 +334,42 @@ def build_parser() -> tuple:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="estimate parameters from a CSV dataset")
-    _add_common(p)
+    _add_shared(p, "--k", "--max-iter", "--nu")
+    p.add_argument("--init", default="auto", help='"auto" or beta,sigma2,tau2,rho')
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="relative objective-change stopping tolerance")
     p.add_argument("--grid", default="100x100", help="latent grid N1xN2")
     p.add_argument("--extent", default="auto",
                    help='"auto" or xmin,xmax,ymin,ymax')
     p.add_argument("--covariates", help="comma-separated covariate columns")
     p.add_argument("data", help="input CSV (lon,lat,y[,covariates...])")
-    p.set_defaults(func=cmd_fit, requires_out=True)
+    p.set_defaults(func=cmd_fit, needs=("--out",))
 
-    p = sub.add_parser("predict", help="predict at new locations from a fit")
-    _add_common(p)
-    p.add_argument("--fit", required=True, help="fit artifact (.npz)")
-    p.add_argument("--locations", required=True, help="CSV with lon,lat")
-    p.set_defaults(func=cmd_predict, requires_out=True)
+    p = sub.add_parser("predict", help="point predictions at new locations from a fit")
+    _add_shared(p, "--fit", "--locations")
+    p.set_defaults(func=cmd_predict, needs=("--fit", "--locations", "--out"))
 
     p = sub.add_parser("bootstrap", help="predict with bootstrap uncertainty")
-    _add_common(p)
-    p.add_argument("--fit", required=True, help="fit artifact (.npz)")
-    p.add_argument("--locations", required=True, help="CSV with lon,lat")
-    p.set_defaults(func=cmd_bootstrap, requires_out=True)
+    _add_shared(p, "--fit", "--locations", "--B", "--seed")
+    p.set_defaults(func=cmd_bootstrap, needs=("--fit", "--locations", "--out"))
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
-    _add_common(p)
+    _add_shared(p, "--seed", "--nu")
     p.add_argument("--grid", default="100x100")
     p.add_argument("--extent", default="auto", help="defaults to the unit square")
     p.add_argument("--theta", default="44.49,3,0.5,0.1",
                    help="beta,sigma2,tau2,rho")
     p.add_argument("--thin", type=float, default=0.0,
                    help="fraction of lattice rows to discard at random")
-    p.set_defaults(func=cmd_simulate, requires_out=True)
+    p.set_defaults(func=cmd_simulate, needs=("--out",))
 
     p = sub.add_parser("study", help="run a desk-scale study design")
-    _add_common(p)
-    p.add_argument("--study", required=True,
-                   choices=["grid-scaling", "settings", "irregular", "modis"])
+    _add_shared(p, "--k", "--B", "--seed", "--max-iter", "--nu")
+    p.add_argument("--init", default="truth",
+                   help='"truth" (the generating parameters; modis starts from '
+                        '"auto" instead), "auto", or beta,sigma2,tau2,rho')
+    p.add_argument("--study", choices=["grid-scaling", "settings", "irregular", "modis"],
+                   help="study design; required")
     p.add_argument("--scale", type=float, default=1.0,
                    help="shrink factor for grid sizes")
     p.add_argument("--replicates", type=int, default=5)
@@ -384,11 +377,11 @@ def build_parser() -> tuple:
     p.add_argument("--extent", default="auto")
     p.add_argument("--train", help="training CSV (modis)")
     p.add_argument("--test", help="test CSV (modis)")
-    p.add_argument("--init-grid", dest="init_grid",
+    p.add_argument("--init-grid",
                    help="semicolon-separated initial values for CV selection "
                         "(modis), each beta,sigma2,tau2,rho")
-    p.add_argument("--cv-folds", dest="cv_folds", type=int, default=5)
-    p.set_defaults(func=cmd_study, requires_out=False)
+    p.add_argument("--cv-folds", type=int, default=5)
+    p.set_defaults(func=cmd_study, needs=("--study",))
 
     return parser, sub.choices
 
@@ -397,12 +390,14 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
+        command = commands[args.command]
         if args.config:
             # reparse with config values as defaults so flags keep precedence
-            commands[args.command].set_defaults(**_parse_config(args.config))
+            command.set_defaults(**_parse_config(args.config, command))
             args = parser.parse_args(argv)
-        if getattr(args, "requires_out", False) and not args.out:
-            parser.error(f"{args.command} requires --out")
+        missing = [flag for flag in args.needs if not getattr(args, flag[2:])]
+        if missing:
+            command.error(f"the following arguments are required: {', '.join(missing)}")
         return args.func(args)
     except (InputError, LocationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -206,9 +206,11 @@ def gengk_factorize(
 
     tau = math.sqrt(tau2)
     blas_free = getattr(_without_blas, "active", False)
-    # one basis vector per row, so every update touches contiguous memory
-    U = np.zeros((k + 1, amap.p))
-    B = np.zeros((k + 1, k))
+    # one basis vector per row, so every update touches contiguous memory;
+    # the loop below stops by step n or p, so a larger k allocates no more
+    size = min(k, amap.n, amap.p)
+    U = np.zeros((size + 1, amap.p))
+    B = np.zeros((size + 1, size))
     # scratch for the terms subtracted from the latent and observation vectors
     latent, proj = np.empty(amap.n), np.empty(amap.p)
 

@@ -114,6 +114,8 @@ class ThetaParams:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.atleast_1d(np.asarray(self.beta, dtype=float)))
+        if not np.all(np.isfinite(self.beta)):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         for name in ("sigma2", "tau2", "rho", "nu"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):

@@ -140,6 +140,28 @@ class TestFit:
         assert rc == 2
         assert "duplicate column name(s): a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_init_exits_2(self, workdir, capsys, beta):
+        data = simulate(workdir)
+        rc = run_cli(["fit", "--grid", "12x12", "--init", f"{beta},1,0.5,0.1",
+                      "--out", workdir / "f.npz", data])
+        assert rc == 2
+        assert "beta must be finite" in capsys.readouterr().err
+
+    def test_order_beyond_the_lattice_fits_as_full_order(self, workdir):
+        # 144 observations on 144 nodes: GK stops after 144 steps, so an
+        # order of millions must fit exactly like k = 144
+        data = simulate(workdir)
+        arrays = []
+        for k in (144, 2_000_000):
+            out = workdir / f"fit{k}.npz"
+            assert run_cli(["fit", "--grid", "12x12", "--extent", "0,1,0,1", "--k", k,
+                            "--max-iter", 3, "--out", out, data]) == 0
+            with np.load(out) as z:
+                arrays.append({key: z[key] for key in ("x_hat", "objective_trace", "rho")})
+        for key, value in arrays[0].items():
+            np.testing.assert_array_equal(arrays[1][key], value)
+
     def test_parse_error_reports_line(self, workdir, capsys):
         bad = workdir / "bad.csv"
         bad.write_text("lon,lat,y\n0.1,0.2,1.0\n0.3,oops,2.0\n")
@@ -161,7 +183,7 @@ class TestPredict:
         locs = workdir / "locs.csv"
         locs.write_text("lon,lat\n0.5,0.5\n0.25,0.75\n")
         out = workdir / "pred.csv"
-        assert run_cli(["predict", "--fit", fitted, "--locations", locs,
+        assert run_cli(["bootstrap", "--fit", fitted, "--locations", locs,
                         "--B", 5, "--out", out]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "lon,lat,y_hat,se,ci_lo,ci_hi"
@@ -172,14 +194,14 @@ class TestPredict:
         locs.write_text("lon,lat\n0.5,0.5\n")
         out = workdir / "pred.csv"
         assert run_cli(["predict", "--fit", fitted, "--locations", locs,
-                        "--B", 0, "--out", out]) == 0
+                        "--out", out]) == 0
         assert out.read_text().splitlines()[0] == "lon,lat,y_hat"
 
     def test_zero_rows_gives_header_only(self, workdir, fitted):
         locs = workdir / "locs.csv"
         locs.write_text("lon,lat\n")
         out = workdir / "pred.csv"
-        assert run_cli(["predict", "--fit", fitted, "--locations", locs,
+        assert run_cli(["bootstrap", "--fit", fitted, "--locations", locs,
                         "--B", 5, "--out", out]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines == ["lon,lat,y_hat,se,ci_lo,ci_hi"]
@@ -189,14 +211,14 @@ class TestPredict:
         locs.write_text("lon,lat\n")
         out = workdir / "pred.csv"
         assert run_cli(["predict", "--fit", fitted, "--locations", locs,
-                        "--B", 0, "--out", out]) == 0
+                        "--out", out]) == 0
         assert out.read_text().splitlines() == ["lon,lat,y_hat"]
 
     def test_locations_outside_fitted_grid_exit_2(self, workdir, fitted, capsys):
         locs = workdir / "locs.csv"
         locs.write_text("lon,lat\n5.0,5.0\n")
         rc = run_cli(["predict", "--fit", fitted, "--locations", locs,
-                      "--B", 0, "--out", workdir / "pred.csv"])
+                      "--out", workdir / "pred.csv"])
         assert rc == 2
         assert "outside" in capsys.readouterr().err
 
@@ -204,7 +226,7 @@ class TestPredict:
         locs = workdir / "locs.csv"
         locs.write_text("lon,lat\n0.5,0.5\n0.25\n")
         rc = run_cli(["predict", "--fit", fitted, "--locations", locs,
-                      "--B", 0, "--out", workdir / "pred.csv"])
+                      "--out", workdir / "pred.csv"])
         assert rc == 2
         assert "error: line 3: expected 2 fields, got 1" in capsys.readouterr().err
 
@@ -224,18 +246,100 @@ class TestPredict:
         locs.write_text("lon,lat\n" + "\n".join(f"{r[0]},{r[1]}" for r in sim_rows))
         out = workdir / "pred.csv"
         assert run_cli(["predict", "--fit", fitted, "--locations", locs,
-                        "--B", 0, "--out", out]) == 0
+                        "--out", out]) == 0
         preds = [float(r[2]) for r in list(csv.reader(open(out)))[1:]]
         ys = [float(r[2]) for r in sim_rows]
         for yhat, y in zip(preds, ys):
             assert abs(yhat - y) < 3.0  # same scale, shrunk toward the mean
 
 
+# (subcommand, flag) pairs each command once accepted and ignored
+REMOVED_FLAGS = [
+    ("fit", "--B"), ("fit", "--seed"),
+    *[("predict", f) for f in ("--k", "--init", "--tol", "--max-iter", "--nu", "--B", "--seed")],
+    *[("bootstrap", f) for f in ("--k", "--init", "--tol", "--max-iter", "--nu")],
+    *[("simulate", f) for f in ("--k", "--B", "--init", "--tol", "--max-iter")],
+    ("study", "--tol"),
+]
+FLAG_VALUES = {"--B": "2", "--seed": "1", "--k": "5", "--init": "auto", "--tol": "1e-6",
+               "--max-iter": "3", "--nu": "0.5"}
+# arguments each subcommand needs, so only the flag under test can fail
+BASE_ARGS = {
+    "fit": ["--out", "f.npz", "data.csv"],
+    "predict": ["--fit", "f.npz", "--locations", "l.csv", "--out", "p.csv"],
+    "bootstrap": ["--fit", "f.npz", "--locations", "l.csv", "--out", "p.csv"],
+    "simulate": ["--out", "s.csv"],
+    "study": ["--study", "settings"],
+}
+
+
+def test_each_subcommand_has_only_its_own_flags():
+    from kryging.cli import build_parser
+
+    _, commands = build_parser()
+    counts = {name: sum(a.dest != "help" for a in p._actions) for name, p in commands.items()}
+    assert counts == {"fit": 11, "predict": 4, "bootstrap": 6, "simulate": 8, "study": 17}
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_flag_the_command_does_not_read_exits_2(workdir, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *BASE_ARGS[command], flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    # the same setting as a config key names the file, its line and the key
+    key = flag[2:].replace("-", "_")
+    cfg = workdir / "run.cfg"
+    cfg.write_text(f"# settings\n{key}={FLAG_VALUES[flag]}\n")
+    assert run_cli([command, *BASE_ARGS[command], "--config", cfg]) == 2
+    assert f"{cfg} line 2: unknown key {key!r}" in capsys.readouterr().err
+
+
 class TestConfig:
+    @pytest.mark.parametrize("command", sorted(BASE_ARGS))
+    def test_every_own_long_flag_is_a_config_key(self, workdir, command):
+        from kryging.cli import _parse_config, build_parser
+
+        _, commands = build_parser()
+        lines, expected = [], {}
+        for action in commands[command]._actions:
+            if not action.option_strings or action.dest in ("help", "config"):
+                continue
+            text, value = {int: ("3", 3), float: ("0.5", 0.5)}.get(action.type, ("x", "x"))
+            if action.choices:
+                text = value = action.choices[-1]
+            lines.append(f"{action.option_strings[-1][2:].replace('-', '_')}={text}")
+            expected[action.dest] = value
+        cfg = workdir / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        assert _parse_config(cfg, commands[command]) == expected
+
+    def test_config_supplies_required_flags(self, workdir):
+        data = simulate(workdir)
+        fitfile = workdir / "fit.npz"
+        assert run_cli(["fit", "--grid", "12x12", "--extent", "0,1,0,1", "--k", 10,
+                        "--max-iter", 5, "--out", fitfile, data]) == 0
+        cfg = workdir / "predict.cfg"
+        cfg.write_text(f"fit={fitfile}\nlocations={data}\nout={workdir / 'a.csv'}\n")
+        assert run_cli(["predict", "--config", cfg]) == 0
+        assert run_cli(["predict", "--fit", fitfile, "--locations", data,
+                        "--out", workdir / "b.csv"]) == 0
+        a, b = (workdir / "a.csv").read_bytes(), (workdir / "b.csv").read_bytes()
+        assert a == b and a.splitlines()[0] == b"lon,lat,y_hat"
+
+    @pytest.mark.parametrize("line", ["k=five", "study=kriging"])
+    def test_bad_config_value_names_line_and_key(self, workdir, capsys, line):
+        command = "fit" if line.startswith("k") else "study"
+        cfg = workdir / "run.cfg"
+        cfg.write_text(f"\n{line}\n")
+        assert run_cli([command, *BASE_ARGS[command], "--config", cfg]) == 2
+        key = line.partition("=")[0]
+        assert f"{cfg} line 2: bad value for {key!r}" in capsys.readouterr().err
+
     def test_config_supplies_defaults_and_flags_override(self, workdir):
         data = simulate(workdir)
         cfg = workdir / "run.cfg"
-        cfg.write_text("k=15\nmax_iter=10\nseed=4\n")
+        cfg.write_text("k=15\nmax_iter=10\n")
         fitfile = workdir / "fit.npz"
         rc = run_cli(["fit", "--config", cfg, "--grid", "12x12", "--extent", "0,1,0,1",
                       "--max-iter", 25, "--out", fitfile, data])
@@ -310,6 +414,40 @@ class TestStudyCommand:
         assert "setting-1" in text and "setting-4" in text
         assert "rmse=" in text and "coverage=" in text and "se " in text
         assert "sigma2=" in text  # parameter recovery table
+
+    def test_init_defaults_to_the_runners_truth(self, monkeypatch):
+        import inspect
+
+        from kryging import cli, study
+
+        seen = {}
+
+        def runner(**kwargs):
+            seen.update(kwargs)
+            return []
+
+        monkeypatch.setattr(cli, "study_settings", runner)
+        monkeypatch.setattr(cli, "format_study_tables", lambda results: "")
+        assert run_cli(["study", "--study", "settings"]) == 0
+        assert seen["init"] == "truth"
+        assert inspect.signature(study.run_replicate).parameters["init"].default == "truth"
+
+    def test_modis_default_init_starts_from_auto(self, workdir, monkeypatch):
+        # a real dataset has no generating parameters; "truth" means "auto"
+        from kryging import cli
+
+        train, test = self.modis_split(workdir, grid="8x8")
+        inits = []
+        real_fit = cli.fit
+
+        def recording_fit(data, **kwargs):
+            inits.append(kwargs["init"])
+            return real_fit(data, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", recording_fit)
+        assert run_cli(["study", "--study", "modis", "--train", train, "--test", test,
+                        "--grid", "8x8", "--k", 5, "--B", 2, "--max-iter", 3]) == 0
+        assert inits == ["auto"]
 
     def test_zero_replicates_exits_2(self, workdir, capsys):
         rc = run_cli(["study", "--study", "settings", "--scale", 0.08,
@@ -486,7 +624,7 @@ class TestArtifact:
         locs.write_text("lon,lat\n0.5,0.5\n")
         capsys.readouterr()
         assert run_cli(["predict", "--fit", unconverged, "--locations", locs,
-                        "--B", 0, "--out", workdir / "pred.csv"]) == 0
+                        "--out", workdir / "pred.csv"]) == 0
         assert "did not converge (max_iter reached)" in capsys.readouterr().err
 
     def test_artifact_without_stop_reason_loads(self, workdir):

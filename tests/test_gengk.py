@@ -170,6 +170,20 @@ class TestFactorize:
             assert f.B.shape == (f.k + 1, f.k)
             assert np.abs(f.Vk.T @ S @ f.Vk - np.eye(f.k)).max() < 1e-8
 
+    @pytest.mark.parametrize("n1,n2,p", [(3, 4, 20), (5, 5, 9)])
+    def test_order_beyond_n_or_p_allocates_by_the_steps_run(self, n1, n2, p):
+        # the loop stops by step min(n, p); a k of millions must neither
+        # size U and B by k nor change a bit of the factorization
+        rng = np.random.default_rng(4)
+        g, S, op, amap, b = random_problem(rng, n1, n2, p)
+        ref = gengk_factorize(amap, op, b, 0.3, k=min(g.n, p) + 1)
+        f = gengk_factorize(amap, op, b, 0.3, k=2_000_000)
+        assert (f.k, f.breakdown_at) == (ref.k, ref.breakdown_at)
+        assert f.k <= min(g.n, p)
+        np.testing.assert_array_equal(f.B, ref.B)
+        np.testing.assert_array_equal(f.U, ref.U)
+        assert f.beta1 == ref.beta1
+
     def test_rhs_scaling_homogeneity(self, rng):
         g, S, op, amap, b = random_problem(rng, 4, 4, 12)
         f1 = gengk_factorize(amap, op, b, 0.5, k=5)

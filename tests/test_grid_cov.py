@@ -131,6 +131,11 @@ class TestThetaParams:
         with pytest.raises(ValueError):
             ThetaParams(**kwargs)
 
+    @pytest.mark.parametrize("beta", [[np.nan], [1.0, np.inf], [-np.inf]])
+    def test_rejects_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            ThetaParams(beta=np.array(beta), sigma2=1.0, tau2=1.0, rho=0.1)
+
 
 class TestFirstColumn:
     def test_two_point_closed_form(self):
