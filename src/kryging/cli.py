@@ -2,9 +2,11 @@
 
 Subcommands: fit, predict (point predictions), bootstrap (predictions
 with bootstrap uncertainty), simulate, study; each takes only the flags
-it reads. A --config file of key=value lines supplies defaults: a key
-names one of the subcommand's own long flags (max_iter for --max-iter),
-and explicit flags override it. Exit codes: 0 success, 2 input error, 3
+it reads and reports any other with its own usage, and study refuses
+the flags of the other kind of design (modis or synthetic). A --config
+file of key=value lines supplies defaults: a key names one of the
+subcommand's own long flags (max_iter for --max-iter), and explicit
+flags override it. Exit codes: 0 success, 2 input error, 3
 numerical failure (no usable circulant embedding).
 """
 
@@ -40,11 +42,16 @@ from .study import (
 from .toeplitz import EmbeddingError
 
 
+def _dest(flag):
+    """The argparse destination of a long flag: --max-iter -> max_iter."""
+    return flag[2:].replace("-", "_")
+
+
 def _parse_config(path, command) -> dict:
     """Defaults for ``command`` (a subparser) from a key=value file. A key
     names one of the command's long flags and is converted by its type."""
     flags = {
-        opt[2:].replace("-", "_"): action
+        _dest(opt): action
         for action in command._actions
         for opt in action.option_strings
         if opt.startswith("--") and action.dest not in ("help", "config")
@@ -223,11 +230,26 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# study flags that only one kind of design reads, with their defaults
+# there; a design refuses the other kind's flags
+_MODIS_FLAGS = {"--grid": "500x300", "--extent": "auto", "--train": None, "--test": None,
+                "--init-grid": None, "--cv-folds": 5}
+_SYNTHETIC_FLAGS = {"--scale": 1.0, "--replicates": 5}
+
+
 def cmd_study(args) -> int:
-    if args.replicates < 1:
-        raise InputError(f"replicates must be >= 1, got {args.replicates}")
+    own, other = ((_MODIS_FLAGS, _SYNTHETIC_FLAGS) if args.study == "modis"
+                  else (_SYNTHETIC_FLAGS, _MODIS_FLAGS))
+    stray = [flag for flag in other if getattr(args, _dest(flag)) is not None]
+    if stray:
+        raise InputError(f"study {args.study} does not read {', '.join(stray)}")
+    for flag, default in own.items():
+        if getattr(args, _dest(flag)) is None:
+            setattr(args, _dest(flag), default)
     if args.study == "modis":
         return _study_modis(args)
+    if args.replicates < 1:
+        raise InputError(f"replicates must be >= 1, got {args.replicates}")
     runner = {"grid-scaling": study_grid_scaling, "settings": study_settings,
               "irregular": study_irregular}[args.study]
     results = runner(
@@ -370,17 +392,18 @@ def build_parser() -> tuple:
                         '"auto" instead), "auto", or beta,sigma2,tau2,rho')
     p.add_argument("--study", choices=["grid-scaling", "settings", "irregular", "modis"],
                    help="study design; required")
-    p.add_argument("--scale", type=float, default=1.0,
-                   help="shrink factor for grid sizes")
-    p.add_argument("--replicates", type=int, default=5)
-    p.add_argument("--grid", default="500x300", help="latent grid for modis")
-    p.add_argument("--extent", default="auto")
+    p.add_argument("--scale", type=float,
+                   help="shrink factor for grid sizes (synthetic designs; default 1)")
+    p.add_argument("--replicates", type=int,
+                   help="replicates per setting (synthetic designs; default 5)")
+    p.add_argument("--grid", help="latent grid N1xN2 (modis; default 500x300)")
+    p.add_argument("--extent", help='"auto" or xmin,xmax,ymin,ymax (modis; default auto)')
     p.add_argument("--train", help="training CSV (modis)")
     p.add_argument("--test", help="test CSV (modis)")
     p.add_argument("--init-grid",
                    help="semicolon-separated initial values for CV selection "
                         "(modis), each beta,sigma2,tau2,rho")
-    p.add_argument("--cv-folds", type=int, default=5)
+    p.add_argument("--cv-folds", type=int, help="CV folds for --init-grid (modis; default 5)")
     p.set_defaults(func=cmd_study, needs=("--study",))
 
     return parser, sub.choices
@@ -389,13 +412,15 @@ def build_parser() -> tuple:
 def main(argv=None) -> int:
     parser, commands = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
         command = commands[args.command]
         if args.config:
             # reparse with config values as defaults so flags keep precedence
             command.set_defaults(**_parse_config(args.config, command))
-            args = parser.parse_args(argv)
-        missing = [flag for flag in args.needs if not getattr(args, flag[2:])]
+            args, extra = parser.parse_known_args(argv)
+        if extra:
+            command.error(f"unrecognized arguments: {' '.join(extra)}")
+        missing = [flag for flag in args.needs if not getattr(args, _dest(flag))]
         if missing:
             command.error(f"the following arguments are required: {', '.join(missing)}")
         return args.func(args)

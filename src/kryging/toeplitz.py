@@ -6,8 +6,13 @@ size (2*n1 - 1) x (2*n2 - 1) blocks, which the 2-D DFT diagonalizes.
 That embedding gives O(n log n) matrix-vector products, a log-determinant
 approximation over the leading n1 x n2 frequencies, its range-parameter
 derivative, and exact Gaussian sampling. The embedding is real and even
-in both axes, so its spectrum is real and even too: each operator
-computes one quarter of it with real transforms and mirrors the rest.
+in both axes, so its spectrum is real and even too, and real transforms
+compute one quarter of it. Of the minimal embedding's spectrum an
+operator stores only that quarter: n2 x n1 values, every distinct
+eigenvalue, and exactly the leading block the log-determinant reads. The
+full spectrum is unfolded from it on access (``eigs``), and sampling
+unfolds it along one axis only. The padded matvec spectrum is stored in
+rfft2 layout.
 
 The minimal (2*n_i - 1) embedding is mandatory for the log-determinant
 (the frequency-subset rule depends on it); matrix-vector products run on
@@ -93,6 +98,12 @@ class BttbOperator:
     :meth:`logdet`, :func:`dlogdet_drho` and :meth:`sample`, raise
     :class:`EmbeddingError` when more than ``CLAMP_FAIL_FRACTION`` of it
     was clamped.
+
+    The operator stores its first column and the clamped n2 x n1 quarter
+    of the minimal-embedding spectrum (n floats each), and the padded
+    rfft2 spectrum of its matvecs (about 2n floats). The full
+    (2*n2-1) x (2*n1-1) spectrum ``eigs`` (about 4n floats) is rebuilt on
+    each access; ``clamp_count`` counts its clamped eigenvalues.
     """
 
     def __init__(self, grid: GridSpec, first_col: np.ndarray, clamp: bool = True):
@@ -105,18 +116,24 @@ class BttbOperator:
 
         base = first_col.reshape(grid.n2, grid.n1)
         m1, m2 = self.embed_dims
-        eig = _unfold(_unfold(_quarter_spectrum(base, m1, m2), m2, 0), m1, 1)
+        # both embedding lengths are odd, so the quarter is (n2, n1) and
+        # holds each of its entries once, twice (rest of the zero row and
+        # column) or four times in the full spectrum; copied, as the real
+        # part is a view that would keep the complex transform alive
+        quarter = _quarter_spectrum(base, m1, m2).copy()
 
         self.clamp_count = 0
         if clamp:
-            top = eig.max()
+            top = quarter.max()
             if not top > 0:
                 raise EmbeddingError("no positive eigenvalue in the circulant embedding")
             floor = CLAMP_FLOOR_REL * top
-            below = eig < floor
-            self.clamp_count = int(below.sum())
-            eig = np.where(below, floor, eig)
-        self.eigs = eig
+            below = quarter < floor
+            self.clamp_count = int(
+                4 * below.sum() - 2 * below[0].sum() - 2 * below[:, 0].sum() + below[0, 0]
+            )
+            quarter[below] = floor
+        self._quarter = quarter
 
         # padded fast-length spectrum for matvecs only
         f1 = sfft.next_fast_len(m1, real=True)
@@ -135,8 +152,15 @@ class BttbOperator:
         return cls(grid, first_column_drho(grid, spec), clamp=False)
 
     @property
+    def eigs(self) -> np.ndarray:
+        """The full (m2, m1) minimal-embedding spectrum, clamped, unfolded
+        from the stored quarter on each access."""
+        m1, m2 = self.embed_dims
+        return _unfold(_unfold(self._quarter, m2, 0), m1, 1)
+
+    @property
     def clamp_fraction(self) -> float:
-        return self.clamp_count / self.eigs.size
+        return self.clamp_count / (self.embed_dims[0] * self.embed_dims[1])
 
     def _check_trustworthy(self):
         """Fail when too much of the spectrum was clamped."""
@@ -186,13 +210,12 @@ class BttbOperator:
         embedding.
         """
         self._check_trustworthy()
-        sub = self.eigs[: self.grid.n2, : self.grid.n1]
-        if np.any(sub <= 0):
+        if np.any(self._quarter <= 0):
             raise EmbeddingError(
                 f"nonpositive eigenvalues in log-determinant subset "
                 f"(clamp_count={self.clamp_count})"
             )
-        return float(np.log(sub).sum())
+        return float(np.log(self._quarter).sum())
 
     def sample(self, rng) -> np.ndarray:
         """One exact draw from N(0, Sigma) by circulant embedding.
@@ -205,20 +228,27 @@ class BttbOperator:
         sqrt(lam) (a_even + i b_odd), so only the non-negative axis-1
         frequencies are transformed: ``ifft`` along axis 0 keeping the
         lattice rows, then ``irfft`` along axis 1. Both normal arrays are
-        still drawn in full, so the generator advances as it always has.
-        Fails on an untrustworthy embedding.
+        still drawn in full, so the generator advances as it always has,
+        but one at a time: each is folded into the half spectrum and
+        freed before the next is drawn. Fails on an untrustworthy
+        embedding.
         """
         self._check_trustworthy()
         rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        m2, m1 = self.eigs.shape
-        a = rng.standard_normal((m2, m1))
-        b = rng.standard_normal((m2, m1))
+        m1, m2 = self.embed_dims
+        h1 = m1 // 2 + 1
         # frequency -k of each kept frequency k, in both axes
-        neg = np.ix_(-np.arange(m2) % m2, -np.arange(m1 // 2 + 1) % m1)
-        half = (slice(None), slice(0, m1 // 2 + 1))
-        h = np.sqrt(np.maximum(self.eigs[half], 0.0)) * (
-            (a[half] + a[neg]) / 2 + 1j * ((b[half] - b[neg]) / 2)
-        )
+        neg = np.ix_(-np.arange(m2) % m2, -np.arange(h1) % m1)
+        h = np.empty((m2, h1), dtype=complex)
+        a = rng.standard_normal((m2, m1))
+        np.add(a[:, :h1], a[neg], out=h.real)
+        h.real /= 2
+        del a
+        b = rng.standard_normal((m2, m1))
+        np.subtract(b[:, :h1], b[neg], out=h.imag)
+        h.imag /= 2
+        del b
+        h *= np.sqrt(np.maximum(_unfold(self._quarter, m2, 0), 0.0))
         rows = sfft.ifft(h, axis=0, overwrite_x=True)[: self.grid.n2]
         field = sfft.irfft(rows, n=m1, axis=1)[:, : self.grid.n1]
         return (field * np.sqrt(m2 * m1)).ravel()
@@ -236,11 +266,9 @@ def dlogdet_drho(op: BttbOperator, dop: BttbOperator) -> float:
     if dop.grid != op.grid:
         raise ValueError("derivative operator built on a different grid")
     op._check_trustworthy()
-    n1, n2 = op.grid.n1, op.grid.n2
-    d1 = op.eigs[:n2, :n1]
-    d2 = dop.eigs[:n2, :n1]
+    d1 = op._quarter
     if np.any(d1 <= 0):
         raise EmbeddingError(
             f"nonpositive eigenvalues in derivative trace (clamp_count={op.clamp_count})"
         )
-    return float((d2 / d1).sum())
+    return float((dop._quarter / d1).sum())

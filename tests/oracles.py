@@ -7,6 +7,7 @@ FFT/Krylov implementations.
 """
 
 import numpy as np
+from scipy import fft as sfft
 
 from kryging.grid import GridSpec, matern_corr
 
@@ -64,3 +65,22 @@ def complex_embedding_sample(eigs: np.ndarray, n1: int, n2: int, rng) -> np.ndar
     noise = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
     field = np.fft.ifft2(np.sqrt(lam) * noise) * np.sqrt(lam.size)
     return field.real[:n2, :n1].ravel()
+
+
+def half_spectrum_sample(eigs: np.ndarray, n1: int, n2: int, rng) -> np.ndarray:
+    """One circulant-embedding draw by the half-spectrum route, written out
+    from the full (m2, m1) spectrum: both normal arrays drawn in full, the
+    Hermitian part sqrt(lam) (a_even + i b_odd) on the non-negative axis-1
+    frequencies, ``ifft`` along axis 0 keeping the lattice rows, then
+    ``irfft`` along axis 1."""
+    m2, m1 = eigs.shape
+    a = rng.standard_normal((m2, m1))
+    b = rng.standard_normal((m2, m1))
+    neg = np.ix_(-np.arange(m2) % m2, -np.arange(m1 // 2 + 1) % m1)
+    half = (slice(None), slice(0, m1 // 2 + 1))
+    h = np.sqrt(np.maximum(eigs[half], 0.0)) * (
+        (a[half] + a[neg]) / 2 + 1j * ((b[half] - b[neg]) / 2)
+    )
+    rows = sfft.ifft(h, axis=0, overwrite_x=True)[:n2]
+    field = sfft.irfft(rows, n=m1, axis=1)[:, :n1]
+    return (field * np.sqrt(m2 * m1)).ravel()

@@ -295,6 +295,55 @@ def test_flag_the_command_does_not_read_exits_2(workdir, capsys, command, flag):
     assert f"{cfg} line 2: unknown key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(BASE_ARGS))
+def test_unknown_flag_prints_the_subcommand_usage(workdir, capsys, command):
+    cfg = workdir / "empty.cfg"
+    cfg.write_text("# no settings\n")
+    for config in ([], ["--config", cfg]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, *BASE_ARGS[command], *config, "--bogus", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: kryging {command} ")
+        assert f"kryging {command}: error: unrecognized arguments: --bogus 1" in err
+
+
+# study flags that only modis, or only the synthetic designs, read
+MODIS_FLAGS = {"--grid": "5x5", "--extent": "0,1,0,1", "--train": "t.csv",
+               "--test": "t.csv", "--init-grid": "1,1,1,0.1", "--cv-folds": "3"}
+SYNTHETIC_FLAGS = {"--scale": "0.5", "--replicates": "2"}
+
+
+@pytest.mark.parametrize("design,flag", [
+    *[(d, f) for d in ("grid-scaling", "settings", "irregular") for f in MODIS_FLAGS],
+    *[("modis", f) for f in SYNTHETIC_FLAGS],
+])
+def test_study_flag_of_another_design_exits_2(workdir, capsys, design, flag):
+    value = {**MODIS_FLAGS, **SYNTHETIC_FLAGS}[flag]
+    cfg = workdir / "run.cfg"
+    cfg.write_text(f"{flag[2:].replace('-', '_')}={value}\n")
+    for setting in ([flag, value], ["--config", cfg]):
+        assert run_cli(["study", "--study", design, *setting]) == 2
+        assert f"study {design} does not read {flag}" in capsys.readouterr().err
+
+
+def test_study_designs_resolve_their_own_defaults(monkeypatch):
+    from kryging import cli
+
+    seen = {}
+    monkeypatch.setattr(cli, "study_settings", lambda **kwargs: seen.update(kwargs) or [])
+    monkeypatch.setattr(cli, "format_study_tables", lambda results: "")
+    assert run_cli(["study", "--study", "settings"]) == 0
+    assert (seen["scale"], seen["replicates"]) == (1.0, 5)
+    # acceptance criterion 9's command line
+    monkeypatch.setattr(cli, "_study_modis", lambda args: seen.update(vars(args)) or 0)
+    assert run_cli(["study", "--study", "modis", "--k", "200", "--train", "t.csv",
+                    "--test", "v.csv", "--grid", "500x300", "--out", "o.txt"]) == 0
+    assert (seen["grid"], seen["extent"], seen["cv_folds"], seen["init_grid"]) == (
+        "500x300", "auto", 5, None)
+    assert (seen["scale"], seen["replicates"]) == (None, None)
+
+
 class TestConfig:
     @pytest.mark.parametrize("command", sorted(BASE_ARGS))
     def test_every_own_long_flag_is_a_config_key(self, workdir, command):

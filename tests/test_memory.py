@@ -2,7 +2,10 @@
 reports its array buffers to it; FFT work buffers are not counted).
 
 A Golub-Kahan run stores one basis, U ((k+1) x p floats), a fit holds
-one factorization at a time, and a bootstrap holds one per thread.
+one factorization at a time, and a bootstrap holds one per thread. An
+operator keeps its first column, one quarter of the minimal embedding
+spectrum and the padded half spectrum its matvecs use, and a draw holds
+about one normal array and the half spectrum at a time.
 """
 
 import tracemalloc
@@ -73,3 +76,26 @@ def test_bootstrap_holds_one_replicate_per_thread(traced, colocated, monkeypatch
     _, peak = traced(lambda: bootstrap_uq(res, colocated, locs, B=12, seed=0))
     # twelve replicates held at once would need about four times this
     assert peak <= workers * one
+
+
+@pytest.mark.parametrize("n1, n2", [(150, 100), (300, 300)])
+def test_operator_holds_a_quarter_of_the_embedding_spectrum(traced, n1, n2):
+    g = GridSpec(n1, n2)
+    base = tracemalloc.get_traced_memory()[0]
+    op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))
+    held = tracemalloc.get_traced_memory()[0] - base
+    f1, f2 = op._fast_dims
+    # first column and quarter (n floats each), padded rfft2 spectrum;
+    # the full (m2, m1) spectrum would add about 4n floats
+    assert held <= 1.05 * 8 * (2 * g.n + f2 * (f1 // 2 + 1))
+
+
+@pytest.mark.parametrize("n", [200, 300])
+def test_sample_peak_stays_under_three_embedding_arrays(traced, n):
+    g = GridSpec(n, n)
+    op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))
+    m1, m2 = op.embed_dims
+    draw, peak = traced(lambda: op.sample(0))
+    assert draw.shape == (g.n,)
+    # both full normal arrays held at once would already take two
+    assert peak <= 3 * 8 * m1 * m2

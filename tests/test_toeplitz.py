@@ -8,6 +8,7 @@ from oracles import (
     circulant_embedding,
     complex_embedding_sample,
     dense_corr,
+    half_spectrum_sample,
     pairwise_distances,
 )
 
@@ -127,6 +128,29 @@ class TestStructure:
         f1, f2 = op._fast_dims
         fast = np.fft.rfft2(circulant_embedding(base, f1, f2)).real
         assert np.abs(op._fast_eigs - fast).max() <= 1e-14 * peak
+
+    # 64x31 clamps 278 eigenvalues, 12x12 at rho 0.69 twelve, 12x12 at
+    # nu 2.5 and rho 30 half the spectrum
+    @pytest.mark.parametrize("n1, n2, nu, rho", [(64, 31, 1.5, 0.3), (12, 12, 0.5, 0.69),
+                                                 (12, 12, 2.5, 30.0)])
+    def test_clamp_count_matches_full_oracle_spectrum(self, n1, n2, nu, rho):
+        g = GridSpec(n1, n2)
+        op = BttbOperator.from_matern(g, MaternSpec(1.0, rho, nu))
+        m1, m2 = op.embed_dims
+        oracle = np.fft.fft2(circulant_embedding(op.first_col.reshape(n2, n1), m1, m2)).real
+        expected = int((oracle < 1e-12 * oracle.max()).sum())
+        assert expected > 0
+        assert op.clamp_count == expected
+        assert op.clamp_fraction == expected / oracle.size
+
+    def test_no_full_size_spectrum_is_stored(self):
+        g = GridSpec(9, 4)
+        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5))
+        m1, m2 = op.embed_dims
+        arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(a.shape != (m2, m1) for a in arrays)
+        # the full spectrum is still available, rebuilt on access
+        assert op.eigs.shape == (m2, m1)
 
 
 class TestLogdet:
@@ -252,6 +276,19 @@ class TestSampling:
             got = op.sample(rng)
             want = complex_embedding_sample(op.eigs, n1, n2, ref_rng)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert rng.standard_normal() == ref_rng.standard_normal()
+
+    # 64x31 and the 12x12 exponential at rho 0.69 sample clamped spectra
+    @pytest.mark.parametrize("n1, n2, nu, rho", [(37, 23, 0.5, 0.15), (64, 31, 1.5, 0.3),
+                                                 (2, 2, 0.5, 0.15), (12, 12, 0.5, 0.69)])
+    def test_bitwise_equal_to_half_spectrum_formula(self, n1, n2, nu, rho):
+        g = GridSpec(n1, n2)
+        op = BttbOperator.from_matern(g, MaternSpec(1.0, rho, nu))
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = op.sample(rng)
+            want = half_spectrum_sample(op.eigs, n1, n2, ref_rng)
+            assert got.tobytes() == want.tobytes()
             assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_untrustworthy_embedding_refuses_to_sample(self):
