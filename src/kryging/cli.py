@@ -409,8 +409,26 @@ def build_parser() -> tuple:
     return parser, sub.choices
 
 
+def _unrecognized(argv, extra) -> list:
+    """The stray arguments to report: each unknown flag with the word after
+    it, or the leftover words if no flag is unknown. argparse hands that
+    word to the next free positional, which leaves a positional the user
+    gave (the data path of ``fit``) among the leftovers instead."""
+    flags = {word for word in extra if word.startswith("-")}
+    if not flags:
+        return extra
+    stray = []
+    for i, word in enumerate(argv):
+        if word in flags:
+            stray.append(word)
+            if "=" not in word and i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+                stray.append(argv[i + 1])
+    return stray
+
+
 def main(argv=None) -> int:
     parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else [str(word) for word in argv]
     try:
         args, extra = parser.parse_known_args(argv)
         command = commands[args.command]
@@ -419,7 +437,7 @@ def main(argv=None) -> int:
             command.set_defaults(**_parse_config(args.config, command))
             args, extra = parser.parse_known_args(argv)
         if extra:
-            command.error(f"unrecognized arguments: {' '.join(extra)}")
+            command.error(f"unrecognized arguments: {' '.join(_unrecognized(argv, extra))}")
         missing = [flag for flag in args.needs if not getattr(args, _dest(flag))]
         if missing:
             command.error(f"the following arguments are required: {', '.join(missing)}")

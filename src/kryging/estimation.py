@@ -18,10 +18,10 @@ parameters held fixed, and average squared prediction errors. The
 replicates run concurrently, one thread per usable CPU (the calling
 thread among them), and their squared errors are summed in replicate
 order, so the result is bitwise that of a serial loop. A replicate's
-Golub-Kahan sums and products run through ``np.einsum``, never BLAS (see
-:mod:`kryging.gengk`), and its k x k projected solve is small enough at
-the default k = 50 for BLAS to run it on the calling thread, so
-replicates do not contend for the BLAS thread pool.
+Golub-Kahan sums and products run through ``np.einsum``, and its k x k
+projected solve through O(k) scalar recurrences, never BLAS (see
+:mod:`kryging.gengk`), so replicates do not contend for the BLAS thread
+pool at any k.
 """
 
 from __future__ import annotations

@@ -21,8 +21,10 @@ reads in matrix form
     V_k L_k' = A' U_k / tau2,   L_k = B[:k, :k] (lower bidiagonal),
 
 so the latent estimate m = V_k z is A' (U_k g) / tau2 with L_k' g = z: a
-k x k triangular solve, one product with U and one A' application. The
-regularized estimate is then x* = Sigma m, one covariance matvec.
+bidiagonal back substitution, one product with U and one A' application.
+The regularized estimate is then x* = Sigma m, one covariance matvec.
+The projected system for z is tridiagonal, so :func:`solve` runs in O(k)
+scalar steps.
 :attr:`GenGKFactorization.Vk` rebuilds V on demand by replaying the
 latent steps, for inspection and the identity checks.
 
@@ -37,7 +39,9 @@ threads roughly halve it. Inside :func:`_blas_free`, which the bootstrap
 holds around each replicate's factorization, the update is an einsum
 too, so concurrent replicates never contend for the BLAS thread pool.
 Either way a factorization gives bitwise the same B and U whatever the
-BLAS thread count (a test pins this).
+BLAS thread count (a test pins this). The solve makes no BLAS call at
+any k: its recurrences run on Python floats and its product with U is an
+einsum.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .mapping import SparseMap
 from .toeplitz import BttbOperator
@@ -275,17 +278,39 @@ def solve(
     (B'B + I/sigma2) z = B' beta1 e1 and maps back without the latent
     basis: m = V_k z = A' (U_k g) / tau2 with L_k' g = z, L_k = B[:k, :k],
     then x* = Sigma m with one covariance matvec.
+
+    B is lower bidiagonal (alpha_i on the diagonal, beta_{i+1} below it),
+    so B'B + I/sigma2 is tridiagonal, with diagonal
+    alpha_i^2 + beta_{i+1}^2 + 1/sigma2 and off-diagonal
+    alpha_{i+1} beta_{i+1}, and B' beta1 e1 = beta1 alpha_1 e1. One
+    LDL' elimination and one back substitution solve it, and the upper
+    bidiagonal L_k' g = z is one more back substitution: O(k) scalar
+    recurrences in Python floats, so no step of the solve calls BLAS at
+    any k.
     """
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    B = fact.B
     k = fact.k
-    rhs = fact.beta1 * B[0]
-    M = B.T @ B + np.eye(k) / sigma2
-    c, low = scipy.linalg.cho_factor(M)
-    z = scipy.linalg.cho_solve((c, low), rhs)
-    g = scipy.linalg.solve_triangular(B[:k], z, trans="T", lower=True)
-    m = fact.amap.apply_t(np.einsum("ij,j->i", fact.U[:, :k], g))
+    alpha = fact.B.diagonal().tolist()
+    beta = fact.B.diagonal(-1).tolist()  # beta[i] sits below alpha[i]
+    ridge = 1.0 / sigma2
+    # forward elimination of the tridiagonal system: pivots d, right-hand side y
+    d = [alpha[0] * alpha[0] + beta[0] * beta[0] + ridge]
+    y = [fact.beta1 * alpha[0]]
+    for i in range(1, k):
+        off = alpha[i] * beta[i - 1]
+        ell = off / d[i - 1]
+        d.append(alpha[i] * alpha[i] + beta[i] * beta[i] + ridge - ell * off)
+        y.append(-ell * y[i - 1])
+    z = [0.0] * k
+    g = [0.0] * k
+    z[k - 1] = y[k - 1] / d[k - 1]
+    g[k - 1] = z[k - 1] / alpha[k - 1]
+    for i in range(k - 2, -1, -1):
+        z[i] = (y[i] - alpha[i + 1] * beta[i] * z[i + 1]) / d[i]
+        g[i] = (z[i] - beta[i] * g[i + 1]) / alpha[i]
+    z = np.array(z)
+    m = fact.amap.apply_t(np.einsum("ij,j->i", fact.U[:, :k], np.array(g)))
     m /= fact.tau2
     x_star = sigma_op.matvec(m)
     return KrygingSolution(z=z, x_star=x_star, quad=_dot(z, z), m=m)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "GridSpec",
@@ -186,6 +185,8 @@ def matern_corr(d, rho: float, nu: float = 0.5):
         u = (math.sqrt(5.0) / rho) * d
         return (1.0 + u + u * u / 3.0) * np.exp(-u)
 
+    from scipy import special  # loaded only for a general nu
+
     u = (math.sqrt(2.0 * nu) / rho) * d
     out = np.empty_like(u)
     pos = u > 0
@@ -217,6 +218,8 @@ def matern_corr_drho(d, rho: float, nu: float = 0.5):
     if nu == 2.5:
         u = (math.sqrt(5.0) / rho) * d
         return (u * u / (3.0 * rho)) * (1.0 + u) * np.exp(-u)
+
+    from scipy import special  # loaded only for a general nu
 
     u = (math.sqrt(2.0 * nu) / rho) * d
     out = np.zeros_like(u)

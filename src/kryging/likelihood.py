@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gengk import KrygingSolution, gengk_factorize, solve
+from .gengk import KrygingSolution, _dot, gengk_factorize, solve
 from .grid import GridSpec, MaternSpec, ThetaParams
 from .mapping import SparseMap
 from .toeplitz import BttbOperator, dlogdet_drho
@@ -107,13 +107,15 @@ def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> Objective
     dlogdet is the rho-derivative of the log-determinant approximation
     (see :func:`dlogdet_drho`). The log-determinant is taken first, so an
     untrustworthy embedding raises :class:`EmbeddingError`, with its clamp
-    counts in the message, before any matvec runs.
+    counts in the message, before any matvec runs. The inner products and
+    X' psi are einsum sums, like those of the Golub-Kahan solve, so the
+    value and gradient are bitwise the same under any BLAS thread count.
     """
     op = correlation_operator(data, theta)
     ld = op.logdet()
     b = data.y - data.X @ theta.beta
 
-    if np.linalg.norm(b) == 0.0:
+    if _dot(b, b) == 0.0:
         k_eff = 0
         sol = KrygingSolution(
             z=np.zeros(0), x_star=np.zeros(data.n), quad=0.0, m=np.zeros(data.n)
@@ -124,7 +126,7 @@ def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> Objective
         sol = solve(fact, theta.sigma2, op)
         del fact  # the basis is not needed past the solve
     psi = b - data.amap.apply(sol.x_star)
-    psi2 = float(psi @ psi)
+    psi2 = _dot(psi, psi)
     value = 0.5 * (
         data.p * math.log(theta.tau2)
         + psi2 / theta.tau2
@@ -136,8 +138,8 @@ def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> Objective
     dop = BttbOperator.from_matern_drho(data.grid, MaternSpec(1.0, theta.rho, data.nu))
     dld = dlogdet_drho(op, dop)
     lam2, lam_e2 = theta.lam2, theta.lam_e2
-    dsig_quad = float(sol.m @ dop.matvec(sol.m))
-    d_beta = lam_e2 * (data.X.T @ psi)
+    dsig_quad = _dot(sol.m, dop.matvec(sol.m))
+    d_beta = lam_e2 * np.einsum("ij,i->j", data.X, psi)
     d_lam2 = data.n / (2.0 * lam2) - 0.5 * sol.quad
     d_rho = -0.5 * dld + 0.5 * lam2 * dsig_quad
     d_lam_e2 = data.p / (2.0 * lam_e2) - 0.5 * psi2

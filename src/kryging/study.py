@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .estimation import bootstrap_uq, fit
 from .grid import GridSpec, ThetaParams
@@ -115,6 +114,8 @@ def score_predictions(y_true, y_hat, se=None) -> dict:
         "rmse": float(np.sqrt(np.mean(err**2))),
     }
     if se is not None:
+        from scipy.special import ndtr  # loaded only when scoring intervals
+
         se = np.maximum(np.asarray(se), 1e-300)
         zed = err / se
         # standard normal cdf and pdf, computed as scipy.stats.norm does

@@ -22,6 +22,10 @@ fast-length layout: the row transforms touch only the lattice's own rows
 on the way in and out. The transforms write into per-thread scratch kept
 on the operator, so a matvec allocates only the vector it returns, and
 threads may share one operator.
+
+Every transform is ``np.fft`` (pocketfft, as in ``scipy.fft``), and the
+fast lengths come from a private 5-smooth search, so the module needs no
+scipy import.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy import fft as sfft
 
 from .grid import GridSpec, MaternSpec, first_column, first_column_drho
 
@@ -64,11 +67,27 @@ def _quarter_spectrum(base: np.ndarray, m1: int, m2: int) -> np.ndarray:
     rows = np.zeros((n2, m1))
     rows[:, :n1] = base
     rows[:, m1 - n1 + 1 :] = base[:, :0:-1]
-    half = sfft.rfft(rows, axis=1).real
+    half = np.fft.rfft(rows, axis=1).real
     cols = np.zeros((m2, half.shape[1]))
     cols[:n2] = half
     cols[m2 - n2 + 1 :] = half[:0:-1]
-    return sfft.rfft(cols, axis=0).real
+    return np.fft.rfft(cols, axis=0).real
+
+
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth number (2^a 3^b 5^c) >= n: the transform
+    lengths pocketfft runs fastest for real input."""
+    best = 1 << (n - 1).bit_length()  # the power of two at or above n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest power of two times p35 that reaches n
+            p2 = 1 << (-(-n // p35) - 1).bit_length()
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _unfold(q: np.ndarray, m: int, axis: int) -> np.ndarray:
@@ -136,8 +155,8 @@ class BttbOperator:
         self._quarter = quarter
 
         # padded fast-length spectrum for matvecs only
-        f1 = sfft.next_fast_len(m1, real=True)
-        f2 = sfft.next_fast_len(m2, real=True)
+        f1 = _next_fast_len(m1)
+        f2 = _next_fast_len(m2)
         self._fast_dims = (f1, f2)
         # rfft2 layout: every axis-0 frequency, axis-1 frequencies 0..f1//2
         self._fast_eigs = _unfold(_quarter_spectrum(base, f1, f2), f2, 0)
@@ -249,8 +268,8 @@ class BttbOperator:
         h.imag /= 2
         del b
         h *= np.sqrt(np.maximum(_unfold(self._quarter, m2, 0), 0.0))
-        rows = sfft.ifft(h, axis=0, overwrite_x=True)[: self.grid.n2]
-        field = sfft.irfft(rows, n=m1, axis=1)[:, : self.grid.n1]
+        rows = np.fft.ifft(h, axis=0, out=h)[: self.grid.n2]
+        field = np.fft.irfft(rows, n=m1, axis=1)[:, : self.grid.n1]
         return (field * np.sqrt(m2 * m1)).ravel()
 
 

@@ -308,6 +308,18 @@ def test_unknown_flag_prints_the_subcommand_usage(workdir, capsys, command):
         assert f"kryging {command}: error: unrecognized arguments: --bogus 1" in err
 
 
+def test_unknown_flag_before_the_data_path_is_the_one_reported(workdir, capsys):
+    # argparse hands the flag's value to the data positional, which leaves
+    # the real data path over; the error names the flag and its value
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["fit", "--bogus", "1", "--out", "x.npz", "d.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kryging fit ")
+    assert err.rstrip().endswith("kryging fit: error: unrecognized arguments: --bogus 1")
+    assert "d.csv" not in err
+
+
 # study flags that only modis, or only the synthetic designs, read
 MODIS_FLAGS = {"--grid": "5x5", "--extent": "0,1,0,1", "--train": "t.csv",
                "--test": "t.csv", "--init-grid": "1,1,1,0.1", "--cv-folds": "3"}

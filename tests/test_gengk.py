@@ -1,14 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kryging
 from kryging.gengk import gengk_factorize, solve
 from kryging.grid import GridSpec, MaternSpec
 from kryging.mapping import SparseMap, build_map
@@ -294,6 +288,22 @@ class TestSolve:
         for a, c in zip(fits, fits[1:]):
             assert c <= a + 1e-9
 
+    @pytest.mark.parametrize("k", [1, 2, 50, 150])
+    def test_matches_dense_ridge_system(self, rng, k):
+        # the tridiagonal and bidiagonal recurrences against dense solves of
+        # (B'B + I/sigma2) z = beta1 B' e1 and L_k' g = z, m = A' U_k g / tau2
+        g, S, op, amap, b = random_problem(rng, 16, 16, 200)
+        f = gengk_factorize(amap, op, b, 0.3, k=k)
+        assert f.k == k
+        sigma2 = 0.7
+        B = f.B
+        z = np.linalg.solve(B.T @ B + np.eye(k) / sigma2, f.beta1 * B[0])
+        m = amap.apply_t(f.U[:, :k] @ np.linalg.solve(B[:k].T, z)) / f.tau2
+        sol = solve(f, sigma2, op)
+        assert np.linalg.norm(sol.z - z) <= 1e-12 * np.linalg.norm(z)
+        assert np.linalg.norm(sol.m - m) <= 1e-12 * np.linalg.norm(m)
+        assert sol.quad == pytest.approx(z @ z, rel=1e-12)
+
     def test_rejects_nonpositive_sigma2(self, rng):
         g = GridSpec(3, 3)
         op = identity_operator(g)
@@ -304,7 +314,7 @@ class TestSolve:
             solve(f, 0.0, op)
 
 
-def test_factorization_is_independent_of_the_blas_thread_count(tmp_path):
+def test_factorization_is_independent_of_the_blas_thread_count(under_blas_threads):
     # the reductions are einsum sums in a fixed order, and the BLAS update
     # computes each output on one thread, so B and U agree bit for bit under
     # 1 and 2 BLAS threads, with the update in BLAS and without it
@@ -322,18 +332,31 @@ def test_factorization_is_independent_of_the_blas_thread_count(tmp_path):
         "    h = gengk_factorize(SparseMap.identity(g.n), op, b, 0.5, 30)\n"
         "np.savez(sys.argv[1], U=f.U, B=f.B, free_U=h.U, free_B=h.B)\n"
     )
-    src = str(Path(kryging.__file__).resolve().parents[1])
-    runs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = tmp_path / f"threads{threads}.npz"
-        subprocess.run([sys.executable, "-c", code, str(out)], env=env, check=True)
-        with np.load(out) as z:
-            runs.append({key: z[key] for key in z.files})
-    one, two = runs
+    one, two = under_blas_threads(code)
     assert one["B"].shape == (31, 30)
     for key in ("B", "U", "free_B", "free_U"):
         np.testing.assert_array_equal(two[key], one[key], err_msg=key)
     # the two update products round differently, but only in the last bits
     np.testing.assert_allclose(one["free_B"], one["B"], rtol=1e-9, atol=1e-12)
+
+
+def test_solve_is_independent_of_the_blas_thread_count(under_blas_threads):
+    # at k = 150 a dense k x k solve would enter the BLAS thread pool; the
+    # recurrences and einsum sums round alike under 1 and 2 threads
+    code = (
+        "import sys, numpy as np\n"
+        "from kryging.gengk import gengk_factorize, solve\n"
+        "from kryging.grid import GridSpec, MaternSpec\n"
+        "from kryging.mapping import SparseMap\n"
+        "from kryging.toeplitz import BttbOperator\n"
+        "g = GridSpec(40, 40)\n"
+        "op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))\n"
+        "b = np.random.default_rng(1).standard_normal(g.n)\n"
+        "f = gengk_factorize(SparseMap.identity(g.n), op, b, 0.5, 150)\n"
+        "sol = solve(f, 2.0, op)\n"
+        "np.savez(sys.argv[1], B=f.B, z=sol.z, m=sol.m, x=sol.x_star, quad=sol.quad)\n"
+    )
+    one, two = under_blas_threads(code)
+    assert one["B"].shape == (151, 150)
+    for key in one:
+        np.testing.assert_array_equal(two[key], one[key], err_msg=key)

@@ -176,3 +176,28 @@ class TestGradient:
         assert abs(st2.value - st1.value) < 1e-8 * abs(st1.value)
         gscale = np.abs(st1.grad).max()
         assert np.abs(st2.grad - st1.grad).max() < 1e-6 * gscale
+
+
+def test_objective_is_independent_of_the_blas_thread_count(under_blas_threads):
+    # p = 15,750 observations and n = 22,500 nodes are long enough for a
+    # threaded BLAS to split the objective's sums; einsum sums do not split
+    code = (
+        "import sys, numpy as np\n"
+        "from kryging.grid import GridSpec, ThetaParams\n"
+        "from kryging.likelihood import ModelData, evaluate_objective\n"
+        "from kryging.mapping import build_map\n"
+        "g = GridSpec(150, 150)\n"
+        "rng = np.random.default_rng(5)\n"
+        "keep = rng.permutation(g.n)[: int(0.7 * g.n)]\n"
+        "amap = build_map(g.node_coords()[keep], g)\n"
+        "X = np.column_stack([np.ones(keep.size), rng.standard_normal(keep.size)])\n"
+        "y = 2.0 + rng.standard_normal(keep.size)\n"
+        "data = ModelData(y=y, X=X, amap=amap, grid=g)\n"
+        "theta = ThetaParams(beta=np.array([2.0, 0.1]), sigma2=1.0, tau2=0.5, rho=0.1)\n"
+        "st = evaluate_objective(data, theta, 30)\n"
+        "np.savez(sys.argv[1], value=st.value, grad=st.grad)\n"
+    )
+    one, two = under_blas_threads(code)
+    assert one["grad"].shape == (5,)
+    for key in ("value", "grad"):
+        np.testing.assert_array_equal(two[key], one[key], err_msg=key)

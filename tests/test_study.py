@@ -93,15 +93,18 @@ class TestRunners:
         assert "rmse=" in table and "coverage=" in table and "rho=" in table
 
 
-def test_package_import_leaves_out_scipy_stats():
-    # scipy.stats costs about 35 MB resident and half a second to import;
-    # nothing in the package needs it
+def test_package_import_leaves_out_scipy_fft_linalg_special_and_stats():
+    # of scipy the pipeline needs scipy.sparse only: numpy runs the FFTs and
+    # the projected solve, and scipy.special loads only for a general nu or
+    # for interval scores. scipy.stats alone costs about 35 MB resident and
+    # half a second to import
     src = str(Path(kryging.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, kryging, kryging.cli, kryging.study\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in\n"
+        "    [['scipy', s] for s in ('fft', 'linalg', 'special', 'stats')]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from kryging.grid import GridSpec, MaternSpec, first_column, matern_corr
-from kryging.toeplitz import CLAMP_FAIL_FRACTION, BttbOperator, EmbeddingError, dlogdet_drho
+from kryging.toeplitz import (
+    CLAMP_FAIL_FRACTION,
+    BttbOperator,
+    EmbeddingError,
+    _next_fast_len,
+    dlogdet_drho,
+)
 
 from oracles import (
     circulant_embedding,
@@ -17,6 +24,11 @@ def identity_operator(grid, **kw):
     col = np.zeros(grid.n)
     col[0] = 1.0
     return BttbOperator(grid, col, **kw)
+
+
+def test_next_fast_len_matches_scipy():
+    lengths = [_next_fast_len(n) for n in range(1, 20001)]
+    assert lengths == [scipy.fft.next_fast_len(n, real=True) for n in range(1, 20001)]
 
 
 class TestMatvec:
