@@ -12,17 +12,9 @@ prediction uncertainty from a parametric bootstrap.
 from .data import Dataset, InputError, load_fit_artifact, read_dataset, save_fit_artifact
 from .estimation import FitResult, PredictionSet, bootstrap_uq, fit, predict
 from .gengk import GenGKFactorization, KrygingSolution, gengk_factorize, solve
-from .grid import (
-    GridSpec,
-    MaternSpec,
-    ThetaParams,
-    first_column,
-    first_column_drho,
-    matern_corr,
-    matern_corr_drho,
-)
+from .grid import GridSpec, MaternSpec, ThetaParams, first_column, first_column_drho
 from .likelihood import ModelData, ObjectiveState, evaluate_objective
-from .mapping import LocationError, SparseMap, build_map, wendland
+from .mapping import LocationError, SparseMap, build_map
 from .simulate import simulate_dataset
 from .toeplitz import BttbOperator, EmbeddingError, dlogdet_drho
 
@@ -53,12 +45,9 @@ __all__ = [
     "fit",
     "gengk_factorize",
     "load_fit_artifact",
-    "matern_corr",
-    "matern_corr_drho",
     "predict",
     "read_dataset",
     "save_fit_artifact",
     "simulate_dataset",
     "solve",
-    "wendland",
 ]

@@ -131,12 +131,22 @@ def _feasible_box(data: ModelData, theta0: ThetaParams):
     return lo, hi
 
 
-def _trust_region_minimize(data, theta0, k, max_iter, tol):
-    """Minimize the negative objective from theta0; returns (state, trace,
-    n_eval, converged, note, embedding_failures).
+def fit(
+    data: ModelData,
+    k: int = 50,
+    init: ThetaParams | str = "auto",
+    max_iter: int = 200,
+    tol: float = 1e-8,
+) -> FitResult:
+    """Estimate the model parameters by approximate profile maximum
+    likelihood.
 
-    The model Hessian is the rank-one gradient outer product plus a small
-    ridge, rebuilt at every iterate. The profiled objective is unbounded
+    Minimizes the negative objective from the starting point by a
+    trust-region iteration. The model Hessian is the rank-one gradient
+    outer product plus a small ridge, rebuilt at every iterate, so each
+    step is taken in closed form (:func:`_trust_step`): the Newton step
+    along the negative gradient, shortened to the trust radius and
+    clipped to the feasibility box. The profiled objective is unbounded
     toward sigma2 -> 0 and rho -> inf (see :func:`_feasible_box`), so the
     estimator is defined by this conservative local iteration: short
     steps from the initialization that settle at a nearby stationary
@@ -144,23 +154,50 @@ def _trust_region_minimize(data, theta0, k, max_iter, tol):
     degenerate boundary. Swapping in an aggressive quasi-Newton model
     empirically races to those boundaries and destroys the estimates.
 
-    Three tests end the iteration, and the returned note names the one
-    that fired: the trust radius falls below parameter resolution (1e-6
-    in log space); an accepted step changes the objective by less than
-    ``tol`` relative; or an accepted step gains more than 1.75 times the
-    model's predicted reduction. The last means the objective's
-    curvature along the gradient is under a quarter of the model's, so
-    it is linear at the step scale and no stationary point is within
-    reach; each further step would gain about one unit of
-    log-likelihood and move the estimate by 1/|g| toward the boundary.
+    Three tests end the iteration, and ``diagnostics["stop_reason"]``
+    names the one that fired: the trust radius falls below parameter
+    resolution (1e-6 in log space); an accepted step changes the
+    objective by less than ``tol`` relative; or an accepted step gains
+    more than 1.75 times the model's predicted reduction. The last means
+    the objective's curvature along the gradient is under a quarter of
+    the model's, so it is linear at the step scale and no stationary
+    point is within reach; each further step would gain about one unit
+    of log-likelihood and move the estimate by 1/|g| toward the boundary.
 
     A trial point whose embedding fails (:class:`EmbeddingError`) counts
-    as an evaluation and a rejected step; ``embedding_failures`` counts
-    them.
+    as an evaluation and a rejected step;
+    ``diagnostics["embedding_failures"]`` counts them.
+
+    Parameters
+    ----------
+    data : ModelData
+        Observations, covariates, observation mapping, and grid.
+    k : int
+        Krylov subspace order used throughout (default 50).
+    init : "auto" or ThetaParams
+        Starting point: :func:`auto_init`'s heuristic for ``"auto"``, else
+        the given parameters. Any other value raises ``TypeError``.
+    max_iter : int
+        Cap on objective evaluations.
+    tol : float
+        Relative objective-change stopping tolerance (accepted steps).
+
+    Returns
+    -------
+    FitResult
+        Parameter estimates, latent estimate, trace, and diagnostics.
+        The objective trace is non-increasing by construction.
     """
-    vec = theta0.to_optimizer_vector()
+    if isinstance(init, ThetaParams):
+        theta0 = init
+    elif isinstance(init, str) and init == "auto":
+        theta0 = auto_init(data)
+    else:
+        raise TypeError(f'init must be "auto" or a ThetaParams, got {init!r}')
+
+    t0 = time.perf_counter()
     lo, hi = _feasible_box(data, theta0)
-    vec = np.clip(vec, lo, hi)
+    vec = np.clip(theta0.to_optimizer_vector(), lo, hi)
     state = evaluate_objective(
         data, ThetaParams.from_optimizer_vector(vec, nu=data.nu), k
     )
@@ -224,57 +261,6 @@ def _trust_region_minimize(data, theta0, k, max_iter, tol):
     if at_bound:
         converged = False
         note += "; estimate at feasibility bound"
-    return state, trace, n_eval, converged, note, embedding_failures
-
-
-def fit(
-    data: ModelData,
-    k: int = 50,
-    init: ThetaParams | str = "auto",
-    max_iter: int = 200,
-    tol: float = 1e-8,
-) -> FitResult:
-    """Estimate the model parameters by approximate profile maximum
-    likelihood.
-
-    Each trust-region step is taken in closed form: the Newton step of
-    the rank-one-plus-ridge model along the negative gradient, shortened
-    to the trust radius and clipped to the feasibility box.
-    ``diagnostics["stop_reason"]`` names the test that ended the fit, and
-    ``diagnostics["embedding_failures"]`` counts the trial points rejected
-    because their circulant embedding failed.
-
-    Parameters
-    ----------
-    data : ModelData
-        Observations, covariates, observation mapping, and grid.
-    k : int
-        Krylov subspace order used throughout (default 50).
-    init : "auto" or ThetaParams
-        Starting point: :func:`auto_init`'s heuristic for ``"auto"``, else
-        the given parameters. Any other value raises ``TypeError``.
-    max_iter : int
-        Cap on objective evaluations.
-    tol : float
-        Relative objective-change stopping tolerance (accepted steps).
-
-    Returns
-    -------
-    FitResult
-        Parameter estimates, latent estimate, trace, and diagnostics.
-        The objective trace is non-increasing by construction.
-    """
-    if isinstance(init, ThetaParams):
-        theta0 = init
-    elif isinstance(init, str) and init == "auto":
-        theta0 = auto_init(data)
-    else:
-        raise TypeError(f'init must be "auto" or a ThetaParams, got {init!r}')
-
-    t0 = time.perf_counter()
-    state, trace, n_eval, converged, note, embedding_failures = _trust_region_minimize(
-        data, theta0, k, max_iter, tol
-    )
     wall = time.perf_counter() - t0
 
     return FitResult(
@@ -354,6 +340,15 @@ def _sum_in_order(task, count: int, total: np.ndarray) -> np.ndarray:
     sum rounds exactly as a serial loop's. A failing task stops further
     tasks from starting, and its exception is raised once the running
     ones end.
+
+    The calling thread works rather than waits because each extra thread
+    costs memory. A plain ``ThreadPoolExecutor(workers)`` with in-order
+    ``result()`` calls gave bitwise the same sums with bootstrap times
+    within noise, but on a 2-CPU Linux machine it raised the benchmark's
+    peak RSS by about a fifth (106 to 127 MB on the co-located 200 x 200
+    workload, 122 to 146 MB on the irregular 300 x 300 one). The extra
+    thread's malloc arena is the likely cause: under glibc's
+    ``MALLOC_ARENA_MAX=1`` both designs peaked at about 98 MB.
     """
     lock = threading.Lock()
     todo = iter(range(count))

@@ -25,8 +25,6 @@ bidiagonal back substitution, one product with U and one A' application.
 The regularized estimate is then x* = Sigma m, one covariance matvec.
 The projected system for z is tridiagonal, so :func:`solve` runs in O(k)
 scalar steps.
-:attr:`GenGKFactorization.Vk` rebuilds V on demand by replaying the
-latent steps, for inspection and the identity checks.
 
 The reductions (the re-orthogonalization coefficients U r, alpha's inner
 product, beta's and ||b||'s norms, the product with U in the solve) run
@@ -79,25 +77,13 @@ def _dot(a, b) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def _latent_step(amap, u, tau2, beta, v_prev, scratch):
-    """Unnormalized latent vector A' u / tau2 - beta v_prev, where
-    ``v_prev`` is None on the first step and ``scratch`` holds beta v_prev.
-    The recurrence and the replay in :attr:`GenGKFactorization.Vk` share
-    it, so both round alike."""
-    w = amap.apply_t(u)
-    w /= tau2
-    if v_prev is not None:
-        w -= np.multiply(v_prev, beta, out=scratch)
-    return w
-
-
 @dataclass
 class GenGKFactorization:
     """Output of :func:`gengk_factorize`.
 
     Stores the observation-space basis U and the projection B, plus the
     mapping and nugget needed to map coefficients back to the latent
-    space; the latent basis is never stored (see :attr:`Vk`).
+    space; the latent basis is never stored.
 
     Attributes
     ----------
@@ -128,25 +114,6 @@ class GenGKFactorization:
     amap: SparseMap
     tau2: float
     breakdown_at: int | None = None
-
-    @property
-    def Vk(self) -> np.ndarray:
-        """Latent-space basis, shape (n, k), Sigma-orthonormal.
-
-        Rebuilt on each access by replaying the latent steps of
-        :func:`gengk_factorize` from U and B (k applications of A', no
-        covariance matvec), so it is bitwise equal to the vectors the
-        recurrence used. A transposed view of row-major (k, n) storage,
-        like U. The solve does not read it.
-        """
-        V = np.empty((self.k, self.amap.n))
-        scratch = np.empty(self.amap.n)
-        v = beta = None
-        for i in range(self.k):
-            w = _latent_step(self.amap, self.U[:, i], self.tau2, beta, v, scratch)
-            v = np.divide(w, self.B[i, i], out=V[i])
-            beta = self.B[i + 1, i]
-        return V.T
 
 
 @dataclass
@@ -227,7 +194,11 @@ def gengk_factorize(
         if i == amap.n:  # v_1..v_n already span the latent space
             k_eff = breakdown_at = i
             break
-        w = _latent_step(amap, U[i], tau2, beta, v, latent)
+        # latent step: alpha_i v_i = A' u_i / tau2 - beta_i v_{i-1}
+        w = amap.apply_t(U[i])
+        w /= tau2
+        if v is not None:
+            w -= np.multiply(v, beta, out=latent)
         t = sigma_op.matvec(w)
         alpha = math.sqrt(max(_dot(w, t), 0.0))
         if i == 0:

@@ -40,21 +40,6 @@ class SparseMap:
         self.matrix = sparse.csr_matrix(matrix)
         self.p, self.n = self.matrix.shape
 
-    @classmethod
-    def selection(cls, indices: np.ndarray, n: int) -> "SparseMap":
-        """Row-selection map for observations co-located with lattice
-        nodes ``indices`` (an identity matrix with rows removed)."""
-        indices = np.asarray(indices, dtype=int)
-        p = indices.size
-        mat = sparse.csr_matrix(
-            (np.ones(p), (np.arange(p), indices)), shape=(p, n)
-        )
-        return cls(mat)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMap":
-        return cls.selection(np.arange(n), n)
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A @ v, lattice to observations."""
         v = np.asarray(v)
@@ -68,9 +53,6 @@ class SparseMap:
         if u.shape[0] != self.p:
             raise ValueError(f"expected length {self.p}, got {u.shape}")
         return self.matrix.T @ u
-
-    def toarray(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 # relative tolerance, in grid spacings, for a point to count as on a node

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 # the four parameter settings exercised at a fixed grid size:
-# baseline-range, small-range, large-range, small-sill, large-sill
+# small range, large range, small sill, large sill
 SETTING_THETAS = {
     1: (44.49, 3.0, 0.5, 0.05),
     2: (44.49, 3.0, 0.5, 0.2),

@@ -9,10 +9,9 @@ derivative, and exact Gaussian sampling. The embedding is real and even
 in both axes, so its spectrum is real and even too, and real transforms
 compute one quarter of it. Of the minimal embedding's spectrum an
 operator stores only that quarter: n2 x n1 values, every distinct
-eigenvalue, and exactly the leading block the log-determinant reads. The
-full spectrum is unfolded from it on access (``eigs``), and sampling
-unfolds it along one axis only. The padded matvec spectrum is stored in
-rfft2 layout.
+eigenvalue, and exactly the leading block the log-determinant reads.
+Sampling unfolds it along one axis only. The padded matvec spectrum is
+stored in rfft2 layout.
 
 The minimal (2*n_i - 1) embedding is mandatory for the log-determinant
 (the frequency-subset rule depends on it); matrix-vector products run on
@@ -120,9 +119,9 @@ class BttbOperator:
 
     The operator stores its first column and the clamped n2 x n1 quarter
     of the minimal-embedding spectrum (n floats each), and the padded
-    rfft2 spectrum of its matvecs (about 2n floats). The full
-    (2*n2-1) x (2*n1-1) spectrum ``eigs`` (about 4n floats) is rebuilt on
-    each access; ``clamp_count`` counts its clamped eigenvalues.
+    rfft2 spectrum of its matvecs (about 2n floats). ``clamp_count``
+    counts the clamped eigenvalues of the full (2*n2-1) x (2*n1-1)
+    spectrum, which is never built.
     """
 
     def __init__(self, grid: GridSpec, first_col: np.ndarray, clamp: bool = True):
@@ -169,13 +168,6 @@ class BttbOperator:
     @classmethod
     def from_matern_drho(cls, grid: GridSpec, spec: MaternSpec) -> "BttbOperator":
         return cls(grid, first_column_drho(grid, spec), clamp=False)
-
-    @property
-    def eigs(self) -> np.ndarray:
-        """The full (m2, m1) minimal-embedding spectrum, clamped, unfolded
-        from the stored quarter on each access."""
-        m1, m2 = self.embed_dims
-        return _unfold(_unfold(self._quarter, m2, 0), m1, 1)
 
     @property
     def clamp_fraction(self) -> float:

@@ -1,15 +1,25 @@
-"""Dense oracles for the test suite.
+"""Dense oracles and test-only views for the test suite.
 
 Every oracle computes the quantity a fast path approximates, by the most
 direct dense route available: pairwise covariance assembly, full linear
 solves, exact log-determinants. They share no code with the library's
 FFT/Krylov implementations.
+
+The views below them rebuild, from a library object, what the pipeline
+never needs in full: the latent Golub-Kahan basis, the full embedding
+spectrum, and selection maps for co-located data. :func:`latent_basis`
+is the one exception to the rule above: it calls the library's
+``SparseMap.apply_t`` so that it rounds exactly like the recurrence.
 """
 
 import numpy as np
 from scipy import fft as sfft
+from scipy import sparse
 
+from kryging.gengk import GenGKFactorization
 from kryging.grid import GridSpec, matern_corr
+from kryging.mapping import SparseMap
+from kryging.toeplitz import BttbOperator
 
 
 def pairwise_distances(grid: GridSpec) -> np.ndarray:
@@ -84,3 +94,46 @@ def half_spectrum_sample(eigs: np.ndarray, n1: int, n2: int, rng) -> np.ndarray:
     rows = sfft.ifft(h, axis=0, overwrite_x=True)[:n2]
     field = sfft.irfft(rows, n=m1, axis=1)[:, :n1]
     return (field * np.sqrt(m2 * m1)).ravel()
+
+
+def latent_basis(fact: GenGKFactorization) -> np.ndarray:
+    """Latent-space basis V_k of a factorization, shape (n, k).
+
+    Replays the latent steps alpha_i v_i = A' u_i / tau2 - beta_i v_{i-1}
+    from U and B with the same operations in the same order as
+    ``gengk_factorize`` (A' through the factorization's own map), so each
+    column is bitwise the vector the recurrence used. A transposed view of
+    row-major (k, n) storage, like U.
+    """
+    V = np.empty((fact.k, fact.amap.n))
+    for i in range(fact.k):
+        w = fact.amap.apply_t(fact.U[:, i])
+        w /= fact.tau2
+        if i:
+            w -= V[i - 1] * fact.B[i, i - 1]
+        np.divide(w, fact.B[i, i], out=V[i])
+    return V.T
+
+
+def full_spectrum(op: BttbOperator) -> np.ndarray:
+    """The full (m2, m1) clamped minimal-embedding spectrum of ``op``.
+
+    The spectrum is even in both axes, so frequency (k2, k1) is read from
+    the stored quarter at index (min(k2, m2 - k2), min(k1, m1 - k1)).
+    """
+    m1, m2 = op.embed_dims
+    k1, k2 = np.arange(m1), np.arange(m2)
+    return op._quarter[np.ix_(np.minimum(k2, m2 - k2), np.minimum(k1, m1 - k1))]
+
+
+def selection_map(indices, n: int) -> SparseMap:
+    """Row-selection map for observations co-located with lattice nodes
+    ``indices`` (an identity matrix with rows removed)."""
+    indices = np.asarray(indices, dtype=int)
+    p = indices.size
+    return SparseMap(sparse.csr_matrix((np.ones(p), (np.arange(p), indices)), shape=(p, n)))
+
+
+def identity_map(n: int) -> SparseMap:
+    """Map observing every one of the n lattice nodes, in order."""
+    return selection_map(np.arange(n), n)

@@ -15,11 +15,11 @@ from kryging.estimation import bootstrap_uq, fit
 from kryging.gengk import gengk_factorize, solve
 from kryging.grid import GridSpec, MaternSpec, ThetaParams
 from kryging.likelihood import ModelData, evaluate_objective
-from kryging.mapping import SparseMap, build_map
+from kryging.mapping import build_map
 from kryging.study import run_replicate
 from kryging.toeplitz import BttbOperator
 
-from oracles import dense_corr, dense_solution, pairwise_distances
+from oracles import dense_corr, dense_solution, identity_map, latent_basis, pairwise_distances
 
 
 @pytest.fixture
@@ -45,7 +45,7 @@ def test_criterion_1_dense_solver_equivalence(report):
         spec = MaternSpec(1.0, 0.3, 0.5)
         S = dense_corr(g, spec.rho, spec.nu)
         op = BttbOperator.from_matern(g, spec)
-        amap = SparseMap.identity(g.n)
+        amap = identity_map(g.n)
         b = rng.standard_normal(g.n)
         fact = gengk_factorize(amap, op, b, 0.25, k=g.n)
         sol = solve(fact, 1.0, op)
@@ -81,11 +81,11 @@ def test_criterion_2_gengk_relations(report):
         amap = build_map(locs, g)
         b = rng.standard_normal(p)
         f = gengk_factorize(amap, op, b, tau2, k)
-        Ad = amap.toarray()
+        Ad, V = amap.matrix.toarray(), latent_basis(f)
         scale = max(1.0, np.abs(f.B).max())
-        r1 = np.abs(Ad @ S @ f.Vk - f.U @ f.B).max() / scale
+        r1 = np.abs(Ad @ S @ V - f.U @ f.B).max() / scale
         r2 = np.abs(f.U.T @ f.U - tau2 * np.eye(f.k + 1)).max() / max(1.0, tau2)
-        r3 = np.abs(f.Vk.T @ S @ f.Vk - np.eye(f.k)).max()
+        r3 = np.abs(V.T @ S @ V - np.eye(f.k)).max()
         worst = max(worst, r1, r2, r3)
     ok = worst < 1e-8
     report(2, ok, f"worst identity residual over 100 trials {worst:.2e} (<1e-8)")
@@ -139,7 +139,7 @@ def test_criterion_4_gradient_correctness(report):
         )
         S = dense_corr(g, theta.rho, 0.5)
         if p is None:
-            amap = SparseMap.identity(g.n)
+            amap = identity_map(g.n)
             p_eff = g.n
         else:
             locs = np.column_stack([rng.uniform(0, 1, p), rng.uniform(0, 1, p)])
@@ -270,7 +270,7 @@ def test_criterion_8_bootstrap_contract(report):
 
     sim = simulate_dataset(g, theta, seed=81)
     data = ModelData(
-        y=sim.y, X=np.ones((g.n, 1)), amap=SparseMap.identity(g.n), grid=g
+        y=sim.y, X=np.ones((g.n, 1)), amap=identity_map(g.n), grid=g
     )
     res = fit(data, k=20, init=theta, max_iter=40)
     locs = g.node_coords()[::7]
@@ -285,7 +285,7 @@ def test_criterion_8_bootstrap_contract(report):
     theta0 = ThetaParams(np.array([0.0]), 1.0, 1e-12, 0.3)
     g0 = GridSpec(8, 8)
     data0 = ModelData(
-        y=np.ones(g0.n), X=np.ones((g0.n, 1)), amap=SparseMap.identity(g0.n), grid=g0
+        y=np.ones(g0.n), X=np.ones((g0.n, 1)), amap=identity_map(g0.n), grid=g0
     )
     res0 = FitResult(
         theta_hat=theta0, x_hat=np.zeros(g0.n), objective_trace=[0.0],

@@ -15,16 +15,18 @@ from kryging.estimation import FitResult, _trust_step, auto_init, bootstrap_uq, 
 from kryging.gengk import gengk_factorize, solve
 from kryging.grid import GridSpec, MaternSpec, ThetaParams
 from kryging.likelihood import ModelData, correlation_operator, evaluate_objective
-from kryging.mapping import SparseMap, build_map
+from kryging.mapping import build_map
 from kryging.simulate import simulate_dataset
 from kryging.toeplitz import BttbOperator, EmbeddingError
+
+from oracles import identity_map, selection_map
 
 
 def simulated_data(m, theta, seed):
     g = GridSpec(m, m)
     sim = simulate_dataset(g, theta, seed=seed)
     data = ModelData(
-        y=sim.y, X=np.ones((g.n, 1)), amap=SparseMap.identity(g.n), grid=g,
+        y=sim.y, X=np.ones((g.n, 1)), amap=identity_map(g.n), grid=g,
         nu=theta.nu,
     )
     return g, sim, data
@@ -248,19 +250,19 @@ class TestPredict:
         g = GridSpec(6, 6)
         theta = ThetaParams(np.array([0.0]), 1.0, 1e-8, 0.3)
         op = BttbOperator.from_matern(g, MaternSpec(1.0, theta.rho, theta.nu))
-        amap = SparseMap.identity(g.n)
+        amap = identity_map(g.n)
         y = op.sample(rng)
         fact = gengk_factorize(amap, op, y, theta.tau2, k=g.n)
         sol = solve(fact, theta.sigma2, op)
         res = manual_fit(g, theta, sol.x_star, k=g.n)
-        yhat = predict(res, SparseMap.identity(g.n))
+        yhat = predict(res, identity_map(g.n))
         assert np.abs(yhat - y).max() < 1e-4
 
     def test_requires_covariates_when_mean_has_them(self, rng):
         g = GridSpec(4, 4)
         theta = ThetaParams(np.array([1.0, 2.0]), 1.0, 1.0, 0.2)
         res = manual_fit(g, theta, np.zeros(g.n))
-        amap = SparseMap.identity(g.n)
+        amap = identity_map(g.n)
         with pytest.raises(ValueError):
             predict(res, amap)
         X_pred = np.column_stack([np.ones(g.n), rng.standard_normal(g.n)])
@@ -295,7 +297,7 @@ class TestBootstrap:
         theta = ThetaParams(np.array([0.0]), 1.0, 1e-12, 0.3)
         data = ModelData(
             y=np.zeros(g.n) + 1.0, X=np.ones((g.n, 1)),
-            amap=SparseMap.identity(g.n), grid=g,
+            amap=identity_map(g.n), grid=g,
         )
         res = manual_fit(g, theta, np.zeros(g.n), k=g.n)
         pset = bootstrap_uq(res, data, g.node_coords(), B=3, seed=5)
@@ -314,7 +316,7 @@ class TestBootstrap:
             hold = np.zeros(g.n, dtype=bool)
             hold[rng.choice(g.n, size=150, replace=False)] = True
             train_idx = np.nonzero(~hold)[0]
-            amap = SparseMap.selection(train_idx, g.n)
+            amap = selection_map(train_idx, g.n)
             data = ModelData(
                 y=sim.y[train_idx], X=np.ones((train_idx.size, 1)),
                 amap=amap, grid=g,
@@ -427,6 +429,23 @@ class TestConcurrentBootstrap:
         # other threads finishes its current one and starts at most one more
         assert len(calls) <= 4 + 2 * 2
 
+    def test_bootstrap_on_two_workers_starts_one_helper(self, problem, monkeypatch):
+        # the calling thread takes replicates too, so two workers are the
+        # caller and a pool of one
+        res, data, locs = problem
+        monkeypatch.setattr(estimation, "_workers", lambda count: min(count, 2))
+        pool = estimation.ThreadPoolExecutor
+        sizes = []
+
+        def recording(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return pool(max_workers, **kwargs)
+
+        monkeypatch.setattr(estimation, "ThreadPoolExecutor", recording)
+        pset = bootstrap_uq(res, data, locs, B=4, seed=3)
+        assert sizes == [1]
+        np.testing.assert_array_equal(pset.se, serial_bootstrap_se(res, data, locs, 4, 3))
+
     def test_single_replicate_runs_inline(self, problem, monkeypatch):
         res, data, locs = problem
 
@@ -443,7 +462,7 @@ class TestConvergenceGate:
         g, sim, data = simulated_data(6, TRUTH, seed=9)
         res = fit(data, k=5, init=TRUTH, max_iter=1)
         assert not res.converged
-        amap = SparseMap.identity(g.n)
+        amap = identity_map(g.n)
         with pytest.raises(ValueError, match="converge"):
             predict(res, amap)
         out = predict(res, amap, allow_unconverged=True)
@@ -460,7 +479,7 @@ class TestCovariateMean:
         op = BttbOperator.from_matern(g, MaternSpec(1.0, theta.rho, theta.nu))
         x = np.sqrt(theta.sigma2) * op.sample(np.random.default_rng(31))
         y = X @ beta_true + x + np.sqrt(theta.tau2) * np.random.default_rng(32).standard_normal(g.n)
-        data = ModelData(y=y, X=X, amap=SparseMap.identity(g.n), grid=g)
+        data = ModelData(y=y, X=X, amap=identity_map(g.n), grid=g)
         res = fit(data, k=25, init=theta, max_iter=80)
         np.testing.assert_allclose(res.theta_hat.beta, beta_true, atol=0.5)
         assert res.theta_hat.beta.size == 2

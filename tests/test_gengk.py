@@ -8,7 +8,7 @@ from kryging.grid import GridSpec, MaternSpec
 from kryging.mapping import SparseMap, build_map
 from kryging.toeplitz import BttbOperator
 
-from oracles import dense_corr, dense_solution
+from oracles import dense_corr, dense_solution, identity_map, latent_basis
 
 
 def identity_operator(grid):
@@ -80,13 +80,13 @@ class TestFactorize:
     def test_identity_operators_break_down_after_one_step(self, rng):
         g = GridSpec(3, 3)
         op = identity_operator(g)
-        amap = SparseMap.identity(g.n)
+        amap = identity_map(g.n)
         b = rng.standard_normal(g.n)
         f = gengk_factorize(amap, op, b, tau2=1.0, k=1)
         assert f.beta1 == pytest.approx(np.linalg.norm(b))
         np.testing.assert_allclose(f.U[:, 0], b / np.linalg.norm(b))
         assert f.B[0, 0] == pytest.approx(1.0)
-        np.testing.assert_allclose(f.Vk[:, 0], f.U[:, 0], atol=1e-14)
+        np.testing.assert_allclose(latent_basis(f)[:, 0], f.U[:, 0], atol=1e-14)
         assert f.B[1, 0] == 0.0
         assert f.breakdown_at == 1
 
@@ -94,19 +94,20 @@ class TestFactorize:
         g, S, op, amap, b = random_problem(rng, 5, 5, 20)
         tau2, tol = 0.25, 1e-8
         f = gengk_factorize(amap, op, b, tau2, k=10)
-        Ad = amap.toarray()
-        assert np.abs(Ad @ S @ f.Vk - f.U @ f.B).max() < tol
+        Ad, V = amap.matrix.toarray(), latent_basis(f)
+        assert np.abs(Ad @ S @ V - f.U @ f.B).max() < tol
         assert np.abs(f.U.T @ f.U - tau2 * np.eye(f.k + 1)).max() < tol
-        assert np.abs(f.Vk.T @ S @ f.Vk - np.eye(f.k)).max() < tol
+        assert np.abs(V.T @ S @ V - np.eye(f.k)).max() < tol
 
     def test_basis_shapes_and_row_storage(self, rng):
         g, S, op, amap, b = random_problem(rng, 5, 4, 18)
         f = gengk_factorize(amap, op, b, 0.4, k=6)
         assert f.U.shape == (amap.p, f.k + 1)
-        assert f.Vk.shape == (g.n, f.k)
+        V = latent_basis(f)
+        assert V.shape == (g.n, f.k)
         # each basis vector is one contiguous row of the storage
         assert f.U.T.flags.c_contiguous
-        assert f.Vk.T.flags.c_contiguous
+        assert V.T.flags.c_contiguous
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -127,10 +128,10 @@ class TestFactorize:
         f = gengk_factorize(amap, op, b, tau2, k=k)
         fp = gengk_factorize(pmap, op, b[perm], tau2, k=k)
         tol = 1e-8
-        Ad = pmap.toarray()
-        assert np.abs(Ad @ S @ fp.Vk - fp.U @ fp.B).max() < tol
+        Ad, V = pmap.matrix.toarray(), latent_basis(fp)
+        assert np.abs(Ad @ S @ V - fp.U @ fp.B).max() < tol
         assert np.abs(fp.U.T @ fp.U - tau2 * np.eye(fp.k + 1)).max() < tol
-        assert np.abs(fp.Vk.T @ S @ fp.Vk - np.eye(fp.k)).max() < tol
+        assert np.abs(V.T @ S @ V - np.eye(fp.k)).max() < tol
         assert (fp.k, fp.breakdown_at) == (f.k, f.breakdown_at)
         assert np.abs(fp.B - f.B).max() <= 1e-10 * np.abs(f.B).max()
 
@@ -162,7 +163,8 @@ class TestFactorize:
             f = gengk_factorize(amap, op, b, 0.25, k=k)
             assert (f.k, f.breakdown_at) == expected, f"seed {seed}"
             assert f.B.shape == (f.k + 1, f.k)
-            assert np.abs(f.Vk.T @ S @ f.Vk - np.eye(f.k)).max() < 1e-8
+            V = latent_basis(f)
+            assert np.abs(V.T @ S @ V - np.eye(f.k)).max() < 1e-8
 
     @pytest.mark.parametrize("n1,n2,p", [(3, 4, 20), (5, 5, 9)])
     def test_order_beyond_n_or_p_allocates_by_the_steps_run(self, n1, n2, p):
@@ -184,12 +186,13 @@ class TestFactorize:
         f2 = gengk_factorize(amap, op, 3.0 * b, 0.5, k=5)
         assert f2.beta1 == pytest.approx(3.0 * f1.beta1, rel=1e-13)
         np.testing.assert_allclose(f2.U, f1.U, atol=1e-12)
-        np.testing.assert_allclose(f2.Vk, f1.Vk, atol=1e-12)
+        np.testing.assert_allclose(latent_basis(f2), latent_basis(f1), atol=1e-12)
         np.testing.assert_allclose(f2.B, f1.B, atol=1e-12)
 
     def test_replayed_latent_basis_is_the_recurrences_own(self):
-        # V is not stored; Vk replays the latent steps from U and B and must
-        # reproduce, bit for bit, the vectors a stored-basis loop computes
+        # V is not stored; latent_basis replays the latent steps from U and
+        # B and must reproduce, bit for bit, the vectors a stored-basis loop
+        # computes
         rng = np.random.default_rng(5)
         g = GridSpec(30, 25)
         op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5))
@@ -201,20 +204,20 @@ class TestFactorize:
         assert (f.k, f.breakdown_at) == (20, None)
         np.testing.assert_array_equal(f.U, U.T)
         np.testing.assert_array_equal(f.B, B)
-        np.testing.assert_array_equal(f.Vk, V.T)
+        np.testing.assert_array_equal(latent_basis(f), V.T)
 
     def test_deterministic(self, rng):
         g, S, op, amap, b = random_problem(rng, 4, 5, 15)
         f1 = gengk_factorize(amap, op, b, 0.3, k=6)
         f2 = gengk_factorize(amap, op, b, 0.3, k=6)
         np.testing.assert_array_equal(f1.U, f2.U)
-        np.testing.assert_array_equal(f1.Vk, f2.Vk)
+        np.testing.assert_array_equal(latent_basis(f1), latent_basis(f2))
         np.testing.assert_array_equal(f1.B, f2.B)
 
     def test_rejects_bad_inputs(self, rng):
         g = GridSpec(3, 3)
         op = identity_operator(g)
-        amap = SparseMap.identity(g.n)
+        amap = identity_map(g.n)
         with pytest.raises(ValueError):
             gengk_factorize(amap, op, np.zeros(g.n), 1.0, 3)
         with pytest.raises(ValueError):
@@ -228,7 +231,7 @@ class TestSolve:
         # A = I, Sigma = I, tau2 = 1: x = b * sigma2 / (sigma2 + 1)
         g = GridSpec(3, 3)
         op = identity_operator(g)
-        amap = SparseMap.identity(g.n)
+        amap = identity_map(g.n)
         b = rng.standard_normal(g.n)
         f = gengk_factorize(amap, op, b, 1.0, k=4)
         sol = solve(f, 2.0, op)
@@ -241,7 +244,7 @@ class TestSolve:
         sol = solve(f, 1.2, op)
         # m comes from A' U_k L_k^{-T} z / tau2, not from a stored V_k, so
         # it agrees with V_k z to rounding rather than bitwise
-        np.testing.assert_allclose(sol.m, f.Vk @ sol.z, rtol=1e-12)
+        np.testing.assert_allclose(sol.m, latent_basis(f) @ sol.z, rtol=1e-12)
         np.testing.assert_array_equal(sol.x_star, op.matvec(sol.m))
 
     def test_latent_estimate_matches_replayed_basis(self):
@@ -249,7 +252,7 @@ class TestSolve:
         worst = 0.0
         for op, amap, b, tau2, k in criterion_2_problems():
             f = gengk_factorize(amap, op, b, tau2, k)
-            Vk = f.Vk
+            Vk = latent_basis(f)
             for sigma2 in (1e-2, 1.0, 1e2):
                 sol = solve(f, sigma2, op)
                 ref = Vk @ sol.z
@@ -261,7 +264,7 @@ class TestSolve:
         spec = MaternSpec(1.0, 0.3, 0.5)
         S = dense_corr(g, spec.rho, spec.nu)
         op = BttbOperator.from_matern(g, spec)
-        amap = SparseMap.identity(g.n)
+        amap = identity_map(g.n)
         b = rng.standard_normal(g.n)
         sigma2, tau2 = 1.0, 0.25
         f = gengk_factorize(amap, op, b, tau2, k=g.n)
@@ -274,7 +277,7 @@ class TestSolve:
         sigma2, tau2 = 1.3, 0.4
         f = gengk_factorize(amap, op, b, tau2, k=g.n)
         sol = solve(f, sigma2, op)
-        ref = dense_solution(S, amap.toarray(), b, sigma2, tau2)
+        ref = dense_solution(S, amap.matrix.toarray(), b, sigma2, tau2)
         quad_ref = ref @ np.linalg.solve(S, ref)
         assert sol.quad == pytest.approx(quad_ref, rel=1e-6)
 
@@ -307,7 +310,7 @@ class TestSolve:
     def test_rejects_nonpositive_sigma2(self, rng):
         g = GridSpec(3, 3)
         op = identity_operator(g)
-        amap = SparseMap.identity(g.n)
+        amap = identity_map(g.n)
         b = rng.standard_normal(g.n)
         f = gengk_factorize(amap, op, b, 1.0, k=2)
         with pytest.raises(ValueError):
@@ -324,12 +327,14 @@ def test_factorization_is_independent_of_the_blas_thread_count(under_blas_thread
         "from kryging.grid import GridSpec, MaternSpec\n"
         "from kryging.mapping import SparseMap\n"
         "from kryging.toeplitz import BttbOperator\n"
+        "from scipy import sparse\n"
         "g = GridSpec(120, 120)\n"
         "op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))\n"
         "b = np.random.default_rng(0).standard_normal(g.n)\n"
-        "f = gengk_factorize(SparseMap.identity(g.n), op, b, 0.5, 30)\n"
+        "amap = SparseMap(sparse.identity(g.n, format=\"csr\"))\n"
+        "f = gengk_factorize(amap, op, b, 0.5, 30)\n"
         "with _blas_free():\n"
-        "    h = gengk_factorize(SparseMap.identity(g.n), op, b, 0.5, 30)\n"
+        "    h = gengk_factorize(amap, op, b, 0.5, 30)\n"
         "np.savez(sys.argv[1], U=f.U, B=f.B, free_U=h.U, free_B=h.B)\n"
     )
     one, two = under_blas_threads(code)
@@ -349,10 +354,12 @@ def test_solve_is_independent_of_the_blas_thread_count(under_blas_threads):
         "from kryging.grid import GridSpec, MaternSpec\n"
         "from kryging.mapping import SparseMap\n"
         "from kryging.toeplitz import BttbOperator\n"
+        "from scipy import sparse\n"
         "g = GridSpec(40, 40)\n"
         "op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))\n"
         "b = np.random.default_rng(1).standard_normal(g.n)\n"
-        "f = gengk_factorize(SparseMap.identity(g.n), op, b, 0.5, 150)\n"
+        "amap = SparseMap(sparse.identity(g.n, format=\"csr\"))\n"
+        "f = gengk_factorize(amap, op, b, 0.5, 150)\n"
         "sol = solve(f, 2.0, op)\n"
         "np.savez(sys.argv[1], B=f.B, z=sol.z, m=sol.m, x=sol.x_star, quad=sol.quad)\n"
     )

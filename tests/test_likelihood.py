@@ -3,11 +3,11 @@ import pytest
 
 from kryging.grid import GridSpec, MaternSpec, ThetaParams
 from kryging.likelihood import ModelData, evaluate_objective
-from kryging.mapping import SparseMap, build_map
+from kryging.mapping import build_map
 from kryging.simulate import simulate_dataset
 from kryging.toeplitz import BttbOperator, EmbeddingError
 
-from oracles import dense_corr, dense_negative_profile
+from oracles import dense_corr, dense_negative_profile, identity_map
 
 
 def colocated_problem(rng, m, theta, nu=0.5):
@@ -15,7 +15,7 @@ def colocated_problem(rng, m, theta, nu=0.5):
     S = dense_corr(g, theta.rho, nu)
     x = np.linalg.cholesky(theta.sigma2 * S + 1e-12 * np.eye(g.n)) @ rng.standard_normal(g.n)
     y = theta.beta[0] + x + np.sqrt(theta.tau2) * rng.standard_normal(g.n)
-    data = ModelData(y=y, X=np.ones((g.n, 1)), amap=SparseMap.identity(g.n), grid=g, nu=nu)
+    data = ModelData(y=y, X=np.ones((g.n, 1)), amap=identity_map(g.n), grid=g, nu=nu)
     return g, S, data
 
 
@@ -41,7 +41,7 @@ class TestModelData:
         arrays = {"y": np.ones(g.n), "X": np.ones((g.n, 1))}
         arrays[field][4] = bad
         with pytest.raises(ValueError, match=f"non-finite values in {field}"):
-            ModelData(amap=SparseMap.identity(g.n), grid=g, **arrays)
+            ModelData(amap=identity_map(g.n), grid=g, **arrays)
 
 
 class TestProfileLoglik:
@@ -60,7 +60,7 @@ class TestProfileLoglik:
         beta = 5.0
         data = ModelData(
             y=np.full(g.n, beta), X=np.ones((g.n, 1)),
-            amap=SparseMap.identity(g.n), grid=g,
+            amap=identity_map(g.n), grid=g,
         )
         theta = ThetaParams(beta=np.array([beta]), sigma2=1.2, tau2=0.7, rho=0.2)
         st = evaluate_objective(data, theta, k=5)
@@ -86,7 +86,7 @@ class TestGradient:
         g = GridSpec(4, 4)
         data = ModelData(
             y=np.full(g.n, 3.0), X=np.ones((g.n, 1)),
-            amap=SparseMap.identity(g.n), grid=g,
+            amap=identity_map(g.n), grid=g,
         )
         theta = ThetaParams(beta=np.array([3.0]), sigma2=1.0, tau2=1.0, rho=0.2)
         st = evaluate_objective(data, theta, k=4)
@@ -147,7 +147,7 @@ class TestGradient:
         g = GridSpec(12, 12)
         rng = np.random.default_rng(4)
         data = ModelData(y=rng.standard_normal(g.n), X=np.ones((g.n, 1)),
-                         amap=SparseMap.identity(g.n), grid=g, nu=2.5)
+                         amap=identity_map(g.n), grid=g, nu=2.5)
         calls = []
         matvec = BttbOperator.matvec
 

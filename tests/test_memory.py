@@ -18,8 +18,9 @@ from kryging.estimation import FitResult, bootstrap_uq, fit
 from kryging.gengk import gengk_factorize
 from kryging.grid import GridSpec, MaternSpec, ThetaParams
 from kryging.likelihood import ModelData, evaluate_objective
-from kryging.mapping import SparseMap
 from kryging.toeplitz import BttbOperator
+
+from oracles import identity_map
 
 K = 30
 THETA = ThetaParams(beta=np.array([2.0]), sigma2=1.0, tau2=0.5, rho=0.1, nu=0.5)
@@ -47,7 +48,7 @@ def colocated():
     g = GridSpec(80, 80)
     rng = np.random.default_rng(0)
     y = 2.0 + rng.standard_normal(g.n)
-    return ModelData(y, np.ones((g.n, 1)), SparseMap.identity(g.n), g)
+    return ModelData(y, np.ones((g.n, 1)), identity_map(g.n), g)
 
 
 def test_factorization_stores_only_the_observation_basis(traced, colocated):

@@ -15,6 +15,7 @@ from oracles import (
     circulant_embedding,
     complex_embedding_sample,
     dense_corr,
+    full_spectrum,
     half_spectrum_sample,
     pairwise_distances,
 )
@@ -72,7 +73,7 @@ class TestMatvec:
         v = rng.standard_normal(g.n)
         vpad = np.zeros((m2, m1))
         vpad[: g.n2, : g.n1] = v.reshape(g.n2, g.n1)
-        exact = np.fft.ifft2(np.fft.fft2(vpad) * op.eigs).real[: g.n2, : g.n1]
+        exact = np.fft.ifft2(np.fft.fft2(vpad) * full_spectrum(op)).real[: g.n2, : g.n1]
         np.testing.assert_allclose(op.matvec(v), exact.ravel(), atol=1e-12)
         # and to the dense matrix itself
         S = dense_corr(g, 0.3, 0.5)
@@ -109,14 +110,15 @@ class TestStructure:
         g = GridSpec(9, 4)
         op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5))
         assert op.embed_dims == (17, 7)
-        assert op.eigs.shape == (7, 17)
+        assert full_spectrum(op).shape == (7, 17)
 
     def test_eigenvalues_real_and_clamped_floor(self):
         g = GridSpec(8, 8)
         op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))
-        assert op.eigs.dtype.kind == "f"
+        eigs = full_spectrum(op)
+        assert eigs.dtype.kind == "f"
         assert op.clamp_count == 0
-        assert np.all(op.eigs > 0)
+        assert np.all(eigs > 0)
 
     # minimal embedding lengths: prime (13, 11, 17, 7, 23) and odd
     # composite (21, 9, 15); fast lengths, even (12, 8, 18, 24) or odd
@@ -128,7 +130,7 @@ class TestStructure:
         assert op.clamp_count == 0
         base = op.first_col.reshape(n2, n1)
         m1, m2 = op.embed_dims
-        eigs = op.eigs
+        eigs = full_spectrum(op)
         # exactly even: frequency (k2, k1) equals (-k2, -k1) bit for bit
         mirrored = eigs[(-np.arange(m2)) % m2][:, (-np.arange(m1)) % m1]
         assert np.array_equal(eigs, mirrored)
@@ -161,8 +163,8 @@ class TestStructure:
         m1, m2 = op.embed_dims
         arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
         assert arrays and all(a.shape != (m2, m1) for a in arrays)
-        # the full spectrum is still available, rebuilt on access
-        assert op.eigs.shape == (m2, m1)
+        # the stored quarter still determines the full spectrum
+        assert full_spectrum(op).shape == (m2, m1)
 
 
 class TestLogdet:
@@ -286,7 +288,7 @@ class TestSampling:
         for seed in range(5):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = op.sample(rng)
-            want = complex_embedding_sample(op.eigs, n1, n2, ref_rng)
+            want = complex_embedding_sample(full_spectrum(op), n1, n2, ref_rng)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             assert rng.standard_normal() == ref_rng.standard_normal()
 
@@ -299,7 +301,7 @@ class TestSampling:
         for seed in range(5):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = op.sample(rng)
-            want = half_spectrum_sample(op.eigs, n1, n2, ref_rng)
+            want = half_spectrum_sample(full_spectrum(op), n1, n2, ref_rng)
             assert got.tobytes() == want.tobytes()
             assert rng.standard_normal() == ref_rng.standard_normal()
 
