@@ -86,20 +86,43 @@ def _parse_float(token: str, line_no: int, col: str) -> float:
     return v
 
 
+# data rows converted per array operation: a block's tokens, about 70
+# bytes each, are the reader's only per-row cost beyond its output
+_BLOCK_ROWS = 8192
+
+
+def _convert_block(tokens: list, lines: list, columns: list) -> np.ndarray:
+    """One (len(lines), len(columns)) float block from row-major tokens.
+
+    All tokens are converted in one array operation, which applies
+    ``float()`` to each; only when that fails or yields a non-finite value
+    is the first bad token located, and reported by line and column.
+    """
+    try:
+        values = np.array(tokens, dtype=float)
+        clean = bool(np.isfinite(values).all())
+    except ValueError:
+        clean = False
+    if not clean:
+        ncol = len(columns)
+        for j, token in enumerate(tokens):
+            _parse_float(token, lines[j // ncol], columns[j % ncol][1])
+    return values.reshape(len(lines), len(columns))
+
+
 def _read_columns(reader, columns: list, width: int) -> np.ndarray:
     """The named columns of the data rows left in ``reader``, as a
     (rows, len(columns)) float array.
 
     ``columns`` lists (field index, name) pairs; every row needs at least
     ``width`` fields. Rows that are empty or all blank are skipped but
-    still count toward line numbers. All tokens are converted in one
-    array operation, which applies ``float()`` to each; only when that
-    fails or yields a non-finite value is the first bad token located.
+    still count toward line numbers. Tokens are converted in blocks of
+    ``_BLOCK_ROWS`` rows, so only one block's strings are alive at a time.
     Faults are reported in file order: a bad token wins over a short row
     or a malformed record after it.
     """
     index = [i for i, _ in columns]
-    tokens, lines = [], []
+    blocks, tokens, lines = [], [], []
     fault = None
     try:
         for line_no, row in enumerate(reader, start=2):
@@ -110,20 +133,15 @@ def _read_columns(reader, columns: list, width: int) -> np.ndarray:
                 break
             tokens.extend([row[i] for i in index])
             lines.append(line_no)
+            if len(lines) == _BLOCK_ROWS:
+                blocks.append(_convert_block(tokens, lines, columns))
+                tokens, lines = [], []
     except csv.Error as exc:
         fault = exc
-    try:
-        values = np.array(tokens, dtype=float)
-        clean = bool(np.isfinite(values).all())
-    except ValueError:
-        clean = False
-    if not clean:
-        ncol = len(columns)
-        for j, token in enumerate(tokens):
-            _parse_float(token, lines[j // ncol], columns[j % ncol][1])
+    blocks.append(_convert_block(tokens, lines, columns))
     if fault is not None:
         raise fault
-    return values.reshape(len(lines), len(columns))
+    return np.concatenate(blocks)
 
 
 def read_dataset(path, covariates: list | None = None) -> Dataset:

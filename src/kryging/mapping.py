@@ -6,12 +6,16 @@ compactly supported Wendland kernel evaluated on a per-axis scaled
 Chebyshev distance and normalized to sum to one. A point exactly on a
 node maps to that node with weight 1, so co-located data reduces to a
 row-selection matrix.
+
+The map is held as numpy CSR arrays. A row selection applies by
+indexing, which is exact and needs no scipy; any other map applies
+through scipy's CSR product, so only off-node locations import
+``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .grid import GridSpec
 
@@ -32,27 +36,61 @@ def wendland(d):
 class SparseMap:
     """Observation-to-lattice mapping in compressed sparse row form.
 
-    Wraps a scipy CSR matrix of shape (p, n) whose rows are convex
-    weights: nonnegative, summing to one, with at most four nonzeros.
+    Holds the CSR arrays ``data``, ``indices`` and ``indptr`` of a (p, n)
+    matrix whose rows are convex weights: nonnegative, summing to one,
+    with at most four nonzeros. When every row is a single unit weight
+    on a node of its own (co-located data), ``apply`` gathers and
+    ``apply_t`` scatters by node index. Any other map runs both through
+    :attr:`matrix`.
     """
 
-    def __init__(self, matrix: sparse.csr_matrix):
-        self.matrix = sparse.csr_matrix(matrix)
-        self.p, self.n = self.matrix.shape
+    def __init__(self, data, indices, indptr, shape: tuple):
+        self.data = np.asarray(data, dtype=float)
+        self.indices = np.asarray(indices)
+        self.indptr = np.asarray(indptr)
+        self.p, self.n = shape
+        selection = (
+            np.array_equal(self.indptr, np.arange(self.p + 1))
+            and bool(np.all(self.data == 1.0))
+            and np.bincount(self.indices, minlength=self.n).max(initial=0) <= 1
+        )
+        # numpy gathers and scatters by intp indices about twice as fast
+        self._nodes = self.indices.astype(np.intp) if selection else None
+        self._matrix = None
+
+    @property
+    def matrix(self):
+        """The map as a scipy CSR matrix over the same arrays, built (and
+        ``scipy.sparse`` imported) on first use."""
+        # threads that race here each build an equal wrapper; one is kept
+        if self._matrix is None:
+            from scipy import sparse
+
+            self._matrix = sparse.csr_matrix(
+                (self.data, self.indices, self.indptr), shape=(self.p, self.n)
+            )
+        return self._matrix
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A @ v, lattice to observations."""
         v = np.asarray(v)
         if v.shape[0] != self.n:
             raise ValueError(f"expected length {self.n}, got {v.shape}")
-        return self.matrix @ v
+        if self._nodes is None:
+            return self.matrix @ v
+        out = v.take(self._nodes, axis=0)
+        return out.astype(np.result_type(out, self.data), copy=False)
 
     def apply_t(self, u: np.ndarray) -> np.ndarray:
         """A.T @ u, observations to lattice."""
         u = np.asarray(u)
         if u.shape[0] != self.p:
             raise ValueError(f"expected length {self.p}, got {u.shape}")
-        return self.matrix.T @ u
+        if self._nodes is None:
+            return self.matrix.T @ u
+        out = np.zeros((self.n, *u.shape[1:]), dtype=np.result_type(u, self.data))
+        out[self._nodes] = u
+        return out
 
 
 # relative tolerance, in grid spacings, for a point to count as on a node
@@ -136,7 +174,10 @@ def build_map(locations: np.ndarray, grid: GridSpec) -> SparseMap:
     cols[:, 2] = (i2 + 1) * grid.n1 + i1
     cols[:, 3] = (i2 + 1) * grid.n1 + i1 + 1
 
+    # int32 indices where they fit, as scipy would choose, so that
+    # SparseMap.matrix wraps these arrays without a copy
     keep = w > 0
-    rows = np.repeat(np.arange(p), keep.sum(axis=1))
-    mat = sparse.csr_matrix((w[keep], (rows, cols[keep])), shape=(p, grid.n))
-    return SparseMap(mat)
+    index = np.int32 if max(4 * p, grid.n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(p + 1, dtype=index)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return SparseMap(w[keep], cols[keep].astype(index), indptr, (p, grid.n))

@@ -14,7 +14,6 @@ is the one exception to the rule above: it calls the library's
 
 import numpy as np
 from scipy import fft as sfft
-from scipy import sparse
 
 from kryging.gengk import GenGKFactorization
 from kryging.grid import GridSpec, matern_corr
@@ -131,7 +130,7 @@ def selection_map(indices, n: int) -> SparseMap:
     ``indices`` (an identity matrix with rows removed)."""
     indices = np.asarray(indices, dtype=int)
     p = indices.size
-    return SparseMap(sparse.csr_matrix((np.ones(p), (np.arange(p), indices)), shape=(p, n)))
+    return SparseMap(np.ones(p), indices, np.arange(p + 1), (p, n))
 
 
 def identity_map(n: int) -> SparseMap:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kryging import data
 from kryging.data import Dataset, InputError, read_dataset, read_locations, write_dataset
 
 
@@ -209,6 +210,34 @@ class TestValues:
             assert ds.locations.tobytes() == np.ascontiguousarray(ref[:, :2]).tobytes()
             assert ds.y.tobytes() == np.ascontiguousarray(ref[:, 2]).tobytes()
             assert ds.X[:, 1].tobytes() == np.ascontiguousarray(ref[:, 3]).tobytes()
+
+
+class TestBlocks:
+    """The reader converts ``_BLOCK_ROWS`` rows at a time; with blocks of
+    two rows, the values and faults below fall on block boundaries."""
+
+    ROWS = [["lon", "lat", "y"]] + [
+        [repr(i / 7), repr(-i / 3), repr(i * 1e-300)] if i % 4 else [" ", ""]
+        for i in range(1, 12)
+    ]
+
+    @pytest.fixture(autouse=True)
+    def two_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 2)
+
+    def test_values_match_the_reference(self, tmp_path):
+        ref = reference_rows(self.ROWS, ["lon", "lat", "y"], 3)
+        ds = read_dataset(write_rows(tmp_path / "d.csv", self.ROWS))
+        assert ds.locations.tobytes() == np.ascontiguousarray(ref[:, :2]).tobytes()
+        assert ds.y.tobytes() == np.ascontiguousarray(ref[:, 2]).tobytes()
+
+    @pytest.mark.parametrize("bad, short", [(2, 7), (6, 9), (10, 11), (9, 3)])
+    def test_first_fault_in_file_order_wins(self, tmp_path, bad, short):
+        rows = [list(r) for r in self.ROWS]
+        rows[bad][1] = "x"
+        rows[short] = ["0.5"]
+        path = write_rows(tmp_path / "d.csv", rows)
+        assert read_error(path) == reference_rows(rows, ["lon", "lat", "y"], 3)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)

@@ -5,7 +5,8 @@ A Golub-Kahan run stores one basis, U ((k+1) x p floats), a fit holds
 one factorization at a time, and a bootstrap holds one per thread. An
 operator keeps its first column, one quarter of the minimal embedding
 spectrum and the padded half spectrum its matvecs use, and a draw holds
-about one normal array and the half spectrum at a time.
+about one normal array and the half spectrum at a time. The CSV reader
+holds one block of row tokens beside the values read so far.
 """
 
 import tracemalloc
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from kryging import estimation
+from kryging.data import Dataset, read_dataset, write_dataset
 from kryging.estimation import FitResult, bootstrap_uq, fit
 from kryging.gengk import gengk_factorize
 from kryging.grid import GridSpec, MaternSpec, ThetaParams
@@ -100,3 +102,17 @@ def test_sample_peak_stays_under_three_embedding_arrays(traced, n):
     assert draw.shape == (g.n,)
     # both full normal arrays held at once would already take two
     assert peak <= 3 * 8 * m1 * m2
+
+
+def test_csv_reader_peak_stays_near_its_output(traced, tmp_path):
+    rng = np.random.default_rng(0)
+    p = 50_000
+    path = tmp_path / "obs.csv"
+    X = np.column_stack([np.ones(p), rng.standard_normal(p)])
+    write_dataset(path, Dataset(rng.uniform(0, 1, (p, 2)), rng.standard_normal(p), X,
+                                ("intercept", "elev")))
+    ds, peak = traced(lambda: read_dataset(path))
+    out = ds.locations.nbytes + ds.y.nbytes + ds.X.nbytes
+    # every token alive at once, a str of about 70 bytes each, would
+    # peak near nine times the arrays returned
+    assert peak <= 3 * out

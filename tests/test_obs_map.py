@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from kryging.grid import GridSpec
-from kryging.mapping import LocationError, build_map, wendland
+from kryging.mapping import _NODE_TOL, LocationError, SparseMap, build_map, wendland
 
 from oracles import identity_map, selection_map
 
@@ -156,3 +157,71 @@ class TestApply:
             amap.apply(np.ones(6))
         with pytest.raises(ValueError):
             amap.apply_t(np.ones(6))
+
+
+@pytest.fixture
+def matrix_reads(monkeypatch):
+    """The maps whose scipy CSR matrix was read, one entry per read."""
+    reads = []
+    csr = SparseMap.matrix
+    monkeypatch.setattr(SparseMap, "matrix",
+                        property(lambda self: reads.append(self) or csr.fget(self)))
+    return reads
+
+
+class TestSelectionPath:
+    def test_colocated_map_equals_the_csr_product_by_index(self, rng, matrix_reads):
+        g = GridSpec(9, 8)
+        nodes = rng.permutation(g.n)[:40]  # rows in permuted node order
+        amap = build_map(g.node_coords()[nodes], g)
+        ref = sparse.csr_matrix((amap.data.copy(), amap.indices.copy(), amap.indptr.copy()),
+                                shape=(amap.p, amap.n))
+        np.testing.assert_array_equal(ref.indices, nodes)
+        v, u = rng.standard_normal(g.n), rng.standard_normal(amap.p)
+        pairs = [
+            (amap.apply(v), ref @ v),
+            (amap.apply_t(u), ref.T @ u),
+            (amap.apply(np.arange(g.n)), ref @ np.arange(g.n)),
+            (amap.apply_t(np.arange(amap.p)), ref.T @ np.arange(amap.p)),
+            (amap.apply(np.column_stack([v, -v])), ref @ np.column_stack([v, -v])),
+        ]
+        for got, want in pairs:
+            assert got.dtype == want.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+        assert matrix_reads == []
+
+    def test_two_observations_on_one_node_take_the_csr_path(self, matrix_reads):
+        g = GridSpec(4, 4)
+        nodes = g.node_coords()
+        amap = build_map(nodes[[5, 2, 5]], g)
+        got = amap.apply_t(np.array([1.0, 2.0, 4.0]))
+        assert matrix_reads == [amap]
+        assert got[5] == 5.0 and got[2] == 2.0
+        assert np.count_nonzero(got) == 2
+
+    def test_point_within_node_tolerance_stays_a_selection_row(self, rng, matrix_reads):
+        g = GridSpec(6, 5)
+        shift = 0.5 * _NODE_TOL * np.array([g.dx1, -g.dx2])
+        locs = g.node_coords()[7:12] + shift
+        amap = build_map(locs, g)
+        v = rng.standard_normal(g.n)
+        np.testing.assert_array_equal(amap.apply(v), v[7:12])
+        assert matrix_reads == []
+
+    @pytest.mark.parametrize("kind", ["wendland", "colocated"])
+    def test_matrix_is_the_canonical_csr_over_the_same_arrays(self, rng, kind):
+        # scipy's own conversion of the COO triplets gives the same
+        # canonical arrays and index dtype, and the wrapper copies none
+        g = GridSpec(9, 8)
+        locs = (rng.uniform(0, 1, (60, 2)) if kind == "wendland"
+                else g.node_coords()[rng.permutation(g.n)[:30]])
+        amap = build_map(locs, g)
+        rows = np.repeat(np.arange(amap.p), np.diff(amap.indptr))
+        ref = sparse.csr_matrix((amap.data, (rows, amap.indices)), shape=(amap.p, amap.n))
+        m = amap.matrix
+        for name in ("indptr", "indices", "data"):
+            ours, theirs = getattr(m, name), getattr(ref, name)
+            assert ours.dtype == theirs.dtype
+            np.testing.assert_array_equal(ours, theirs)
+            assert np.shares_memory(ours, getattr(amap, name))
+        assert m is amap.matrix

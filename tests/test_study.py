@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -93,19 +94,51 @@ class TestRunners:
         assert "rmse=" in table and "coverage=" in table and "rho=" in table
 
 
-def test_package_import_leaves_out_scipy_fft_linalg_special_and_stats():
-    # of scipy the pipeline needs scipy.sparse only: numpy runs the FFTs and
-    # the projected solve, and scipy.special loads only for a general nu or
-    # for interval scores. scipy.stats alone costs about 35 MB resident and
-    # half a second to import
+def fresh_interpreter_output(code: str, cwd=None):
+    """Run ``code`` in a fresh interpreter with the package on the path
+    and parse the last line it prints as a Python literal."""
     src = str(Path(kryging.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=cwd, check=True)
+    return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+
+def test_package_import_leaves_out_scipy_fft_linalg_special_and_stats():
+    # numpy runs the FFTs, the projected solve and selection maps;
+    # scipy.sparse loads with the first off-node map, and scipy.special
+    # only for a general nu or for interval scores. Any scipy subpackage
+    # costs about 20 MB resident (scipy.stats about 35 MB more) and a
+    # tenth of a second or more to import
     code = (
         "import sys, kryging, kryging.cli, kryging.study\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in\n"
-        "    [['scipy', s] for s in ('fft', 'linalg', 'special', 'stats')]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert fresh_interpreter_output(code) == []
+
+
+def test_only_off_node_maps_load_scipy_sparse(tmp_path):
+    # a co-located fit and bootstrap through the CLI load no scipy at all;
+    # the same data on a coarser lattice is off-node (a Wendland map),
+    # which loads scipy.sparse and no other scipy subpackage
+    code = (
+        "import sys\n"
+        "from kryging.cli import main\n"
+        "def scipy_packages():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                  and hasattr(sys.modules[m], '__path__') and '._' not in m)\n"
+        "def fit_and_bootstrap(grid):\n"
+        "    assert main(['fit', '--grid', grid, '--extent', '0,1,0,1', '--k', '8', '--max-iter',\n"
+        "                 '2', '--init', '44.49,3,0.5,0.1', '--out', 'fit.npz', 'sim.csv']) == 0\n"
+        "    assert main(['bootstrap', '--fit', 'fit.npz', '--locations', 'sim.csv',\n"
+        "                 '--B', '2', '--out', 'pred.csv']) == 0\n"
+        "assert main(['simulate', '--grid', '12x12', '--out', 'sim.csv']) == 0\n"
+        "fit_and_bootstrap('12x12')\n"
+        "colocated = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "fit_and_bootstrap('7x7')\n"
+        "print([colocated, scipy_packages()])\n"
+    )
+    colocated, off_node = fresh_interpreter_output(code, cwd=tmp_path)
+    assert colocated == []
+    assert off_node == ["scipy", "scipy.sparse"]
