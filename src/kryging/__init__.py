@@ -12,7 +12,7 @@ prediction uncertainty from a parametric bootstrap.
 from .data import Dataset, InputError, load_fit_artifact, read_dataset, save_fit_artifact
 from .estimation import FitResult, PredictionSet, bootstrap_uq, fit, predict
 from .gengk import GenGKFactorization, KrygingSolution, gengk_factorize, solve
-from .grid import GridSpec, MaternSpec, ThetaParams, first_column, first_column_drho
+from .grid import GridSpec, ThetaParams, first_column, first_column_drho
 from .likelihood import ModelData, ObjectiveState, evaluate_objective
 from .mapping import LocationError, SparseMap, build_map
 from .simulate import simulate_dataset
@@ -30,7 +30,6 @@ __all__ = [
     "InputError",
     "KrygingSolution",
     "LocationError",
-    "MaternSpec",
     "ModelData",
     "ObjectiveState",
     "PredictionSet",

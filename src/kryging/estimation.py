@@ -37,9 +37,9 @@ import numpy as np
 
 from .gengk import _blas_free, gengk_factorize, solve
 from .grid import GridSpec, ThetaParams
-from .likelihood import ModelData, correlation_operator, evaluate_objective
+from .likelihood import ModelData, evaluate_objective
 from .mapping import SparseMap, build_map
-from .toeplitz import EmbeddingError
+from .toeplitz import BttbOperator, EmbeddingError
 
 __all__ = ["FitResult", "PredictionSet", "fit", "predict", "bootstrap_uq", "auto_init"]
 
@@ -314,8 +314,6 @@ def predict(
 def _rekryge(amap, op, bsim, theta, k):
     """Latent re-estimate for one bootstrap replicate with theta known.
     Replicates run concurrently, so its factorization calls no BLAS."""
-    if not bsim.any():
-        return np.zeros(amap.n)
     with _blas_free():
         fact = gengk_factorize(amap, op, bsim, theta.tau2, k)
     return solve(fact, theta.sigma2, op).x_star
@@ -431,7 +429,7 @@ def bootstrap_uq(
     amap_pred = build_map(locations, fitres.grid)
     y_hat = predict(fitres, amap_pred, X_pred, allow_unconverged=allow_unconverged)
 
-    op = correlation_operator(data, theta)
+    op = BttbOperator.from_matern(data.grid, theta.rho, data.nu)
     sigma = np.sqrt(theta.sigma2)
     tau = np.sqrt(theta.tau2)
     streams = np.random.SeedSequence(seed).spawn(B)

@@ -88,7 +88,8 @@ class GenGKFactorization:
     Attributes
     ----------
     k : int
-        Effective subspace order (<= requested order on breakdown).
+        Effective subspace order (<= requested order on breakdown; 0 when
+        A' b vanishes).
     beta1 : float
         Norm of the right-hand side in the noise metric, ||b||_2 / tau.
     U : ndarray, shape (p, k+1)
@@ -150,7 +151,7 @@ def gengk_factorize(
         Latent covariance operator (correlation scale; the partial sill
         enters the downstream solve through the regularization).
     b : ndarray, shape (p,)
-        Mean-removed observations; must not be all zero.
+        Mean-removed observations.
     tau2 : float
         Nugget variance, > 0.
     k : int
@@ -164,16 +165,16 @@ def gengk_factorize(
     so the loop stops there without testing a normalizer that is only
     rounding noise. Only the latest latent vector is kept while the loop
     runs; U and B determine the rest.
+
+    When A' b vanishes to rounding (b = 0 included), alpha_1 breaks down
+    and k = 0. That is exact: (tau2 I + sigma2 A Sigma A') b = tau2 b, so
+    x* = sigma2 Sigma A' b / tau2 = 0, which :func:`solve` returns.
     """
     b = np.asarray(b, dtype=float)
     if tau2 <= 0:
         raise ValueError(f"tau2 must be positive, got {tau2}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    bnorm = math.sqrt(_dot(b, b))
-    if bnorm == 0:
-        raise ValueError("right-hand side is identically zero")
-
     tau = math.sqrt(tau2)
     blas_free = getattr(_without_blas, "active", False)
     # one basis vector per row, so every update touches contiguous memory;
@@ -184,8 +185,9 @@ def gengk_factorize(
     # scratch for the terms subtracted from the latent and observation vectors
     latent, proj = np.empty(amap.n), np.empty(amap.p)
 
-    beta1 = bnorm / tau
-    np.divide(b, beta1, out=U[0])
+    beta1 = math.sqrt(_dot(b, b)) / tau
+    if beta1 > 0:
+        np.divide(b, beta1, out=U[0])
 
     k_eff = k
     breakdown_at = None
@@ -203,9 +205,7 @@ def gengk_factorize(
         alpha = math.sqrt(max(_dot(w, t), 0.0))
         if i == 0:
             tol = BREAKDOWN_REL_TOL * max(beta1, alpha, 1.0)
-            if alpha <= tol:
-                raise ValueError("first basis vector vanished: A^T b is zero")
-        elif alpha <= tol:
+        if alpha <= tol:
             k_eff = breakdown_at = i
             break
         B[i, i] = alpha
@@ -257,11 +257,14 @@ def solve(
     LDL' elimination and one back substitution solve it, and the upper
     bidiagonal L_k' g = z is one more back substitution: O(k) scalar
     recurrences in Python floats, so no step of the solve calls BLAS at
-    any k.
+    any k. For k = 0 the estimate is exactly zero and no matvec runs.
     """
     if sigma2 <= 0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     k = fact.k
+    if k == 0:  # A' b = 0, so x* = 0 exactly (see gengk_factorize)
+        n = fact.amap.n
+        return KrygingSolution(np.zeros(0), np.zeros(n), 0.0, np.zeros(n))
     alpha = fact.B.diagonal().tolist()
     beta = fact.B.diagonal(-1).tolist()  # beta[i] sits below alpha[i]
     ridge = 1.0 / sigma2

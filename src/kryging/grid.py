@@ -4,7 +4,9 @@ The latent field lives on an equispaced n1 x n2 lattice. Because the
 covariance is stationary and the lattice is regular, the full covariance
 matrix is block Toeplitz with Toeplitz blocks (BTTB) and is fully
 determined by its first column, which this module generates along with
-its derivatives in the range parameter.
+its derivative in the range parameter. Both have unit sill: the partial
+sill sigma2 scales the covariance as a scalar, so every lattice operator
+depends on the grid, rho and nu alone.
 
 Lattice ordering convention: row-major with axis 1 fastest, i.e. the flat
 index of node (j1, j2) is ``j2 * n1 + j1``. All BTTB/FFT machinery in
@@ -14,13 +16,12 @@ index of node (j1, j2) is ``j2 * n1 + j1``. All BTTB/FFT machinery in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GridSpec",
-    "MaternSpec",
     "ThetaParams",
     "matern_corr",
     "matern_corr_drho",
@@ -70,29 +71,12 @@ class GridSpec:
         """Total number of lattice nodes."""
         return self.n1 * self.n2
 
-    def x_coords(self) -> np.ndarray:
-        return self.x_min + self.dx1 * np.arange(self.n1)
-
-    def y_coords(self) -> np.ndarray:
-        return self.y_min + self.dx2 * np.arange(self.n2)
-
     def node_coords(self) -> np.ndarray:
         """All lattice nodes as an (n, 2) array in flat-index order."""
-        xx, yy = np.meshgrid(self.x_coords(), self.y_coords(), indexing="xy")
+        x = self.x_min + self.dx1 * np.arange(self.n1)
+        y = self.y_min + self.dx2 * np.arange(self.n2)
+        xx, yy = np.meshgrid(x, y, indexing="xy")
         return np.column_stack([xx.ravel(), yy.ravel()])
-
-
-@dataclass(frozen=True)
-class MaternSpec:
-    """Matern covariance parameters: partial sill, range, smoothness."""
-
-    sigma2: float
-    rho: float
-    nu: float = 0.5
-
-    def __post_init__(self):
-        if not (self.sigma2 > 0 and self.rho > 0 and self.nu > 0):
-            raise ValueError("sigma2, rho and nu must all be positive")
 
 
 @dataclass(frozen=True)
@@ -148,11 +132,16 @@ class ThetaParams:
         )
 
 
-def _check_corr_args(rho, nu):
+def _checked_distances(d, rho, nu) -> np.ndarray:
+    """``d`` as a float array, once it and the parameters are valid."""
     if not (np.isfinite(rho) and rho > 0):
         raise ValueError(f"rho must be finite and positive, got {rho}")
     if not (np.isfinite(nu) and nu > 0):
         raise ValueError(f"nu must be finite and positive, got {nu}")
+    d = np.asarray(d, dtype=float)
+    if not np.all(np.isfinite(d)) or np.any(d < 0):
+        raise ValueError("distances must be finite and nonnegative")
+    return d
 
 
 def matern_corr(d, rho: float, nu: float = 0.5):
@@ -171,10 +160,7 @@ def matern_corr(d, rho: float, nu: float = 0.5):
         Smoothness, > 0. Closed forms are used for nu in {0.5, 1.5, 2.5};
         other values go through the modified Bessel function.
     """
-    _check_corr_args(rho, nu)
-    d = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)) or np.any(d < 0):
-        raise ValueError("distances must be finite and nonnegative")
+    d = _checked_distances(d, rho, nu)
 
     if nu == 0.5:
         return np.exp(-d / rho)
@@ -205,10 +191,7 @@ def matern_corr_drho(d, rho: float, nu: float = 0.5):
     u = sqrt(2 nu) d / rho; the derivative is 0 at d = 0 where the
     correlation is pinned at 1.
     """
-    _check_corr_args(rho, nu)
-    d = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)) or np.any(d < 0):
-        raise ValueError("distances must be finite and nonnegative")
+    d = _checked_distances(d, rho, nu)
 
     if nu == 0.5:
         return (d / rho**2) * np.exp(-d / rho)
@@ -237,16 +220,16 @@ def _lag_distances(grid: GridSpec) -> np.ndarray:
     return np.hypot(dx[None, :], dy[:, None]).ravel()
 
 
-def first_column(grid: GridSpec, spec: MaternSpec) -> np.ndarray:
-    """First column of the lattice covariance matrix, scaled by sigma2.
+def first_column(grid: GridSpec, rho: float, nu: float) -> np.ndarray:
+    """First column of the unit-sill lattice correlation matrix.
 
-    Entry j is Cov(x(node 0), x(node j)) under ``spec``, with nodes in
-    flat-index order (axis 1 fastest). Entry 0 equals sigma2. This single
-    column determines the whole BTTB covariance matrix.
+    Entry j is the Matern correlation between nodes 0 and j, in flat-index
+    order (axis 1 fastest); entry 0 is 1. This single column determines
+    the whole BTTB matrix.
     """
-    return spec.sigma2 * matern_corr(_lag_distances(grid), spec.rho, spec.nu)
+    return matern_corr(_lag_distances(grid), rho, nu)
 
 
-def first_column_drho(grid: GridSpec, spec: MaternSpec) -> np.ndarray:
-    """First column of d(covariance)/d(rho) on the lattice."""
-    return spec.sigma2 * matern_corr_drho(_lag_distances(grid), spec.rho, spec.nu)
+def first_column_drho(grid: GridSpec, rho: float, nu: float) -> np.ndarray:
+    """First column of d(correlation)/d(rho) on the lattice."""
+    return matern_corr_drho(_lag_distances(grid), rho, nu)

@@ -10,7 +10,8 @@ gradient uses the analytic score in the precision parametrization
 
 :func:`evaluate_objective` is the one evaluation path: the value from
 the Golub-Kahan solve and the log-determinant, then the score from the
-derivative operator. The fit calls it at every trial point.
+derivative operator. The fit calls it at every trial point. Both
+operators have unit sill, as sigma2 enters the objective as a scalar.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gengk import KrygingSolution, _dot, gengk_factorize, solve
-from .grid import GridSpec, MaternSpec, ThetaParams
+from .grid import GridSpec, ThetaParams
 from .mapping import SparseMap
 from .toeplitz import BttbOperator, dlogdet_drho
 
@@ -80,11 +81,6 @@ class ObjectiveState:
     diagnostics: dict
 
 
-def correlation_operator(data: ModelData, theta: ThetaParams) -> BttbOperator:
-    """BTTB operator of the unit-sill Matern correlation at theta."""
-    return BttbOperator.from_matern(data.grid, MaternSpec(1.0, theta.rho, data.nu))
-
-
 def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> ObjectiveState:
     """Negative approximate profile log-likelihood and its gradient.
 
@@ -107,24 +103,21 @@ def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> Objective
     dlogdet is the rho-derivative of the log-determinant approximation
     (see :func:`dlogdet_drho`). The log-determinant is taken first, so an
     untrustworthy embedding raises :class:`EmbeddingError`, with its clamp
-    counts in the message, before any matvec runs. The inner products and
-    X' psi are einsum sums, like those of the Golub-Kahan solve, so the
-    value and gradient are bitwise the same under any BLAS thread count.
+    counts in the message, before any matvec runs. A residual with
+    A' b = 0 (b = 0 included) factorizes with k = 0, and its estimate
+    x* = 0 is exact (see :func:`gengk_factorize`), so psi = b. The inner
+    products and X' psi are einsum sums, like those of the Golub-Kahan
+    solve, so the value and gradient are bitwise the same under any BLAS
+    thread count.
     """
-    op = correlation_operator(data, theta)
+    op = BttbOperator.from_matern(data.grid, theta.rho, data.nu)
     ld = op.logdet()
     b = data.y - data.X @ theta.beta
 
-    if _dot(b, b) == 0.0:
-        k_eff = 0
-        sol = KrygingSolution(
-            z=np.zeros(0), x_star=np.zeros(data.n), quad=0.0, m=np.zeros(data.n)
-        )
-    else:
-        fact = gengk_factorize(data.amap, op, b, theta.tau2, k)
-        k_eff = fact.k
-        sol = solve(fact, theta.sigma2, op)
-        del fact  # the basis is not needed past the solve
+    fact = gengk_factorize(data.amap, op, b, theta.tau2, k)
+    k_eff = fact.k
+    sol = solve(fact, theta.sigma2, op)
+    del fact  # the basis is not needed past the solve
     psi = b - data.amap.apply(sol.x_star)
     psi2 = _dot(psi, psi)
     value = 0.5 * (
@@ -135,7 +128,7 @@ def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> Objective
         + sol.quad / theta.sigma2
     )
 
-    dop = BttbOperator.from_matern_drho(data.grid, MaternSpec(1.0, theta.rho, data.nu))
+    dop = BttbOperator.from_matern_drho(data.grid, theta.rho, data.nu)
     dld = dlogdet_drho(op, dop)
     lam2, lam_e2 = theta.lam2, theta.lam_e2
     dsig_quad = _dot(sol.m, dop.matvec(sol.m))

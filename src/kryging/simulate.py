@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .grid import GridSpec, MaternSpec, ThetaParams
+from .grid import GridSpec, ThetaParams
 from .toeplitz import BttbOperator
 
 __all__ = ["SimulatedField", "simulate_dataset"]
@@ -47,7 +47,7 @@ def simulate_dataset(
     if not 0.0 <= thin_fraction < 1.0:
         raise ValueError("thin_fraction must be in [0, 1)")
     rng = np.random.default_rng(seed)
-    op = BttbOperator.from_matern(grid, MaternSpec(1.0, theta.rho, theta.nu))
+    op = BttbOperator.from_matern(grid, theta.rho, theta.nu)
     x = np.sqrt(theta.sigma2) * op.sample(rng)
     noise = np.sqrt(theta.tau2) * rng.standard_normal(grid.n)
     y = theta.beta[0] + x + noise

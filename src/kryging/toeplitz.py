@@ -33,7 +33,7 @@ import threading
 
 import numpy as np
 
-from .grid import GridSpec, MaternSpec, first_column, first_column_drho
+from .grid import GridSpec, first_column, first_column_drho
 
 __all__ = ["BttbOperator", "EmbeddingError", "dlogdet_drho"]
 
@@ -117,11 +117,11 @@ class BttbOperator:
     :class:`EmbeddingError` when more than ``CLAMP_FAIL_FRACTION`` of it
     was clamped.
 
-    The operator stores its first column and the clamped n2 x n1 quarter
-    of the minimal-embedding spectrum (n floats each), and the padded
-    rfft2 spectrum of its matvecs (about 2n floats). ``clamp_count``
-    counts the clamped eigenvalues of the full (2*n2-1) x (2*n1-1)
-    spectrum, which is never built.
+    The operator stores the clamped n2 x n1 quarter of the
+    minimal-embedding spectrum (n floats) and the padded rfft2 spectrum
+    of its matvecs (about 2n floats). ``clamp_count`` counts the clamped
+    eigenvalues of the full (2*n2-1) x (2*n1-1) spectrum, which is never
+    built.
     """
 
     def __init__(self, grid: GridSpec, first_col: np.ndarray, clamp: bool = True):
@@ -129,7 +129,6 @@ class BttbOperator:
         if first_col.shape != (grid.n,):
             raise ValueError(f"first_col must have length {grid.n}, got {first_col.shape}")
         self.grid = grid
-        self.first_col = first_col
         self.embed_dims = (2 * grid.n1 - 1, 2 * grid.n2 - 1)
 
         base = first_col.reshape(grid.n2, grid.n1)
@@ -162,12 +161,12 @@ class BttbOperator:
         self._scratch = threading.local()
 
     @classmethod
-    def from_matern(cls, grid: GridSpec, spec: MaternSpec) -> "BttbOperator":
-        return cls(grid, first_column(grid, spec))
+    def from_matern(cls, grid: GridSpec, rho: float, nu: float) -> "BttbOperator":
+        return cls(grid, first_column(grid, rho, nu))
 
     @classmethod
-    def from_matern_drho(cls, grid: GridSpec, spec: MaternSpec) -> "BttbOperator":
-        return cls(grid, first_column_drho(grid, spec), clamp=False)
+    def from_matern_drho(cls, grid: GridSpec, rho: float, nu: float) -> "BttbOperator":
+        return cls(grid, first_column_drho(grid, rho, nu), clamp=False)
 
     @property
     def clamp_fraction(self) -> float:

@@ -13,7 +13,7 @@ import pytest
 
 from kryging.estimation import bootstrap_uq, fit
 from kryging.gengk import gengk_factorize, solve
-from kryging.grid import GridSpec, MaternSpec, ThetaParams
+from kryging.grid import GridSpec, ThetaParams
 from kryging.likelihood import ModelData, evaluate_objective
 from kryging.mapping import build_map
 from kryging.study import run_replicate
@@ -42,9 +42,8 @@ def test_criterion_1_dense_solver_equivalence(report):
     rng = np.random.default_rng(1)
     for m in (6, 8):
         g = GridSpec(m, m)
-        spec = MaternSpec(1.0, 0.3, 0.5)
-        S = dense_corr(g, spec.rho, spec.nu)
-        op = BttbOperator.from_matern(g, spec)
+        S = dense_corr(g, 0.3, 0.5)
+        op = BttbOperator.from_matern(g, 0.3, 0.5)
         amap = identity_map(g.n)
         b = rng.standard_normal(g.n)
         fact = gengk_factorize(amap, op, b, 0.25, k=g.n)
@@ -74,9 +73,8 @@ def test_criterion_2_gengk_relations(report):
         rho = float(rng.uniform(0.05, 0.6))
         nu = float(rng.choice([0.5, 1.5]))
         tau2 = float(rng.uniform(0.05, 2.0))
-        spec = MaternSpec(1.0, rho, nu)
         S = dense_corr(g, rho, nu)
-        op = BttbOperator.from_matern(g, spec)
+        op = BttbOperator.from_matern(g, rho, nu)
         locs = np.column_stack([rng.uniform(0, 1, p), rng.uniform(0, 1, p)])
         amap = build_map(locs, g)
         b = rng.standard_normal(p)
@@ -104,8 +102,7 @@ def test_criterion_3_logdet_convergence(report):
         errs = []
         for m in (8, 16, 32):
             g = GridSpec(m, m)
-            spec = MaternSpec(1.0, rho, 0.5)
-            op = BttbOperator.from_matern(g, spec)
+            op = BttbOperator.from_matern(g, rho, 0.5)
             L = np.linalg.cholesky(dense_corr(g, rho, 0.5))
             exact = 2.0 * np.log(np.diag(L)).sum()
             errs.append(abs(op.logdet() - exact) / abs(exact))

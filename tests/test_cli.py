@@ -123,6 +123,15 @@ class TestFit:
         assert rc == 2
         assert "elevation" in capsys.readouterr().err
 
+    def test_duplicate_readings_fit(self, workdir):
+        # two readings at each of two sites that cancel: A' b vanishes to
+        # rounding at the least-squares mean, so Golub-Kahan stops at k = 0
+        dup = workdir / "dup.csv"
+        dup.write_text("lon,lat,y\n0.2,0.3,1\n0.2,0.3,-1\n0.7,0.6,2\n0.7,0.6,-2\n")
+        rc = run_cli(["fit", "--grid", "4x4", "--k", 3, "--out", workdir / "dup.npz", dup])
+        assert rc == 0
+        assert (workdir / "dup.npz").exists()
+
     def test_locations_outside_grid_exit_2(self, workdir, capsys):
         data = simulate(workdir)  # unit square
         rc = run_cli(["fit", "--grid", "12x12", "--extent", "0,0.5,0,0.5",
@@ -703,6 +712,24 @@ class TestArtifact:
         res, _ = load_fit_artifact(older)
         assert res.diagnostics["stop_reason"] == "unknown"
         assert res.diagnostics["embedding_failures"] == 0
+
+
+@pytest.mark.parametrize("command", ["predict", "bootstrap"])
+def test_prediction_from_a_covariate_fit_exits_2(workdir, capsys, command):
+    rng = np.random.default_rng(4)
+    rows = [f"{x:.4f},{y:.4f},{v:.4f},{e:.4f}" for x, y, v, e in rng.uniform(0, 1, (30, 4))]
+    data = workdir / "cov.csv"
+    data.write_text("lon,lat,y,elev\n" + "\n".join(rows) + "\n")
+    fitfile = workdir / "fit.npz"
+    assert run_cli(["fit", "--grid", "6x6", "--extent", "0,1,0,1", "--covariates", "elev",
+                    "--k", 5, "--max-iter", 3, "--out", fitfile, data]) == 0
+    capsys.readouterr()
+    args = [command, "--fit", fitfile, "--locations", data, "--out", workdir / "p.csv"]
+    if command == "bootstrap":
+        args += ["--B", 2]
+    assert run_cli(args) == 2
+    assert "prediction with covariates requires programmatic use" in capsys.readouterr().err
+    assert not (workdir / "p.csv").exists()
 
 
 class TestWriteDataset:

@@ -13,8 +13,8 @@ import kryging
 from kryging import estimation
 from kryging.estimation import FitResult, _trust_step, auto_init, bootstrap_uq, fit, predict
 from kryging.gengk import gengk_factorize, solve
-from kryging.grid import GridSpec, MaternSpec, ThetaParams
-from kryging.likelihood import ModelData, correlation_operator, evaluate_objective
+from kryging.grid import GridSpec, ThetaParams
+from kryging.likelihood import ModelData, evaluate_objective
 from kryging.mapping import build_map
 from kryging.simulate import simulate_dataset
 from kryging.toeplitz import BttbOperator, EmbeddingError
@@ -152,6 +152,19 @@ class TestFit:
         assert res.iterations == len(calls) > 2
         assert len(res.objective_trace) >= 2
 
+    def test_duplicate_readings_that_cancel_fit(self):
+        # two readings at each of two nodes; the least-squares mean is 0
+        # to rounding, so A' b vanishes to rounding at every iterate and
+        # each Golub-Kahan run stops at k = 0
+        g = GridSpec(3, 3)
+        locs = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0], [0.0, 0.0]])
+        y = np.array([1.0, -1.0, 2.0, -2.0])
+        data = ModelData(y=y, X=np.ones((4, 1)), amap=build_map(locs, g), grid=g)
+        res = fit(data)
+        assert res.diagnostics["k_effective"] == 0
+        np.testing.assert_array_equal(res.x_hat, np.zeros(g.n))
+        assert abs(res.theta_hat.beta[0]) < 1e-15
+
     def test_auto_init_heuristic(self):
         g, sim, data = simulated_data(8, TRUTH, seed=4)
         theta0 = auto_init(data)
@@ -249,7 +262,7 @@ class TestPredict:
         # training nodes reproduce the observations
         g = GridSpec(6, 6)
         theta = ThetaParams(np.array([0.0]), 1.0, 1e-8, 0.3)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, theta.rho, theta.nu))
+        op = BttbOperator.from_matern(g, theta.rho, theta.nu)
         amap = identity_map(g.n)
         y = op.sample(rng)
         fact = gengk_factorize(amap, op, y, theta.tau2, k=g.n)
@@ -321,7 +334,7 @@ class TestBootstrap:
                 y=sim.y[train_idx], X=np.ones((train_idx.size, 1)),
                 amap=amap, grid=g,
             )
-            op = BttbOperator.from_matern(g, MaternSpec(1.0, theta.rho, theta.nu))
+            op = BttbOperator.from_matern(g, theta.rho, theta.nu)
             fact = gengk_factorize(amap, op, data.y, theta.tau2, k=40)
             sol = solve(fact, theta.sigma2, op)
             res = manual_fit(g, theta, sol.x_star, k=40)
@@ -356,7 +369,7 @@ def serial_bootstrap_se(res, data, locs, B, seed):
     replicates, one after another on the calling thread."""
     theta = res.theta_hat
     amap_pred = build_map(locs, res.grid)
-    op = correlation_operator(data, theta)
+    op = BttbOperator.from_matern(data.grid, theta.rho, data.nu)
     sq = np.zeros(amap_pred.p)
     for child in np.random.SeedSequence(seed).spawn(B):
         rng = np.random.default_rng(child)
@@ -476,7 +489,7 @@ class TestCovariateMean:
         X = np.column_stack([np.ones(g.n), coords[:, 0] - 0.5])
         beta_true = np.array([4.0, 2.5])
         theta = ThetaParams(beta_true, 1.5, 0.3, 0.15)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, theta.rho, theta.nu))
+        op = BttbOperator.from_matern(g, theta.rho, theta.nu)
         x = np.sqrt(theta.sigma2) * op.sample(np.random.default_rng(31))
         y = X @ beta_true + x + np.sqrt(theta.tau2) * np.random.default_rng(32).standard_normal(g.n)
         data = ModelData(y=y, X=X, amap=identity_map(g.n), grid=g)

@@ -1,6 +1,8 @@
 import ast
 import importlib
+import inspect
 import pkgutil
+import textwrap
 import types
 from pathlib import Path
 
@@ -30,14 +32,16 @@ PIPELINE_CLASSES = [BttbOperator, SparseMap, GenGKFactorization]
 def attributes_read_outside(cls, member):
     """Attribute names the package's code reads, leaving out the
     definition of ``member`` in ``cls`` (docstrings and comments hold no
-    attribute nodes, so a mention there is not a use)."""
+    attribute nodes, so a mention there is not a use, and an assignment
+    is not a read)."""
     names = set()
     for path in PACKAGE_DIR.glob("*.py"):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and node.name == cls.__name__:
                 node.body = [s for s in node.body if getattr(s, "name", None) != member]
-        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     return names
 
 
@@ -49,3 +53,21 @@ def test_every_public_member_has_a_caller_in_the_package(cls):
                if not name.startswith("_") and isinstance(value, kinds)]
     unused = [name for name in members if name not in attributes_read_outside(cls, name)]
     assert unused == []
+
+
+def init_attributes(cls):
+    """Public attributes that ``cls.__init__`` assigns on ``self``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"
+            and not n.attr.startswith("_")}
+
+
+@pytest.mark.parametrize("cls", [BttbOperator, SparseMap], ids=lambda cls: cls.__name__)
+def test_every_public_instance_attribute_is_read_in_the_package(cls):
+    # an attribute only the tests read is state the pipeline carries for nothing
+    attributes = init_attributes(cls)
+    assert attributes
+    unread = sorted(name for name in attributes if name not in attributes_read_outside(cls, name))
+    assert unread == []

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kryging.gengk import gengk_factorize, solve
-from kryging.grid import GridSpec, MaternSpec
+from kryging.grid import GridSpec
 from kryging.mapping import SparseMap, build_map
 from kryging.toeplitz import BttbOperator
 
@@ -30,7 +30,7 @@ def criterion_2_problems():
         rho = float(rng.uniform(0.05, 0.6))
         nu = float(rng.choice([0.5, 1.5]))
         tau2 = float(rng.uniform(0.05, 2.0))
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, rho, nu))
+        op = BttbOperator.from_matern(g, rho, nu)
         locs = np.column_stack([rng.uniform(0, 1, p), rng.uniform(0, 1, p)])
         yield op, build_map(locs, g), rng.standard_normal(p), tau2, k
 
@@ -69,7 +69,7 @@ def stored_basis_gengk(amap, op, b, tau2, k):
 def random_problem(rng, n1, n2, p, rho=0.3, nu=0.5):
     g = GridSpec(n1, n2)
     S = dense_corr(g, rho, nu)
-    op = BttbOperator.from_matern(g, MaternSpec(1.0, rho, nu))
+    op = BttbOperator.from_matern(g, rho, nu)
     locs = np.column_stack([rng.uniform(0, 1, p), rng.uniform(0, 1, p)])
     amap = build_map(locs, g)
     b = rng.standard_normal(p)
@@ -196,7 +196,7 @@ class TestFactorize:
         # computes
         rng = np.random.default_rng(5)
         g = GridSpec(30, 25)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5))
+        op = BttbOperator.from_matern(g, 0.2, 0.5)
         locs = np.column_stack([rng.uniform(0, 1, 400), rng.uniform(0, 1, 400)])
         amap = build_map(locs, g)
         b = rng.standard_normal(amap.p)
@@ -219,12 +219,37 @@ class TestFactorize:
         g = GridSpec(3, 3)
         op = identity_operator(g)
         amap = identity_map(g.n)
-        with pytest.raises(ValueError):
-            gengk_factorize(amap, op, np.zeros(g.n), 1.0, 3)
+        # a zero right-hand side is not bad input: it factorizes with k = 0
+        f = gengk_factorize(amap, op, np.zeros(g.n), 1.0, 3)
+        assert (f.k, f.breakdown_at) == (0, 0)
         with pytest.raises(ValueError):
             gengk_factorize(amap, op, np.ones(g.n), 0.0, 3)
         with pytest.raises(ValueError):
             gengk_factorize(amap, op, np.ones(g.n), 1.0, 0)
+
+
+@pytest.mark.parametrize("case", ["b = 0", "A'b = 0"])
+def test_trivial_residual_factorizes_with_k_0_and_solves_to_zeros(case):
+    # A' b = 0 makes x* = 0 exact: (tau2 I + sigma2 A Sigma A') b = tau2 b
+    g = GridSpec(3, 3)
+    op = BttbOperator.from_matern(g, 0.4, 0.5)
+    if case == "b = 0":
+        amap, b = identity_map(g.n), np.zeros(g.n)
+    else:  # two readings of the centre node that cancel
+        amap = SparseMap(np.ones(2), np.array([4, 4]), np.array([0, 1, 2]), (2, g.n))
+        b = np.array([1.0, -1.0])
+    f = gengk_factorize(amap, op, b, 0.5, 3)
+    assert (f.k, f.breakdown_at) == (0, 0)
+    assert f.B.shape == (1, 0) and f.U.shape == (amap.p, 1)
+    calls = []
+    matvec = op.matvec
+    op.matvec = lambda v: calls.append(v) or matvec(v)
+    sol = solve(f, 2.0, op)
+    assert calls == []
+    assert sol.z.shape == (0,) and sol.quad == 0.0
+    np.testing.assert_array_equal(sol.m, np.zeros(g.n))
+    np.testing.assert_array_equal(sol.x_star, np.zeros(g.n))
+    assert not np.shares_memory(sol.m, sol.x_star)
 
 
 class TestSolve:
@@ -262,9 +287,8 @@ class TestSolve:
 
     def test_full_order_matches_dense_solution_colocated(self, rng):
         g = GridSpec(6, 6)
-        spec = MaternSpec(1.0, 0.3, 0.5)
-        S = dense_corr(g, spec.rho, spec.nu)
-        op = BttbOperator.from_matern(g, spec)
+        S = dense_corr(g, 0.3, 0.5)
+        op = BttbOperator.from_matern(g, 0.3, 0.5)
         amap = identity_map(g.n)
         b = rng.standard_normal(g.n)
         sigma2, tau2 = 1.0, 0.25
@@ -325,11 +349,11 @@ def test_factorization_is_independent_of_the_blas_thread_count(under_blas_thread
     code = (
         "import sys, numpy as np\n"
         "from kryging.gengk import _blas_free, gengk_factorize\n"
-        "from kryging.grid import GridSpec, MaternSpec\n"
+        "from kryging.grid import GridSpec\n"
         "from kryging.mapping import SparseMap\n"
         "from kryging.toeplitz import BttbOperator\n"
         "g = GridSpec(120, 120)\n"
-        "op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))\n"
+        "op = BttbOperator.from_matern(g, 0.1, 0.5)\n"
         "b = np.random.default_rng(0).standard_normal(g.n)\n"
         "amap = SparseMap(np.ones(g.n), np.arange(g.n), np.arange(g.n + 1), (g.n, g.n))\n"
         "f = gengk_factorize(amap, op, b, 0.5, 30)\n"
@@ -351,11 +375,11 @@ def test_solve_is_independent_of_the_blas_thread_count(under_blas_threads):
     code = (
         "import sys, numpy as np\n"
         "from kryging.gengk import gengk_factorize, solve\n"
-        "from kryging.grid import GridSpec, MaternSpec\n"
+        "from kryging.grid import GridSpec\n"
         "from kryging.mapping import SparseMap\n"
         "from kryging.toeplitz import BttbOperator\n"
         "g = GridSpec(40, 40)\n"
-        "op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))\n"
+        "op = BttbOperator.from_matern(g, 0.1, 0.5)\n"
         "b = np.random.default_rng(1).standard_normal(g.n)\n"
         "amap = SparseMap(np.ones(g.n), np.arange(g.n), np.arange(g.n + 1), (g.n, g.n))\n"
         "f = gengk_factorize(amap, op, b, 0.5, 150)\n"

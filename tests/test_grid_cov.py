@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from kryging.grid import (
     GridSpec,
-    MaternSpec,
     ThetaParams,
     first_column,
     matern_corr,
@@ -141,22 +140,20 @@ class TestFirstColumn:
     def test_two_point_closed_form(self):
         # smallest admissible grid; entries pair off by axis distances
         g = GridSpec(2, 2, 0.0, 1.0, 0.0, 2.0)
-        spec = MaternSpec(sigma2=1.7, rho=0.4, nu=0.5)
-        col = first_column(g, spec)
-        s2 = spec.sigma2
+        s2 = 1.7
+        col = s2 * first_column(g, 0.4, 0.5)
         expected = s2 * np.exp(-np.array([0.0, g.dx1, g.dx2, math.hypot(g.dx1, g.dx2)]) / 0.4)
         np.testing.assert_allclose(col, expected, rtol=1e-14)
         assert col[0] == pytest.approx(s2)
 
     def test_matches_dense_pairwise_matrix(self):
         g = GridSpec(3, 3)
-        spec = MaternSpec(sigma2=2.3, rho=0.25, nu=0.5)
-        dense = spec.sigma2 * dense_corr(g, spec.rho, spec.nu)
-        np.testing.assert_allclose(first_column(g, spec), dense[:, 0], rtol=1e-14)
+        dense = 2.3 * dense_corr(g, 0.25, 0.5)
+        np.testing.assert_allclose(2.3 * first_column(g, 0.25, 0.5), dense[:, 0], rtol=1e-14)
 
     def test_unit_sill_bounds(self):
         g = GridSpec(6, 4)
-        col = first_column(g, MaternSpec(1.0, 0.3, 0.5))
+        col = first_column(g, 0.3, 0.5)
         assert np.all(col > 0) and np.all(col <= 1.0)
 
     @pytest.mark.parametrize("n1,n2,nu", [(4, 4, 0.5), (5, 7, 1.5), (8, 8, 0.5)])

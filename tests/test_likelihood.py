@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from kryging.grid import GridSpec, MaternSpec, ThetaParams
+from kryging.grid import GridSpec, ThetaParams
 from kryging.likelihood import ModelData, evaluate_objective
-from kryging.mapping import build_map
+from kryging.mapping import SparseMap, build_map
 from kryging.simulate import simulate_dataset
 from kryging.toeplitz import BttbOperator, EmbeddingError
 
@@ -73,6 +73,24 @@ class TestProfileLoglik:
         assert st.solution.quad == 0.0
         np.testing.assert_array_equal(st.psi, 0.0)
 
+    def test_residual_with_zero_adjoint_matches_dense_profile(self):
+        # two readings at one node that cancel: b != 0 but A' b = 0, so
+        # Golub-Kahan stops at k = 0, x* = 0 and psi = b
+        g = GridSpec(4, 4)
+        amap = SparseMap(np.ones(2), np.array([5, 5]), np.array([0, 1, 2]), (2, g.n))
+        data = ModelData(y=np.array([3.0, 1.0]), X=np.ones((2, 1)), amap=amap, grid=g)
+        theta = ThetaParams(beta=np.array([2.0]), sigma2=1.2, tau2=0.7, rho=0.2)
+        st = evaluate_objective(data, theta, k=5)
+        assert st.diagnostics["k_effective"] == 0
+        np.testing.assert_array_equal(st.psi, [1.0, -1.0])
+        S = dense_corr(g, theta.rho, 0.5)
+        _, ld_exact = np.linalg.slogdet(S)
+        ours = st.value - 0.5 * st.diagnostics["logdet"] + 0.5 * ld_exact
+        ref = dense_negative_profile(
+            S, amap.matrix.toarray(), data.y, data.X, theta.beta, theta.sigma2, theta.tau2
+        )
+        assert ours == pytest.approx(ref, rel=1e-12)
+
     def test_diagnostics_present(self, rng):
         g, S, data = colocated_problem(rng, 5, THETA)
         st = evaluate_objective(data, THETA, k=8)
@@ -136,7 +154,7 @@ class TestGradient:
             theta = ThetaParams(
                 np.array([2.0]), np.exp(ls2), np.exp(lt2), np.exp(lrho)
             )
-            op = BttbOperator.from_matern(g, MaternSpec(1.0, theta.rho, 0.5))
+            op = BttbOperator.from_matern(g, theta.rho, 0.5)
             if op.clamp_fraction > 0.05:
                 continue
             st = evaluate_objective(data, theta, k=8)

@@ -3,10 +3,10 @@ reports its array buffers to it; FFT work buffers are not counted).
 
 A Golub-Kahan run stores one basis, U ((k+1) x p floats), a fit holds
 one factorization at a time, and a bootstrap holds one per thread. An
-operator keeps its first column, one quarter of the minimal embedding
-spectrum and the padded half spectrum its matvecs use, and a draw holds
-about one normal array and the half spectrum at a time. The CSV reader
-holds one block of row tokens beside the values read so far.
+operator keeps one quarter of the minimal embedding spectrum and the
+padded half spectrum its matvecs use, not its first column, and a draw
+holds about one normal array and the half spectrum at a time. The CSV
+reader holds one block of row tokens beside the values read so far.
 """
 
 import tracemalloc
@@ -18,7 +18,7 @@ from kryging import estimation
 from kryging.data import Dataset, read_dataset, write_dataset
 from kryging.estimation import FitResult, bootstrap_uq, fit
 from kryging.gengk import gengk_factorize
-from kryging.grid import GridSpec, MaternSpec, ThetaParams
+from kryging.grid import GridSpec, ThetaParams
 from kryging.likelihood import ModelData, evaluate_objective
 from kryging.toeplitz import BttbOperator
 
@@ -54,7 +54,7 @@ def colocated():
 
 
 def test_factorization_stores_only_the_observation_basis(traced, colocated):
-    op = BttbOperator.from_matern(colocated.grid, MaternSpec(1.0, THETA.rho, 0.5))
+    op = BttbOperator.from_matern(colocated.grid, THETA.rho, 0.5)
     b = colocated.y - 2.0
     f, peak = traced(lambda: gengk_factorize(colocated.amap, op, b, THETA.tau2, K))
     assert f.k == K
@@ -85,18 +85,18 @@ def test_bootstrap_holds_one_replicate_per_thread(traced, colocated, monkeypatch
 def test_operator_holds_a_quarter_of_the_embedding_spectrum(traced, n1, n2):
     g = GridSpec(n1, n2)
     base = tracemalloc.get_traced_memory()[0]
-    op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))
+    op = BttbOperator.from_matern(g, 0.1, 0.5)
     held = tracemalloc.get_traced_memory()[0] - base
     f1, f2 = op._fast_dims
-    # first column and quarter (n floats each), padded rfft2 spectrum;
-    # the full (m2, m1) spectrum would add about 4n floats
-    assert held <= 1.05 * 8 * (2 * g.n + f2 * (f1 // 2 + 1))
+    # quarter (n floats) and padded rfft2 spectrum; a stored first column
+    # would add n floats, the full (m2, m1) spectrum about 4n
+    assert held <= 1.05 * 8 * (g.n + f2 * (f1 // 2 + 1))
 
 
 @pytest.mark.parametrize("n", [200, 300])
 def test_sample_peak_stays_under_three_embedding_arrays(traced, n):
     g = GridSpec(n, n)
-    op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))
+    op = BttbOperator.from_matern(g, 0.1, 0.5)
     m1, m2 = op.embed_dims
     draw, peak = traced(lambda: op.sample(0))
     assert draw.shape == (g.n,)

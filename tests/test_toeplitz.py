@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from kryging.grid import GridSpec, MaternSpec, first_column, matern_corr
+from kryging.grid import GridSpec, first_column, matern_corr
 from kryging.toeplitz import (
     CLAMP_FAIL_FRACTION,
     BttbOperator,
@@ -41,9 +41,8 @@ class TestMatvec:
 
     def test_matches_dense_product(self, rng):
         g = GridSpec(4, 4)
-        spec = MaternSpec(1.0, 0.2, 0.5)
-        S = dense_corr(g, spec.rho, spec.nu)
-        op = BttbOperator.from_matern(g, spec)
+        S = dense_corr(g, 0.2, 0.5)
+        op = BttbOperator.from_matern(g, 0.2, 0.5)
         v = rng.standard_normal(g.n)
         out = op.matvec(v)
         ref = S @ v
@@ -51,12 +50,12 @@ class TestMatvec:
 
     def test_zero_vector(self):
         g = GridSpec(4, 3)
-        op = BttbOperator.from_matern(g, MaternSpec(2.0, 0.3, 0.5))
+        op = BttbOperator(g, 2.0 * first_column(g, 0.3, 0.5))
         np.testing.assert_array_equal(op.matvec(np.zeros(g.n)), np.zeros(g.n))
 
     def test_reproduces_first_column(self):
         g = GridSpec(6, 5)
-        col = first_column(g, MaternSpec(1.4, 0.25, 1.5))
+        col = 1.4 * first_column(g, 0.25, 1.5)
         op = BttbOperator(g, col)
         e1 = np.zeros(g.n)
         e1[0] = 1.0
@@ -66,7 +65,7 @@ class TestMatvec:
         # 7x6 pads both embedding axes (13 -> 15, 11 -> 12); the padded
         # product must equal one through the minimal (2n-1) embedding
         g = GridSpec(7, 6)
-        col = first_column(g, MaternSpec(1.0, 0.3, 0.5))
+        col = first_column(g, 0.3, 0.5)
         op = BttbOperator(g, col)
         assert op.clamp_count == 0
         m1, m2 = op.embed_dims
@@ -82,7 +81,7 @@ class TestMatvec:
 
     def test_linearity(self, rng):
         g = GridSpec(6, 6)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.15, 0.5))
+        op = BttbOperator.from_matern(g, 0.15, 0.5)
         u, v = rng.standard_normal((2, g.n))
         a, b = 1.7, -0.4
         lhs = op.matvec(a * u + b * v)
@@ -91,7 +90,7 @@ class TestMatvec:
 
     def test_symmetry(self, rng):
         g = GridSpec(8, 5)
-        op = BttbOperator.from_matern(g, MaternSpec(1.3, 0.2, 0.5))
+        op = BttbOperator(g, 1.3 * first_column(g, 0.2, 0.5))
         for _ in range(5):
             u, v = rng.standard_normal((2, g.n))
             assert np.dot(u, op.matvec(v)) == pytest.approx(
@@ -100,7 +99,7 @@ class TestMatvec:
 
     def test_dimension_mismatch(self):
         g = GridSpec(4, 4)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5))
+        op = BttbOperator.from_matern(g, 0.2, 0.5)
         with pytest.raises(ValueError):
             op.matvec(np.ones(g.n + 1))
 
@@ -108,13 +107,13 @@ class TestMatvec:
 class TestStructure:
     def test_embedding_dimensions(self):
         g = GridSpec(9, 4)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5))
+        op = BttbOperator.from_matern(g, 0.2, 0.5)
         assert op.embed_dims == (17, 7)
         assert full_spectrum(op).shape == (7, 17)
 
     def test_eigenvalues_real_and_clamped_floor(self):
         g = GridSpec(8, 8)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))
+        op = BttbOperator.from_matern(g, 0.1, 0.5)
         eigs = full_spectrum(op)
         assert eigs.dtype.kind == "f"
         assert op.clamp_count == 0
@@ -126,9 +125,9 @@ class TestStructure:
     @pytest.mark.parametrize("n1, n2", [(7, 6), (9, 4), (12, 7), (11, 5), (8, 5)])
     def test_spectrum_matches_full_transform_oracle(self, n1, n2):
         g = GridSpec(n1, n2)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5))
+        op = BttbOperator.from_matern(g, 0.2, 0.5)
         assert op.clamp_count == 0
-        base = op.first_col.reshape(n2, n1)
+        base = first_column(g, 0.2, 0.5).reshape(n2, n1)
         m1, m2 = op.embed_dims
         eigs = full_spectrum(op)
         # exactly even: frequency (k2, k1) equals (-k2, -k1) bit for bit
@@ -149,9 +148,10 @@ class TestStructure:
                                                  (12, 12, 2.5, 30.0)])
     def test_clamp_count_matches_full_oracle_spectrum(self, n1, n2, nu, rho):
         g = GridSpec(n1, n2)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, rho, nu))
+        op = BttbOperator.from_matern(g, rho, nu)
         m1, m2 = op.embed_dims
-        oracle = np.fft.fft2(circulant_embedding(op.first_col.reshape(n2, n1), m1, m2)).real
+        base = first_column(g, rho, nu).reshape(n2, n1)
+        oracle = np.fft.fft2(circulant_embedding(base, m1, m2)).real
         expected = int((oracle < 1e-12 * oracle.max()).sum())
         assert expected > 0
         assert op.clamp_count == expected
@@ -159,7 +159,7 @@ class TestStructure:
 
     def test_no_full_size_spectrum_is_stored(self):
         g = GridSpec(9, 4)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5))
+        op = BttbOperator.from_matern(g, 0.2, 0.5)
         m1, m2 = op.embed_dims
         arrays = [v for v in vars(op).values() if isinstance(v, np.ndarray)]
         assert arrays and all(a.shape != (m2, m1) for a in arrays)
@@ -177,9 +177,8 @@ class TestLogdet:
         errs = {}
         for m in (8, 32):
             g = GridSpec(m, m)
-            spec = MaternSpec(1.0, 0.05, 0.5)
-            op = BttbOperator.from_matern(g, spec)
-            L = np.linalg.cholesky(dense_corr(g, spec.rho, spec.nu))
+            op = BttbOperator.from_matern(g, 0.05, 0.5)
+            L = np.linalg.cholesky(dense_corr(g, 0.05, 0.5))
             exact = 2.0 * np.log(np.diag(L)).sum()
             errs[m] = abs(op.logdet() - exact) / abs(exact)
         assert errs[32] < errs[8]
@@ -187,15 +186,15 @@ class TestLogdet:
 
     def test_sigma2_scales_by_n_log(self):
         g = GridSpec(6, 6)
-        base = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5)).logdet()
-        scaled = BttbOperator.from_matern(g, MaternSpec(2.5, 0.2, 0.5)).logdet()
+        base = BttbOperator.from_matern(g, 0.2, 0.5).logdet()
+        scaled = BttbOperator(g, 2.5 * first_column(g, 0.2, 0.5)).logdet()
         assert scaled - base == pytest.approx(g.n * np.log(2.5), rel=1e-10)
 
 
 class TestDlogdet:
     def test_zero_derivative_gives_zero(self):
         g = GridSpec(5, 5)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.2, 0.5))
+        op = BttbOperator.from_matern(g, 0.2, 0.5)
         dop = BttbOperator(g, np.zeros(g.n), clamp=False)
         assert dlogdet_drho(op, dop) == 0.0
 
@@ -205,11 +204,10 @@ class TestDlogdet:
         h = 1e-6 * rho
 
         def ld(r):
-            return BttbOperator.from_matern(g, MaternSpec(1.0, r, 0.5)).logdet()
+            return BttbOperator.from_matern(g, r, 0.5).logdet()
 
-        spec = MaternSpec(1.0, rho, 0.5)
-        op = BttbOperator.from_matern(g, spec)
-        dop = BttbOperator.from_matern_drho(g, spec)
+        op = BttbOperator.from_matern(g, rho, 0.5)
+        dop = BttbOperator.from_matern_drho(g, rho, 0.5)
         fd = (ld(rho + h) - ld(rho - h)) / (2 * h)
         assert dlogdet_drho(op, dop) == pytest.approx(fd, rel=1e-3)
 
@@ -217,9 +215,8 @@ class TestDlogdet:
         # approximation error comparable to the log-determinant's own
         g = GridSpec(8, 8)
         rho = 0.1
-        spec = MaternSpec(1.0, rho, 0.5)
-        op = BttbOperator.from_matern(g, spec)
-        dop = BttbOperator.from_matern_drho(g, spec)
+        op = BttbOperator.from_matern(g, rho, 0.5)
+        dop = BttbOperator.from_matern_drho(g, rho, 0.5)
         S = dense_corr(g, rho, 0.5)
         D = pairwise_distances(g)
         from kryging.grid import matern_corr_drho
@@ -235,9 +232,8 @@ class TestDlogdet:
         # half the spectrum clamped; the padded matvec is still exact,
         # but neither spectral reader may use it
         g = GridSpec(12, 12)
-        spec = MaternSpec(1.0, 30.0, 2.5)
-        op = BttbOperator.from_matern(g, spec)
-        dop = BttbOperator.from_matern_drho(g, spec)
+        op = BttbOperator.from_matern(g, 30.0, 2.5)
+        dop = BttbOperator.from_matern_drho(g, 30.0, 2.5)
         assert op.clamp_fraction > 0.49
         with pytest.raises(EmbeddingError, match="threshold"):
             op.logdet()
@@ -245,8 +241,8 @@ class TestDlogdet:
             dlogdet_drho(op, dop)
 
     def test_pair_requires_same_grid(self):
-        op = BttbOperator.from_matern(GridSpec(5, 5), MaternSpec(1.0, 0.2, 0.5))
-        dop = BttbOperator.from_matern_drho(GridSpec(6, 5), MaternSpec(1.0, 0.2, 0.5))
+        op = BttbOperator.from_matern(GridSpec(5, 5), 0.2, 0.5)
+        dop = BttbOperator.from_matern_drho(GridSpec(6, 5), 0.2, 0.5)
         with pytest.raises(ValueError):
             dlogdet_drho(op, dop)
 
@@ -261,13 +257,12 @@ class TestSampling:
 
     def test_determinism(self):
         g = GridSpec(10, 10)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.1, 0.5))
+        op = BttbOperator.from_matern(g, 0.1, 0.5)
         np.testing.assert_array_equal(op.sample(7), op.sample(7))
 
     def test_empirical_covariance_at_lags(self):
         g = GridSpec(16, 16)
-        spec = MaternSpec(1.0, 0.05, 0.5)
-        op = BttbOperator.from_matern(g, spec)
+        op = BttbOperator.from_matern(g, 0.05, 0.5)
         assert op.clamp_count == 0
         n_draws = 2000
         draws = np.stack([op.sample(np.random.default_rng(1000 + i)) for i in range(n_draws)])
@@ -276,7 +271,7 @@ class TestSampling:
         pts = g.node_coords()
         for i, j in pairs:
             d = np.linalg.norm(pts[i] - pts[j])
-            target = matern_corr(d, spec.rho, spec.nu)
+            target = matern_corr(d, 0.05, 0.5)
             prods = draws[:, i] * draws[:, j]
             mc_se = prods.std() / np.sqrt(n_draws)
             assert abs(prods.mean() - target) < 3 * mc_se
@@ -284,7 +279,7 @@ class TestSampling:
     @pytest.mark.parametrize("n1, n2", [(37, 23), (5, 9), (2, 2), (64, 31), (40, 40)])
     def test_matches_full_complex_transform(self, n1, n2):
         g = GridSpec(n1, n2)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.15, 0.5))
+        op = BttbOperator.from_matern(g, 0.15, 0.5)
         for seed in range(5):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = op.sample(rng)
@@ -297,7 +292,7 @@ class TestSampling:
                                                  (2, 2, 0.5, 0.15), (12, 12, 0.5, 0.69)])
     def test_bitwise_equal_to_half_spectrum_formula(self, n1, n2, nu, rho):
         g = GridSpec(n1, n2)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, rho, nu))
+        op = BttbOperator.from_matern(g, rho, nu)
         for seed in range(5):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = op.sample(rng)
@@ -308,7 +303,7 @@ class TestSampling:
     def test_untrustworthy_embedding_refuses_to_sample(self):
         # smooth kernel + range far beyond the domain: heavy clamping
         g = GridSpec(12, 12)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 30.0, 2.5))
+        op = BttbOperator.from_matern(g, 30.0, 2.5)
         assert op.clamp_fraction > CLAMP_FAIL_FRACTION
         with pytest.raises(EmbeddingError):
             op.sample(0)
@@ -317,7 +312,7 @@ class TestSampling:
         # an exponential kernel with a range near the domain clamps a few
         # percent of the spectrum, under the fixed threshold
         g = GridSpec(12, 12)
-        op = BttbOperator.from_matern(g, MaternSpec(1.0, 0.69, 0.5))
+        op = BttbOperator.from_matern(g, 0.69, 0.5)
         assert 0.0 < op.clamp_fraction <= CLAMP_FAIL_FRACTION
         out = op.sample(3)
         assert out.shape == (g.n,)
@@ -330,16 +325,14 @@ class TestRectangularGrids:
         # grids catch a transposed layout
         for n1, n2 in ((6, 12), (12, 6), (5, 17)):
             g = GridSpec(n1, n2)
-            spec = MaternSpec(1.0, 0.08, 0.5)
-            op = BttbOperator.from_matern(g, spec)
-            L = np.linalg.cholesky(dense_corr(g, spec.rho, spec.nu))
+            op = BttbOperator.from_matern(g, 0.08, 0.5)
+            L = np.linalg.cholesky(dense_corr(g, 0.08, 0.5))
             exact = 2.0 * np.log(np.diag(L)).sum()
             assert abs(op.logdet() - exact) / abs(exact) < 0.35
 
     def test_matvec_on_rectangular_grid(self, rng):
         g = GridSpec(3, 9)
-        spec = MaternSpec(1.2, 0.3, 1.5)
-        S = dense_corr(g, spec.rho, spec.nu) * spec.sigma2
-        op = BttbOperator.from_matern(g, spec)
+        S = dense_corr(g, 0.3, 1.5) * 1.2
+        op = BttbOperator(g, 1.2 * first_column(g, 0.3, 1.5))
         v = rng.standard_normal(g.n)
         np.testing.assert_allclose(op.matvec(v), S @ v, rtol=1e-10)
