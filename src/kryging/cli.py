@@ -3,11 +3,11 @@
 Subcommands: fit, predict (point predictions), bootstrap (predictions
 with bootstrap uncertainty), simulate, study; each takes only the flags
 it reads and reports any other with its own usage, and study refuses
-the flags of the other kind of design (modis or synthetic). A --config
-file of key=value lines supplies defaults: a key names one of the
-subcommand's own long flags (max_iter for --max-iter), and explicit
-flags override it. Exit codes: 0 success, 2 input error, 3
-numerical failure (no usable circulant embedding).
+the settings of the other kind of design (``_DESIGN_DEFAULTS``). A
+--config file of key=value lines supplies defaults: a key is the dest
+of one of the subcommand's flags (max_iter for --max-iter), and explicit
+flags override it. Exit codes: 0 success, 2 input error, 3 numerical
+failure (no usable circulant embedding).
 """
 
 from __future__ import annotations
@@ -42,19 +42,13 @@ from .study import (
 from .toeplitz import EmbeddingError
 
 
-def _dest(flag):
-    """The argparse destination of a long flag: --max-iter -> max_iter."""
-    return flag[2:].replace("-", "_")
-
-
 def _parse_config(path, command) -> dict:
     """Defaults for ``command`` (a subparser) from a key=value file. A key
-    names one of the command's long flags and is converted by its type."""
+    is the dest of one of the command's flags, converted by its type."""
     flags = {
-        _dest(opt): action
+        action.dest: action
         for action in command._actions
-        for opt in action.option_strings
-        if opt.startswith("--") and action.dest not in ("help", "config")
+        if action.option_strings and action.dest not in ("help", "config")
     }
     values = {}
     with open(path) as fh:
@@ -123,12 +117,6 @@ def _grid_from_args(args, locations) -> GridSpec:
     return GridSpec(n1, n2, x0 - dx, x1 + dx, y0 - dy, y1 + dy)
 
 
-def _resolve_init(text, nu):
-    if text == "auto":
-        return "auto"
-    return _parse_theta(text, nu)
-
-
 def cmd_fit(args) -> int:
     if args.k < 1:
         raise InputError(f"k must be >= 1, got {args.k}")
@@ -140,7 +128,7 @@ def cmd_fit(args) -> int:
     res = fit(
         data,
         k=args.k,
-        init=_resolve_init(args.init, args.nu),
+        init=args.init if args.init == "auto" else _parse_theta(args.init, args.nu),
         max_iter=args.max_iter,
         tol=args.tol,
     )
@@ -230,33 +218,36 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# study flags that only one kind of design reads, with their defaults
-# there; a design refuses the other kind's flags
-_MODIS_FLAGS = {"--grid": "500x300", "--extent": "auto", "--train": None, "--test": None,
-                "--init-grid": None, "--cv-folds": 5}
-_SYNTHETIC_FLAGS = {"--scale": 1.0, "--replicates": 5}
+# study settings (by dest) that one kind of design reads, with their
+# defaults there; the synthetic designs take nu from their parameters
+_DESIGN_DEFAULTS = {
+    "modis": {"grid": "500x300", "extent": "auto", "train": None, "test": None,
+              "init_grid": None, "cv_folds": 5, "nu": 0.5},
+    "synthetic": {"scale": 1.0, "replicates": 5},
+}
 
 
 def cmd_study(args) -> int:
-    own, other = ((_MODIS_FLAGS, _SYNTHETIC_FLAGS) if args.study == "modis"
-                  else (_SYNTHETIC_FLAGS, _MODIS_FLAGS))
-    stray = [flag for flag in other if getattr(args, _dest(flag)) is not None]
+    kind = "modis" if args.study == "modis" else "synthetic"
+    stray = []
+    for row, defaults in _DESIGN_DEFAULTS.items():
+        for dest, default in defaults.items():
+            if row != kind and getattr(args, dest) is not None:
+                stray.append("--" + dest.replace("_", "-"))
+            elif row == kind and getattr(args, dest) is None:
+                setattr(args, dest, default)
     if stray:
         raise InputError(f"study {args.study} does not read {', '.join(stray)}")
-    for flag, default in own.items():
-        if getattr(args, _dest(flag)) is None:
-            setattr(args, _dest(flag), default)
     if args.study == "modis":
         return _study_modis(args)
     if args.replicates < 1:
         raise InputError(f"replicates must be >= 1, got {args.replicates}")
     runner = {"grid-scaling": study_grid_scaling, "settings": study_settings,
               "irregular": study_irregular}[args.study]
-    results = runner(
-        k=args.k, replicates=args.replicates, scale=args.scale, seed=args.seed,
-        B=args.B, init="truth" if args.init == "truth" else _resolve_init(args.init, args.nu),
-        max_iter=args.max_iter,
-    )
+    # an explicit init's nu goes unread: fit takes nu from the data
+    init = args.init if args.init in ("truth", "auto") else _parse_theta(args.init, 0.5)
+    results = runner(k=args.k, replicates=args.replicates, scale=args.scale, seed=args.seed,
+                     B=args.B, init=init, max_iter=args.max_iter)
     table = format_study_tables(results)
     print(table)
     if args.out:
@@ -308,7 +299,7 @@ def _study_modis(args) -> int:
         ]
         theta0 = _cv_select_init(train, grid, candidates, args)
     else:  # a real dataset has no generating parameters to start from
-        theta0 = _resolve_init("auto" if args.init == "truth" else args.init, args.nu)
+        theta0 = "auto" if args.init in ("truth", "auto") else _parse_theta(args.init, args.nu)
     amap = build_map(train.locations, grid)
     data = ModelData(y=train.y, X=train.X, amap=amap, grid=grid, nu=args.nu)
     res = fit(data, k=args.k, init=theta0, max_iter=args.max_iter)
@@ -348,7 +339,7 @@ def _add_shared(p, *flags):
 
 def build_parser() -> tuple:
     """The top-level parser and a dict of its subcommand parsers by name.
-    ``needs`` names the flags a command requires, from argv or config."""
+    ``needs`` names the settings a command requires, from argv or config."""
     parser = argparse.ArgumentParser(
         prog="kryging",
         description="Krylov-subspace kriging for large spatial datasets",
@@ -365,15 +356,15 @@ def build_parser() -> tuple:
                    help='"auto" or xmin,xmax,ymin,ymax')
     p.add_argument("--covariates", help="comma-separated covariate columns")
     p.add_argument("data", help="input CSV (lon,lat,y[,covariates...])")
-    p.set_defaults(func=cmd_fit, needs=("--out",))
+    p.set_defaults(func=cmd_fit, needs=("out",))
 
     p = sub.add_parser("predict", help="point predictions at new locations from a fit")
     _add_shared(p, "--fit", "--locations")
-    p.set_defaults(func=cmd_predict, needs=("--fit", "--locations", "--out"))
+    p.set_defaults(func=cmd_predict, needs=("fit", "locations", "out"))
 
     p = sub.add_parser("bootstrap", help="predict with bootstrap uncertainty")
     _add_shared(p, "--fit", "--locations", "--B", "--seed")
-    p.set_defaults(func=cmd_bootstrap, needs=("--fit", "--locations", "--out"))
+    p.set_defaults(func=cmd_bootstrap, needs=("fit", "locations", "out"))
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     _add_shared(p, "--seed", "--nu")
@@ -383,10 +374,11 @@ def build_parser() -> tuple:
                    help="beta,sigma2,tau2,rho")
     p.add_argument("--thin", type=float, default=0.0,
                    help="fraction of lattice rows to discard at random")
-    p.set_defaults(func=cmd_simulate, needs=("--out",))
+    p.set_defaults(func=cmd_simulate, needs=("out",))
 
     p = sub.add_parser("study", help="run a desk-scale study design")
-    _add_shared(p, "--k", "--B", "--seed", "--max-iter", "--nu")
+    _add_shared(p, "--k", "--B", "--seed", "--max-iter")
+    p.add_argument("--nu", type=float, help="fixed smoothness (modis; default 0.5)")
     p.add_argument("--init", default="truth",
                    help='"truth" (the generating parameters; modis starts from '
                         '"auto" instead), "auto", or beta,sigma2,tau2,rho')
@@ -404,7 +396,7 @@ def build_parser() -> tuple:
                    help="semicolon-separated initial values for CV selection "
                         "(modis), each beta,sigma2,tau2,rho")
     p.add_argument("--cv-folds", type=int, help="CV folds for --init-grid (modis; default 5)")
-    p.set_defaults(func=cmd_study, needs=("--study",))
+    p.set_defaults(func=cmd_study, needs=("study",))
 
     return parser, sub.choices
 
@@ -438,7 +430,7 @@ def main(argv=None) -> int:
             args, extra = parser.parse_known_args(argv)
         if extra:
             command.error(f"unrecognized arguments: {' '.join(_unrecognized(argv, extra))}")
-        missing = [flag for flag in args.needs if not getattr(args, _dest(flag))]
+        missing = [f"--{dest}" for dest in args.needs if not getattr(args, dest)]
         if missing:
             command.error(f"the following arguments are required: {', '.join(missing)}")
         return args.func(args)

@@ -176,7 +176,8 @@ def fit(
         Krylov subspace order used throughout (default 50).
     init : "auto" or ThetaParams
         Starting point: :func:`auto_init`'s heuristic for ``"auto"``, else
-        the given parameters. Any other value raises ``TypeError``.
+        the given parameters, with one mean coefficient per column of X
+        (``ValueError`` otherwise). Any other value raises ``TypeError``.
     max_iter : int
         Cap on objective evaluations.
     tol : float
@@ -194,6 +195,9 @@ def fit(
         theta0 = auto_init(data)
     else:
         raise TypeError(f'init must be "auto" or a ThetaParams, got {init!r}')
+    if theta0.beta.size != data.X.shape[1]:
+        raise ValueError(f"init gives {theta0.beta.size} mean coefficient(s) "
+                         f"for {data.X.shape[1]} column(s) of X")
 
     t0 = time.perf_counter()
     lo, hi = _feasible_box(data, theta0)

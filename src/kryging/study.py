@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,47 +59,32 @@ class ReplicateResult:
     converged: bool
 
 
+def _mean_se(values) -> tuple:
+    """Mean and standard error of the mean over replicates."""
+    return float(np.mean(values)), float(np.std(values) / math.sqrt(len(values)))
+
+
 @dataclass
 class StudyResult:
     label: str
     replicates: list
     theta_true: ThetaParams
 
-    def rmse(self) -> tuple:
-        vals = [r.rmse for r in self.replicates]
-        return float(np.mean(vals)), float(np.std(vals) / math.sqrt(len(vals)))
-
-    def coverage(self) -> tuple:
-        vals = [r.coverage for r in self.replicates]
-        return float(np.mean(vals)), float(np.std(vals) / math.sqrt(len(vals)))
-
-    def median_time(self) -> float:
-        return float(np.median([r.seconds for r in self.replicates]))
-
     def param_rmse(self) -> dict:
-        t = self.theta_true
-        out = {}
-        for name, true in (
-            ("beta", t.beta[0]),
-            ("sigma2", t.sigma2),
-            ("tau2", t.tau2),
-            ("rho", t.rho),
-        ):
-            ests = np.array(
-                [
-                    r.theta_hat.beta[0] if name == "beta" else getattr(r.theta_hat, name)
-                    for r in self.replicates
-                ]
-            )
-            out[name] = float(np.sqrt(np.mean((ests - true) ** 2)))
-        return out
+        def vec(th):
+            return [th.beta[0], th.sigma2, th.tau2, th.rho]
+
+        err = np.array([vec(r.theta_hat) for r in self.replicates]) - vec(self.theta_true)
+        return {name: float(np.sqrt(np.mean(e**2)))
+                for name, e in zip(("beta", "sigma2", "tau2", "rho"), err.T)}
 
     def table_row(self) -> str:
-        r, rse = self.rmse()
-        c, cse = self.coverage()
+        r, rse = _mean_se([rep.rmse for rep in self.replicates])
+        c, cse = _mean_se([rep.coverage for rep in self.replicates])
+        medtime = np.median([rep.seconds for rep in self.replicates])
         return (
             f"{self.label:<16} rmse={r:.3f} (se {rse:.3f})  "
-            f"coverage={c:.3f} (se {cse:.3f})  medtime={self.median_time():.1f}s"
+            f"coverage={c:.3f} (se {cse:.3f})  medtime={medtime:.1f}s"
         )
 
 

@@ -171,6 +171,16 @@ class TestFit:
         for key, value in arrays[0].items():
             np.testing.assert_array_equal(arrays[1][key], value)
 
+    def test_init_with_another_number_of_mean_coefficients_exits_2(self, workdir, capsys):
+        data = workdir / "cov.csv"
+        data.write_text("lon,lat,y,elev\n0.1,0.2,1,5\n0.4,0.7,2,3\n0.8,0.3,0.5,1\n")
+        rc = run_cli(["fit", "--grid", "6x6", "--extent", "0,1,0,1", "--covariates", "elev",
+                      "--init", "1,2,0.5,0.1", "--out", workdir / "c.npz", data])
+        assert rc == 2
+        assert "error: init gives 1 mean coefficient(s) for 2 column(s) of X" in (
+            capsys.readouterr().err)
+        assert not (workdir / "c.npz").exists()
+
     def test_parse_error_reports_line(self, workdir, capsys):
         bad = workdir / "bad.csv"
         bad.write_text("lon,lat,y\n0.1,0.2,1.0\n0.3,oops,2.0\n")
@@ -331,7 +341,8 @@ def test_unknown_flag_before_the_data_path_is_the_one_reported(workdir, capsys):
 
 # study flags that only modis, or only the synthetic designs, read
 MODIS_FLAGS = {"--grid": "5x5", "--extent": "0,1,0,1", "--train": "t.csv",
-               "--test": "t.csv", "--init-grid": "1,1,1,0.1", "--cv-folds": "3"}
+               "--test": "t.csv", "--init-grid": "1,1,1,0.1", "--cv-folds": "3",
+               "--nu": "2.5"}
 SYNTHETIC_FLAGS = {"--scale": "0.5", "--replicates": "2"}
 
 
@@ -363,6 +374,53 @@ def test_study_designs_resolve_their_own_defaults(monkeypatch):
     assert (seen["grid"], seen["extent"], seen["cv_folds"], seen["init_grid"]) == (
         "500x300", "auto", 5, None)
     assert (seen["scale"], seen["replicates"]) == (None, None)
+
+
+def test_modis_reads_nu(workdir, monkeypatch):
+    from kryging import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "_study_modis", lambda args: seen.append(args.nu) or 0)
+    cfg = workdir / "run.cfg"
+    cfg.write_text("nu=1.5\n")
+    modis = ["study", "--study", "modis", "--train", "t.csv", "--test", "v.csv"]
+    for setting in ([], ["--nu", "2.5"], ["--config", cfg]):
+        assert run_cli([*modis, *setting]) == 0
+    assert seen == [0.5, 2.5, 1.5]
+
+
+@pytest.mark.parametrize("args,message", [
+    (["bootstrap", "--fit", "f.npz", "--locations", "l.csv", "--B", "0", "--out", "p.csv"],
+     "error: bootstrap requires B >= 1"),
+    (["study", "--study", "modis"], "error: study modis requires --train and --test CSV paths"),
+    (["simulate", "--grid", "12by12", "--out", "s.csv"],
+     "error: grid must look like N1xN2, got '12by12'"),
+    (["simulate", "--theta", "1,two,0.5,0.1", "--out", "s.csv"],
+     "error: theta must be beta,sigma2,tau2,rho; got '1,two,0.5,0.1'"),
+])
+def test_input_error_exits_2(workdir, capsys, monkeypatch, args, message):
+    monkeypatch.chdir(workdir)
+    assert run_cli(args) == 2
+    assert message in capsys.readouterr().err
+    assert not any(workdir.iterdir())
+
+
+@pytest.mark.parametrize("args,message", [
+    (["fit", "data.csv"], "the following arguments are required: --out"),
+    (["fit", "--out", "f.npz", "a.csv", "b.csv"], "unrecognized arguments: b.csv"),
+])
+def test_usage_error_exits_2(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"kryging fit: error: {message}")
+
+
+def test_config_line_without_equals_exits_2(workdir, capsys):
+    cfg = workdir / "run.cfg"
+    cfg.write_text("k=5\nmax_iter 3\n")
+    assert run_cli(["fit", "--config", cfg, "--out", "f.npz", "data.csv"]) == 2
+    assert f"error: {cfg} line 2: expected key=value" in capsys.readouterr().err
 
 
 class TestConfig:
@@ -484,6 +542,16 @@ class TestStudyCommand:
         assert "setting-1" in text and "setting-4" in text
         assert "rmse=" in text and "coverage=" in text and "se " in text
         assert "sigma2=" in text  # parameter recovery table
+
+    def test_grid_scaling_study_smoke(self, workdir, capsys):
+        rc = run_cli(["study", "--study", "grid-scaling", "--scale", 0.05,
+                      "--replicates", 1, "--k", 5, "--B", 2, "--max-iter", 3])
+        assert rc == 0
+        out = capsys.readouterr().out
+        # sizes 100..400 scaled by 0.05, at least 16 nodes a side
+        labels = [line.split()[0] for line in out.splitlines() if "rmse=" in line]
+        assert labels == ["16x16", "16x16", "16x16", "20x20"]
+        assert out.count("sigma2=") == 4
 
     def test_init_defaults_to_the_runners_truth(self, monkeypatch):
         import inspect

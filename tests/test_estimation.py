@@ -12,9 +12,9 @@ import pytest
 import kryging
 from kryging import estimation
 from kryging.estimation import FitResult, _trust_step, auto_init, bootstrap_uq, fit, predict
-from kryging.gengk import gengk_factorize, solve
+from kryging.gengk import KrygingSolution, gengk_factorize, solve
 from kryging.grid import GridSpec, ThetaParams
-from kryging.likelihood import ModelData, evaluate_objective
+from kryging.likelihood import ModelData, ObjectiveState, evaluate_objective
 from kryging.mapping import build_map
 from kryging.simulate import simulate_dataset
 from kryging.toeplitz import BttbOperator, EmbeddingError
@@ -179,6 +179,105 @@ class TestFit:
         for init in ([TRUTH], "truth", None):
             with pytest.raises(TypeError, match="init"):
                 fit(data, k=5, init=init, max_iter=2)
+
+    def test_init_with_another_number_of_mean_coefficients_rejected(self, monkeypatch):
+        g, sim, data = simulated_data(6, TRUTH, seed=5)
+        data = dataclasses.replace(data, X=np.column_stack([data.X, np.arange(g.n)]))
+        calls = []
+        monkeypatch.setattr(estimation, "evaluate_objective",
+                            lambda *args: calls.append(args) or evaluate_objective(*args))
+        with pytest.raises(ValueError, match=r"init gives 1 mean coefficient\(s\) "
+                                             r"for 2 column\(s\) of X"):
+            fit(data, k=5, init=TRUTH, max_iter=2)
+        assert calls == []
+
+
+class TestTrustRegionStops:
+    """Each stop and radius update of fit's loop, driven by a scripted
+    objective in place of evaluate_objective; the loop runs unchanged."""
+
+    @staticmethod
+    def scripted(monkeypatch, value, grad):
+        """Make ``value(call, vec)`` the objective, with constant gradient
+        ``grad``; return the optimizer vectors it is called at."""
+        calls = []
+
+        def evaluate(data, theta, k):
+            vec = theta.to_optimizer_vector()
+            calls.append(vec)
+            solution = KrygingSolution(np.zeros(1), np.zeros(data.grid.n), 0.0, np.zeros(1))
+            return ObjectiveState(theta=theta, value=value(len(calls), vec), solution=solution,
+                                  psi=np.zeros(data.p), grad=np.asarray(grad, float),
+                                  diagnostics={})
+
+        monkeypatch.setattr(estimation, "evaluate_objective", evaluate)
+        return calls
+
+    @pytest.fixture
+    def data(self):
+        return simulated_data(6, TRUTH, seed=5)[2]
+
+    def test_radius_below_parameter_resolution(self, monkeypatch, data):
+        # every trial is worse: ten quarterings take the radius from 1
+        # below 1e-6, so the fit stops after 11 evaluations
+        calls = self.scripted(monkeypatch, lambda i, vec: float(i), [0.0, 1.0, 1.0, 1.0])
+        res = fit(data, k=5, init=TRUTH, max_iter=60)
+        assert res.diagnostics["stop_reason"] == "trust radius below parameter resolution"
+        assert res.converged
+        assert res.iterations == len(calls) == 11
+        assert res.objective_trace == [1.0]
+        np.testing.assert_array_equal(res.theta_hat.to_optimizer_vector(),
+                                      TRUTH.to_optimizer_vector())
+
+    def test_objective_change_below_tolerance(self, monkeypatch, data):
+        grad = 1e-12 * np.array([0.0, 1.0, 1.0, 1.0])
+        calls = self.scripted(monkeypatch, lambda i, vec: float(grad @ vec), grad)
+        res = fit(data, k=5, init=TRUTH, max_iter=60)
+        assert res.diagnostics["stop_reason"] == "objective change below tolerance"
+        assert res.converged
+        assert res.iterations == len(calls) == 2
+        assert res.objective_trace[1] < res.objective_trace[0]
+
+    def test_persistent_embedding_failure(self, monkeypatch, data):
+        def value(i, vec):
+            if i > 1:
+                raise EmbeddingError("injected")
+            return 0.0
+
+        self.scripted(monkeypatch, value, [0.0, 1.0, 1.0, 1.0])
+        res = fit(data, k=5, init=TRUTH, max_iter=60)
+        assert res.diagnostics["stop_reason"] == "persistent embedding failure"
+        assert not res.converged
+        assert (res.iterations, res.diagnostics["embedding_failures"]) == (11, 10)
+        assert res.objective_trace == [0.0]
+
+    def test_start_on_the_feasibility_bound(self, monkeypatch, data):
+        # rho starts at its upper bound, 3 x the domain diagonal, and the
+        # gradient pushes it up: the box clips that component of each step
+        start = dataclasses.replace(TRUTH, rho=3.0 * np.sqrt(2.0))
+        grad = np.array([0.0, 1.0, 1.0, -1.0])
+        calls = self.scripted(monkeypatch, lambda i, vec: float(grad @ vec), grad)
+        res = fit(data, k=5, init=start, max_iter=4)
+        assert res.diagnostics["stop_reason"] == "max_iter reached; estimate at feasibility bound"
+        assert not res.converged
+        assert len(calls) == len(res.objective_trace) == 4
+        steps = np.diff(calls, axis=0)
+        assert np.all(steps[:, 3] == 0) and np.all(steps[:, 1:3] < 0)
+        assert res.theta_hat.rho == pytest.approx(start.rho, rel=1e-12)
+
+    def test_radius_shrinks_on_a_poor_step_and_grows_back(self, monkeypatch, data):
+        # a small linear objective, so each step is cut to the radius and
+        # gains what the model predicts; the second evaluation is worse
+        grad = 1e-2 * np.array([0.0, 1.0, 1.0, 1.0])
+        calls = self.scripted(
+            monkeypatch, lambda i, vec: float(grad @ vec) + (1.0 if i == 2 else 0.0), grad)
+        res = fit(data, k=5, init=TRUTH, max_iter=6)
+        assert res.diagnostics["stop_reason"] == "max_iter reached"
+        accepted = [calls[0], *calls[2:]]
+        lengths = [np.linalg.norm(calls[1] - calls[0]),
+                   *np.linalg.norm(np.diff(accepted, axis=0), axis=1)]
+        np.testing.assert_allclose(lengths, [1.0, 0.25, 0.5, 1.0, 1.0], rtol=1e-12)
+        assert len(res.objective_trace) == 5
 
 
 class TestTrustStep:
