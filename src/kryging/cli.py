@@ -3,7 +3,9 @@
 Subcommands: fit, predict (point predictions), bootstrap (predictions
 with bootstrap uncertainty), simulate, study; each takes only the flags
 it reads and reports any other with its own usage, and study refuses
-the settings of the other kind of design (``_DESIGN_DEFAULTS``). A
+the settings of the other kind of design (``_DESIGN_DEFAULTS``). An
+--init is beta_1,...,beta_q,sigma2,tau2,rho, and --extent auto is the
+observations' bounding box, so gridded data lands on the nodes. A
 --config file of key=value lines supplies defaults: a key is the dest
 of one of the subcommand's flags (max_iter for --max-iter), and explicit
 flags override it. Exit codes: 0 success, 2 input error, 3 numerical
@@ -32,13 +34,7 @@ from .grid import GridSpec, ThetaParams
 from .likelihood import ModelData
 from .mapping import LocationError, build_map
 from .simulate import simulate_dataset
-from .study import (
-    format_study_tables,
-    score_predictions,
-    study_grid_scaling,
-    study_irregular,
-    study_settings,
-)
+from .study import format_study_tables, run_study, score_predictions
 from .toeplitz import EmbeddingError
 
 
@@ -84,13 +80,14 @@ def _parse_grid(text) -> tuple:
 
 
 def _parse_theta(text, nu) -> ThetaParams:
+    """beta_1,...,beta_q,sigma2,tau2,rho (q >= 1) at smoothness nu."""
     try:
         parts = [float(v) for v in text.split(",")]
     except ValueError:
         raise InputError(f"theta must be beta,sigma2,tau2,rho; got {text!r}")
-    if len(parts) != 4:
-        raise InputError(f"theta must have 4 components, got {len(parts)}")
-    return ThetaParams(np.array([parts[0]]), parts[1], parts[2], parts[3], nu)
+    if len(parts) < 4:
+        raise InputError(f"theta must have at least 4 components, got {len(parts)}")
+    return ThetaParams(np.array(parts[:-3]), *parts[-3:], nu)
 
 
 def _parse_extent(text):
@@ -109,12 +106,11 @@ def _grid_from_args(args, locations) -> GridSpec:
     extent = _parse_extent(args.extent)
     if extent is not None:
         return GridSpec(n1, n2, *extent)
-    # auto: observation bounding box padded by one raw spacing per side
-    x0, x1 = locations[:, 0].min(), locations[:, 0].max()
-    y0, y1 = locations[:, 1].min(), locations[:, 1].max()
-    dx = (x1 - x0) / max(n1 - 1, 1) or 1.0
-    dy = (y1 - y0) / max(n2 - 1, 1) or 1.0
-    return GridSpec(n1, n2, x0 - dx, x1 + dx, y0 - dy, y1 + dy)
+    # auto: the observations' bounding box, an axis of zero width widened
+    # by 1 on each side; gridded data then lands on the nodes
+    lo, hi = locations.min(axis=0), locations.max(axis=0)
+    pad = (lo == hi).astype(float)
+    return GridSpec(n1, n2, lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1])
 
 
 def cmd_fit(args) -> int:
@@ -203,6 +199,8 @@ def cmd_simulate(args) -> int:
     n1, n2 = _parse_grid(args.grid)
     grid = GridSpec(n1, n2, *(_parse_extent(args.extent) or (0.0, 1.0, 0.0, 1.0)))
     theta = _parse_theta(args.theta, args.nu)
+    if theta.beta.size != 1:  # the simulated mean is an intercept
+        raise InputError(f"theta must have 4 components, got {theta.beta.size + 3}")
     sim = simulate_dataset(grid, theta, seed=args.seed, thin_fraction=args.thin)
     write_dataset(args.out, sim.dataset)
     truth_path = str(args.out) + ".truth.csv"
@@ -240,14 +238,10 @@ def cmd_study(args) -> int:
         raise InputError(f"study {args.study} does not read {', '.join(stray)}")
     if args.study == "modis":
         return _study_modis(args)
-    if args.replicates < 1:
-        raise InputError(f"replicates must be >= 1, got {args.replicates}")
-    runner = {"grid-scaling": study_grid_scaling, "settings": study_settings,
-              "irregular": study_irregular}[args.study]
     # an explicit init's nu goes unread: fit takes nu from the data
     init = args.init if args.init in ("truth", "auto") else _parse_theta(args.init, 0.5)
-    results = runner(k=args.k, replicates=args.replicates, scale=args.scale, seed=args.seed,
-                     B=args.B, init=init, max_iter=args.max_iter)
+    results = run_study(args.study, k=args.k, replicates=args.replicates, scale=args.scale,
+                        seed=args.seed, B=args.B, init=init, max_iter=args.max_iter)
     table = format_study_tables(results)
     print(table)
     if args.out:
@@ -278,7 +272,7 @@ def _cv_select_init(train, grid, candidates, args):
             res = fit(data, k=args.k, init=cand, max_iter=args.max_iter)
             amap_te = build_map(te.locations, grid)
             yhat = predict(res, amap_te, X_pred=te.X, allow_unconverged=True)
-            errs.append(float(np.sqrt(np.mean((yhat - te.y) ** 2))))
+            errs.append(score_predictions(te.y, yhat)["rmse"])
         scores.append(float(np.mean(errs)))
     best = int(np.argmin(scores))
     print(f"cv init selection: candidate {best} (rmse {scores[best]:.4f})")
@@ -348,7 +342,7 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("fit", help="estimate parameters from a CSV dataset")
     _add_shared(p, "--k", "--max-iter", "--nu")
-    p.add_argument("--init", default="auto", help='"auto" or beta,sigma2,tau2,rho')
+    p.add_argument("--init", default="auto", help='"auto" or beta_1,...,beta_q,sigma2,tau2,rho')
     p.add_argument("--tol", type=float, default=1e-8,
                    help="relative objective-change stopping tolerance")
     p.add_argument("--grid", default="100x100", help="latent grid N1xN2")

@@ -1,6 +1,9 @@
-"""Desk-scale study runners: synthetic designs and held-out scoring.
+"""Desk-scale studies: synthetic designs and held-out scoring.
 
-Each replicate simulates a field, holds out a share of the observations,
+A synthetic design (grid-scaling, settings, irregular) is a list of rows,
+each a source lattice, a latent lattice, generating parameters and a
+thinned share, and :func:`run_study` runs every row of one design. Each
+replicate simulates a field, holds out a share of the observations,
 fits on the rest, predicts the held-out responses with bootstrap
 intervals, and scores RMSE, 95% coverage, and timing; parameter-recovery
 errors are aggregated across replicates.
@@ -31,9 +34,7 @@ __all__ = [
     "ReplicateResult",
     "StudyResult",
     "run_replicate",
-    "study_grid_scaling",
-    "study_settings",
-    "study_irregular",
+    "run_study",
     "score_predictions",
     "SETTING_THETAS",
 ]
@@ -158,68 +159,42 @@ def run_replicate(
     )
 
 
-def _unit_grid(size: int) -> GridSpec:
-    return GridSpec(size, size, 0.0, 1.0, 0.0, 1.0)
+def _configs(design: str, scale: float) -> list:
+    """The rows of one synthetic design: (label, source side, latent
+    side, generating theta values, thinned share), each side shrunk by
+    ``scale`` and kept at 16 nodes or more."""
+    def side(size):
+        return max(16, round(size * scale))
+
+    if design == "grid-scaling":  # co-located, increasing sizes
+        return [(f"{side(s)}x{side(s)}", side(s), side(s), BASELINE_THETA, 0.0)
+                for s in (100, 200, 300, 400)]
+    if design == "settings":  # one co-located size, four parameter settings
+        return [(f"setting-{s}", side(200), side(200), vals, 0.0)
+                for s, vals in SETTING_THETAS.items()]
+    if design == "irregular":  # a thinned source on coarser latent grids
+        return [(f"latent {side(s)}x{side(s)}", side(1000), side(s), BASELINE_THETA, 0.96)
+                for s in (200, 300, 400)]
+    raise ValueError(f"unknown study design {design!r}")
 
 
-def _scaled(size: int, scale: float) -> int:
-    return max(16, round(size * scale))
-
-
-def _run_config(label, source_grid, latent_grid, theta, k, replicates, seed, **kw):
-    reps = [
-        run_replicate(source_grid, latent_grid, theta, k, seed=seed + 1000 * r, **kw)
-        for r in range(replicates)
-    ]
-    return StudyResult(label=label, replicates=reps, theta_true=theta)
-
-
-def study_grid_scaling(
-    k: int = 50, replicates: int = 5, scale: float = 1.0, seed: int = 0,
-    sizes=(100, 200, 300, 400), **kw,
-) -> list:
-    """Co-located design at increasing grid sizes, baseline parameters."""
-    theta = ThetaParams(np.array([BASELINE_THETA[0]]), *BASELINE_THETA[1:])
+def run_study(design: str, k: int = 50, replicates: int = 5, scale: float = 1.0,
+              seed: int = 0, **kw) -> list:
+    """Run each row of a synthetic design ("grid-scaling", "settings" or
+    "irregular") ``replicates`` times on the unit square; ``kw`` goes to
+    :func:`run_replicate`. One StudyResult per row."""
+    rows = _configs(design, scale)
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     out = []
-    for size in sizes:
-        m = _scaled(size, scale)
-        g = _unit_grid(m)
-        out.append(_run_config(f"{m}x{m}", g, g, theta, k, replicates, seed, **kw))
-    return out
-
-
-def study_settings(
-    k: int = 50, replicates: int = 5, scale: float = 1.0, seed: int = 0,
-    size: int = 200, settings=(1, 2, 3, 4), **kw,
-) -> list:
-    """Fixed grid size, four covariance-parameter settings."""
-    m = _scaled(size, scale)
-    g = _unit_grid(m)
-    out = []
-    for s in settings:
-        vals = SETTING_THETAS[s]
+    for label, source, latent, vals, thin in rows:
         theta = ThetaParams(np.array([vals[0]]), *vals[1:])
-        out.append(_run_config(f"setting-{s}", g, g, theta, k, replicates, seed, **kw))
-    return out
-
-
-def study_irregular(
-    k: int = 50, replicates: int = 5, scale: float = 1.0, seed: int = 0,
-    source_size: int = 1000, thin_fraction: float = 0.96,
-    latent_sizes=(200, 300, 400), **kw,
-) -> list:
-    """Thinned irregular observations modeled on coarser latent grids."""
-    theta = ThetaParams(np.array([BASELINE_THETA[0]]), *BASELINE_THETA[1:])
-    src = _unit_grid(_scaled(source_size, scale))
-    out = []
-    for size in latent_sizes:
-        m = _scaled(size, scale)
-        out.append(
-            _run_config(
-                f"latent {m}x{m}", src, _unit_grid(m), theta, k, replicates, seed,
-                thin_fraction=thin_fraction, **kw,
-            )
-        )
+        src, lat = (GridSpec(m, m, 0.0, 1.0, 0.0, 1.0) for m in (source, latent))
+        reps = [
+            run_replicate(src, lat, theta, k, seed=seed + 1000 * r, thin_fraction=thin, **kw)
+            for r in range(replicates)
+        ]
+        out.append(StudyResult(label=label, replicates=reps, theta_true=theta))
     return out
 
 

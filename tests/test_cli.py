@@ -139,6 +139,56 @@ class TestFit:
         assert rc == 2
         assert "outside" in capsys.readouterr().err
 
+    @staticmethod
+    def recorded_maps(monkeypatch):
+        """The (grid, map) pairs the CLI builds from here on."""
+        from kryging import cli
+
+        maps, real = [], cli.build_map
+
+        def recording(locations, grid):
+            maps.append((grid, real(locations, grid)))
+            return maps[-1][1]
+
+        monkeypatch.setattr(cli, "build_map", recording)
+        return maps
+
+    def test_auto_extent_puts_gridded_data_on_the_nodes(self, workdir, monkeypatch):
+        data = simulate(workdir)  # 12x12 on the unit square
+        maps = self.recorded_maps(monkeypatch)
+        assert run_cli(["fit", "--grid", "12x12", "--k", 5, "--max-iter", 3,
+                        "--out", workdir / "f.npz", data]) == 0
+        [(_, amap)] = maps
+        # one unit weight per observation, each on its own node
+        np.testing.assert_array_equal(amap.indptr, np.arange(145))
+        assert np.all(amap.data == 1.0)
+        np.testing.assert_array_equal(np.sort(amap.indices), np.arange(144))
+
+    def test_auto_extent_widens_an_axis_of_zero_width_by_1(self, workdir, monkeypatch):
+        line = workdir / "line.csv"
+        line.write_text("lon,lat,y\n0.1,0.5,1\n0.4,0.5,2\n0.9,0.5,0.5\n")
+        maps = self.recorded_maps(monkeypatch)
+        assert run_cli(["fit", "--grid", "4x4", "--k", 3, "--max-iter", 3,
+                        "--out", workdir / "f.npz", line]) == 0
+        [(grid, _)] = maps
+        assert (grid.x_min, grid.x_max, grid.y_min, grid.y_max) == (0.1, 0.9, -0.5, 1.5)
+
+    def test_auto_extent_refuses_targets_outside_the_training_box(self, workdir, capsys):
+        rng = np.random.default_rng(5)
+        rows = [f"{x:.4f},{y:.4f},{v:.4f}" for x, y, v in rng.uniform(0.2, 0.8, (30, 3))]
+        data = workdir / "box.csv"
+        data.write_text("lon,lat,y\n" + "\n".join(rows) + "\n")
+        fitfile = workdir / "fit.npz"
+        assert run_cli(["fit", "--grid", "6x6", "--k", 5, "--max-iter", 3,
+                        "--out", fitfile, data]) == 0
+        locs = workdir / "locs.csv"
+        for target, rc in (("0.5,0.5", 0), ("0.9,0.5", 2)):
+            locs.write_text(f"lon,lat\n{target}\n")
+            assert run_cli(["predict", "--fit", fitfile, "--locations", locs,
+                            "--out", workdir / "p.csv"]) == rc
+        assert "1 locations outside grid extents, first offenders: [0]" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("header,flags", [
         ("lon,lat,y,a,a", []), ("lon,lat,y,a,b", ["--covariates", "a,a"]),
     ])
@@ -180,6 +230,17 @@ class TestFit:
         assert "error: init gives 1 mean coefficient(s) for 2 column(s) of X" in (
             capsys.readouterr().err)
         assert not (workdir / "c.npz").exists()
+
+    def test_init_gives_one_mean_coefficient_per_column_of_x(self, workdir):
+        from kryging.data import load_fit_artifact
+
+        data = workdir / "cov.csv"
+        data.write_text("lon,lat,y,elev\n0.1,0.2,1,5\n0.4,0.7,2,3\n0.8,0.3,0.5,1\n")
+        fitfile = workdir / "c.npz"
+        assert run_cli(["fit", "--grid", "6x6", "--extent", "0,1,0,1", "--covariates", "elev",
+                        "--init", "1,0.5,2,0.5,0.1", "--out", fitfile, data]) == 0
+        res, _ = load_fit_artifact(fitfile)
+        assert res.theta_hat.beta.size == 2
 
     def test_parse_error_reports_line(self, workdir, capsys):
         bad = workdir / "bad.csv"
@@ -363,7 +424,7 @@ def test_study_designs_resolve_their_own_defaults(monkeypatch):
     from kryging import cli
 
     seen = {}
-    monkeypatch.setattr(cli, "study_settings", lambda **kwargs: seen.update(kwargs) or [])
+    monkeypatch.setattr(cli, "run_study", lambda design, **kwargs: seen.update(kwargs) or [])
     monkeypatch.setattr(cli, "format_study_tables", lambda results: "")
     assert run_cli(["study", "--study", "settings"]) == 0
     assert (seen["scale"], seen["replicates"]) == (1.0, 5)
@@ -397,6 +458,10 @@ def test_modis_reads_nu(workdir, monkeypatch):
      "error: grid must look like N1xN2, got '12by12'"),
     (["simulate", "--theta", "1,two,0.5,0.1", "--out", "s.csv"],
      "error: theta must be beta,sigma2,tau2,rho; got '1,two,0.5,0.1'"),
+    (["simulate", "--theta", "1,2,2,0.5,0.1", "--out", "s.csv"],
+     "error: theta must have 4 components, got 5"),
+    (["simulate", "--theta", "2,0.5,0.1", "--out", "s.csv"],
+     "error: theta must have at least 4 components, got 3"),
 ])
 def test_input_error_exits_2(workdir, capsys, monkeypatch, args, message):
     monkeypatch.chdir(workdir)
@@ -560,11 +625,11 @@ class TestStudyCommand:
 
         seen = {}
 
-        def runner(**kwargs):
+        def runner(design, **kwargs):
             seen.update(kwargs)
             return []
 
-        monkeypatch.setattr(cli, "study_settings", runner)
+        monkeypatch.setattr(cli, "run_study", runner)
         monkeypatch.setattr(cli, "format_study_tables", lambda results: "")
         assert run_cli(["study", "--study", "settings"]) == 0
         assert seen["init"] == "truth"

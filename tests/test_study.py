@@ -12,10 +12,12 @@ import kryging
 from kryging.grid import GridSpec, ThetaParams
 from kryging.simulate import simulate_dataset
 from kryging.study import (
+    SETTING_THETAS,
+    _configs,
     format_study_tables,
     run_replicate,
+    run_study,
     score_predictions,
-    study_irregular,
 )
 
 THETA = ThetaParams(np.array([10.0]), 2.0, 0.4, 0.15)
@@ -85,13 +87,48 @@ class TestRunners:
         assert r1.theta_hat.sigma2 == r2.theta_hat.sigma2
 
     def test_irregular_runner_smoke(self):
-        results = study_irregular(
-            k=6, replicates=1, scale=1.0, seed=2, source_size=24,
-            thin_fraction=0.5, latent_sizes=(16,), B=3, max_iter=10,
-        )
-        assert len(results) == 1
+        results = run_study("irregular", k=6, replicates=1, scale=0.03, seed=2, B=3,
+                            max_iter=10)
+        assert len(results) == 3
         table = format_study_tables(results)
         assert "rmse=" in table and "coverage=" in table and "rho=" in table
+
+    @pytest.mark.parametrize("design,kw,message", [
+        ("settings", {"replicates": 0}, "replicates must be >= 1, got 0"),
+        ("modis", {}, "unknown study design 'modis'"),
+    ])
+    def test_bad_design_or_replicates_raise_before_any_replicate(
+            self, monkeypatch, design, kw, message):
+        from kryging import study
+
+        monkeypatch.setattr(study, "run_replicate", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=message):
+            run_study(design, **kw)
+
+
+class TestDesigns:
+    BASELINE = (44.49, 3.0, 0.5, 0.1)
+
+    def test_grid_scaling_is_co_located_at_four_sizes(self):
+        assert _configs("grid-scaling", 1.0) == [
+            (f"{m}x{m}", m, m, self.BASELINE, 0.0) for m in (100, 200, 300, 400)
+        ]
+
+    def test_settings_run_four_thetas_at_one_size(self):
+        assert _configs("settings", 1.0) == [
+            (f"setting-{s}", 200, 200, SETTING_THETAS[s], 0.0) for s in (1, 2, 3, 4)
+        ]
+
+    def test_irregular_thins_one_source_onto_three_latent_grids(self):
+        assert _configs("irregular", 1.0) == [
+            (f"latent {m}x{m}", 1000, m, self.BASELINE, 0.96) for m in (200, 300, 400)
+        ]
+
+    @pytest.mark.parametrize("design", ["grid-scaling", "settings", "irregular"])
+    def test_sides_shrink_with_scale_but_keep_16_nodes(self, design):
+        sides = [(source, latent) for _, source, latent, _, _ in _configs(design, 0.1)]
+        full = [(source, latent) for _, source, latent, _, _ in _configs(design, 1.0)]
+        assert sides == [(max(16, round(s / 10)), max(16, round(t / 10))) for s, t in full]
 
 
 def fresh_interpreter_output(code: str, cwd=None):
