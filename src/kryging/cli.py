@@ -5,11 +5,12 @@ with bootstrap uncertainty), simulate, study; each takes only the flags
 it reads and reports any other with its own usage, and study refuses
 the settings of the other kind of design (``_DESIGN_DEFAULTS``). An
 --init is beta_1,...,beta_q,sigma2,tau2,rho, and --extent auto is the
-observations' bounding box, so gridded data lands on the nodes. A
---config file of key=value lines supplies defaults: a key is the dest
-of one of the subcommand's flags (max_iter for --max-iter), and explicit
-flags override it. Exit codes: 0 success, 2 input error, 3 numerical
-failure (no usable circulant embedding).
+observations' bounding box, so gridded data lands on the nodes. An
+argument @args.txt is replaced, where it stands, by the file's lines,
+one argument per line (--max-iter=50); later arguments win, so flags
+after it override it. A path that starts with @ is written ./@name.
+Exit codes: 0 success, 2 input error, 3 numerical failure (no usable
+circulant embedding).
 """
 
 from __future__ import annotations
@@ -36,39 +37,6 @@ from .mapping import LocationError, build_map
 from .simulate import simulate_dataset
 from .study import format_study_tables, run_study, score_predictions
 from .toeplitz import EmbeddingError
-
-
-def _parse_config(path, command) -> dict:
-    """Defaults for ``command`` (a subparser) from a key=value file. A key
-    is the dest of one of the command's flags, converted by its type."""
-    flags = {
-        action.dest: action
-        for action in command._actions
-        if action.option_strings and action.dest not in ("help", "config")
-    }
-    values = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputError(f"{path} line {line_no}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            action = flags.get(key)
-            if action is None:
-                raise InputError(
-                    f"{path} line {line_no}: unknown key {key!r} "
-                    f"({command.prog} keys: {', '.join(sorted(flags))})"
-                )
-            try:
-                values[action.dest] = (action.type or str)(val.strip())
-                if action.choices and values[action.dest] not in action.choices:
-                    raise ValueError
-            except ValueError:
-                raise InputError(f"{path} line {line_no}: bad value for {key!r}")
-    return values
 
 
 def _parse_grid(text) -> tuple:
@@ -101,9 +69,8 @@ def _parse_extent(text):
     return x0, x1, y0, y1
 
 
-def _grid_from_args(args, locations) -> GridSpec:
-    n1, n2 = _parse_grid(args.grid)
-    extent = _parse_extent(args.extent)
+def _fit_grid(shape, extent, locations) -> GridSpec:
+    n1, n2 = shape
     if extent is not None:
         return GridSpec(n1, n2, *extent)
     # auto: the observations' bounding box, an axis of zero width widened
@@ -114,20 +81,17 @@ def _grid_from_args(args, locations) -> GridSpec:
 
 
 def cmd_fit(args) -> int:
+    # every flag value is checked before the data file is opened
     if args.k < 1:
         raise InputError(f"k must be >= 1, got {args.k}")
+    shape, extent = _parse_grid(args.grid), _parse_extent(args.extent)
+    init = args.init if args.init == "auto" else _parse_theta(args.init, args.nu)
     covs = args.covariates.split(",") if args.covariates else None
     dataset = read_dataset(args.data, covariates=covs)
-    grid = _grid_from_args(args, dataset.locations)
+    grid = _fit_grid(shape, extent, dataset.locations)
     amap = build_map(dataset.locations, grid)
     data = ModelData(y=dataset.y, X=dataset.X, amap=amap, grid=grid, nu=args.nu)
-    res = fit(
-        data,
-        k=args.k,
-        init=args.init if args.init == "auto" else _parse_theta(args.init, args.nu),
-        max_iter=args.max_iter,
-        tol=args.tol,
-    )
+    res = fit(data, k=args.k, init=init, max_iter=args.max_iter, tol=args.tol)
     save_fit_artifact(args.out, res, dataset)
 
     th = res.theta_hat
@@ -283,17 +247,19 @@ def _study_modis(args) -> int:
     """Train/test evaluation on an archived gridded temperature split."""
     if not (args.train and args.test):
         raise InputError("study modis requires --train and --test CSV paths")
+    # every flag value is checked before the CSVs are opened
+    shape, extent = _parse_grid(args.grid), _parse_extent(args.extent)
+    candidates = [
+        _parse_theta(part, args.nu) for part in (args.init_grid or "").split(";") if part
+    ]
+    # a real dataset has no generating parameters to start from
+    theta0 = "auto" if args.init in ("truth", "auto") else _parse_theta(args.init, args.nu)
     train = read_dataset(args.train)
     test = read_dataset(args.test)
-    grid = _grid_from_args(args, np.vstack([train.locations, test.locations]))
+    grid = _fit_grid(shape, extent, np.vstack([train.locations, test.locations]))
     t0 = time.perf_counter()
-    if args.init_grid:
-        candidates = [
-            _parse_theta(part, args.nu) for part in args.init_grid.split(";") if part
-        ]
+    if candidates:
         theta0 = _cv_select_init(train, grid, candidates, args)
-    else:  # a real dataset has no generating parameters to start from
-        theta0 = "auto" if args.init in ("truth", "auto") else _parse_theta(args.init, args.nu)
     amap = build_map(train.locations, grid)
     data = ModelData(y=train.y, X=train.X, amap=amap, grid=grid, nu=args.nu)
     res = fit(data, k=args.k, init=theta0, max_iter=args.max_iter)
@@ -314,34 +280,34 @@ def _study_modis(args) -> int:
 
 # flags that several subcommands read; each subparser adds only its own
 _SHARED_FLAGS = {
-    "--config": dict(help="key=value config file; flags override it"),
     "--k": dict(type=int, default=50, help="Krylov subspace order"),
     "--B": dict(type=int, default=20, help="bootstrap replicates"),
     "--seed": dict(type=int, default=0),
     "--max-iter": dict(type=int, default=200),
     "--nu": dict(type=float, default=0.5, help="fixed smoothness"),
-    "--fit": dict(help="fit artifact (.npz); required"),
-    "--locations": dict(help="CSV with lon,lat; required"),
-    "--out": dict(help="output path"),
+    "--fit": dict(required=True, help="fit artifact (.npz)"),
+    "--locations": dict(required=True, help="CSV with lon,lat"),
+    "--out": dict(required=True, help="output path"),
 }
 
 
 def _add_shared(p, *flags):
-    for flag in ("--config", *flags, "--out"):
+    for flag in flags:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> tuple:
     """The top-level parser and a dict of its subcommand parsers by name.
-    ``needs`` names the settings a command requires, from argv or config."""
+    The top-level parser expands @file arguments for every subcommand."""
     parser = argparse.ArgumentParser(
         prog="kryging",
         description="Krylov-subspace kriging for large spatial datasets",
+        fromfile_prefix_chars="@",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="estimate parameters from a CSV dataset")
-    _add_shared(p, "--k", "--max-iter", "--nu")
+    _add_shared(p, "--k", "--max-iter", "--nu", "--out")
     p.add_argument("--init", default="auto", help='"auto" or beta_1,...,beta_q,sigma2,tau2,rho')
     p.add_argument("--tol", type=float, default=1e-8,
                    help="relative objective-change stopping tolerance")
@@ -350,34 +316,35 @@ def build_parser() -> tuple:
                    help='"auto" or xmin,xmax,ymin,ymax')
     p.add_argument("--covariates", help="comma-separated covariate columns")
     p.add_argument("data", help="input CSV (lon,lat,y[,covariates...])")
-    p.set_defaults(func=cmd_fit, needs=("out",))
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="point predictions at new locations from a fit")
-    _add_shared(p, "--fit", "--locations")
-    p.set_defaults(func=cmd_predict, needs=("fit", "locations", "out"))
+    _add_shared(p, "--fit", "--locations", "--out")
+    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bootstrap", help="predict with bootstrap uncertainty")
-    _add_shared(p, "--fit", "--locations", "--B", "--seed")
-    p.set_defaults(func=cmd_bootstrap, needs=("fit", "locations", "out"))
+    _add_shared(p, "--fit", "--locations", "--B", "--seed", "--out")
+    p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
-    _add_shared(p, "--seed", "--nu")
+    _add_shared(p, "--seed", "--nu", "--out")
     p.add_argument("--grid", default="100x100")
     p.add_argument("--extent", default="auto", help="defaults to the unit square")
     p.add_argument("--theta", default="44.49,3,0.5,0.1",
                    help="beta,sigma2,tau2,rho")
     p.add_argument("--thin", type=float, default=0.0,
                    help="fraction of lattice rows to discard at random")
-    p.set_defaults(func=cmd_simulate, needs=("out",))
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("study", help="run a desk-scale study design")
     _add_shared(p, "--k", "--B", "--seed", "--max-iter")
+    p.add_argument("--out", help="output path for the results")
     p.add_argument("--nu", type=float, help="fixed smoothness (modis; default 0.5)")
     p.add_argument("--init", default="truth",
                    help='"truth" (the generating parameters; modis starts from '
                         '"auto" instead), "auto", or beta,sigma2,tau2,rho')
     p.add_argument("--study", choices=["grid-scaling", "settings", "irregular", "modis"],
-                   help="study design; required")
+                   required=True, help="study design")
     p.add_argument("--scale", type=float,
                    help="shrink factor for grid sizes (synthetic designs; default 1)")
     p.add_argument("--replicates", type=int,
@@ -390,16 +357,17 @@ def build_parser() -> tuple:
                    help="semicolon-separated initial values for CV selection "
                         "(modis), each beta,sigma2,tau2,rho")
     p.add_argument("--cv-folds", type=int, help="CV folds for --init-grid (modis; default 5)")
-    p.set_defaults(func=cmd_study, needs=("study",))
+    p.set_defaults(func=cmd_study)
 
     return parser, sub.choices
 
 
 def _unrecognized(argv, extra) -> list:
     """The stray arguments to report: each unknown flag with the word after
-    it, or the leftover words if no flag is unknown. argparse hands that
-    word to the next free positional, which leaves a positional the user
-    gave (the data path of ``fit``) among the leftovers instead."""
+    it in ``argv`` (@files expanded), or the leftover words if no flag is
+    unknown. argparse hands that word to the next free positional, which
+    leaves a positional the user gave (the data path of ``fit``) among the
+    leftovers instead."""
     flags = {word for word in extra if word.startswith("-")}
     if not flags:
         return extra
@@ -416,17 +384,13 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else [str(word) for word in argv]
     try:
+        # argparse's own @file expansion, kept so that _unrecognized scans
+        # the words the parse saw; parsing the result expands nothing more
+        argv = parser._read_args_from_files(argv)
         args, extra = parser.parse_known_args(argv)
-        command = commands[args.command]
-        if args.config:
-            # reparse with config values as defaults so flags keep precedence
-            command.set_defaults(**_parse_config(args.config, command))
-            args, extra = parser.parse_known_args(argv)
         if extra:
-            command.error(f"unrecognized arguments: {' '.join(_unrecognized(argv, extra))}")
-        missing = [f"--{dest}" for dest in args.needs if not getattr(args, dest)]
-        if missing:
-            command.error(f"the following arguments are required: {', '.join(missing)}")
+            commands[args.command].error(
+                f"unrecognized arguments: {' '.join(_unrecognized(argv, extra))}")
         return args.func(args)
     except (InputError, LocationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,14 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def exit_code(args):
+    """run_cli's return value, or the code argparse exits with."""
+    try:
+        return run_cli(args)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture
 def workdir(tmp_path):
     return tmp_path
@@ -89,9 +97,26 @@ def test_directory_as_path_exits_2(workdir, capsys, role):
         args = ["fit", "--grid", "12x12", "--out", workdir / "f.npz",
                 folder if role == "data" else data]
         if role == "config":
-            args += ["--config", folder]
-    assert run_cli(args) == 2
+            args.append(f"@{folder}")
+    assert exit_code(args) == 2
     assert "Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--grid", "12by12", "grid must look like N1xN2, got '12by12'"),
+    ("--extent", "0,1,0", "extent must be xmin,xmax,ymin,ymax; got '0,1,0'"),
+    ("--init", "2,0.5,0.1", "theta must have at least 4 components, got 3"),
+])
+@pytest.mark.parametrize("command", ["fit", "study"])
+def test_flag_values_are_checked_before_any_file_is_read(workdir, capsys, command, flag,
+                                                         value, message):
+    missing = workdir / "missing.csv"
+    args = {"fit": ["fit", "--out", workdir / "x.npz", missing],
+            "study": ["study", "--study", "modis", "--train", missing, "--test", missing]}
+    assert run_cli([*args[command], flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "missing.csv" not in err
 
 
 class TestFit:
@@ -358,7 +383,7 @@ def test_each_subcommand_has_only_its_own_flags():
 
     _, commands = build_parser()
     counts = {name: sum(a.dest != "help" for a in p._actions) for name, p in commands.items()}
-    assert counts == {"fit": 11, "predict": 4, "bootstrap": 6, "simulate": 8, "study": 17}
+    assert counts == {"fit": 10, "predict": 3, "bootstrap": 5, "simulate": 7, "study": 16}
 
 
 @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
@@ -367,21 +392,22 @@ def test_flag_the_command_does_not_read_exits_2(workdir, capsys, command, flag):
         run_cli([command, *BASE_ARGS[command], flag, FLAG_VALUES[flag]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-    # the same setting as a config key names the file, its line and the key
-    key = flag[2:].replace("-", "_")
+    # the same setting in an @file is refused by the same message
     cfg = workdir / "run.cfg"
-    cfg.write_text(f"# settings\n{key}={FLAG_VALUES[flag]}\n")
-    assert run_cli([command, *BASE_ARGS[command], "--config", cfg]) == 2
-    assert f"{cfg} line 2: unknown key {key!r}" in capsys.readouterr().err
+    cfg.write_text(f"{flag}={FLAG_VALUES[flag]}\n")
+    assert exit_code([command, f"@{cfg}", *BASE_ARGS[command]]) == 2
+    assert f"unrecognized arguments: {flag}={FLAG_VALUES[flag]}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(BASE_ARGS))
 def test_unknown_flag_prints_the_subcommand_usage(workdir, capsys, command):
-    cfg = workdir / "empty.cfg"
-    cfg.write_text("# no settings\n")
-    for config in ([], ["--config", cfg]):
+    # from argv, and from an @file before the other arguments, whose lines
+    # the report takes as argparse expanded them
+    cfg = workdir / "bogus.cfg"
+    cfg.write_text("--bogus\n1\n")
+    for argv in ([*BASE_ARGS[command], "--bogus", "1"], [f"@{cfg}", *BASE_ARGS[command]]):
         with pytest.raises(SystemExit) as exc:
-            run_cli([command, *BASE_ARGS[command], *config, "--bogus", "1"])
+            run_cli([command, *argv])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: kryging {command} ")
@@ -414,8 +440,8 @@ SYNTHETIC_FLAGS = {"--scale": "0.5", "--replicates": "2"}
 def test_study_flag_of_another_design_exits_2(workdir, capsys, design, flag):
     value = {**MODIS_FLAGS, **SYNTHETIC_FLAGS}[flag]
     cfg = workdir / "run.cfg"
-    cfg.write_text(f"{flag[2:].replace('-', '_')}={value}\n")
-    for setting in ([flag, value], ["--config", cfg]):
+    cfg.write_text(f"{flag}={value}\n")
+    for setting in ([flag, value], [f"@{cfg}"]):
         assert run_cli(["study", "--study", design, *setting]) == 2
         assert f"study {design} does not read {flag}" in capsys.readouterr().err
 
@@ -443,9 +469,9 @@ def test_modis_reads_nu(workdir, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "_study_modis", lambda args: seen.append(args.nu) or 0)
     cfg = workdir / "run.cfg"
-    cfg.write_text("nu=1.5\n")
+    cfg.write_text("--nu=1.5\n")
     modis = ["study", "--study", "modis", "--train", "t.csv", "--test", "v.csv"]
-    for setting in ([], ["--nu", "2.5"], ["--config", cfg]):
+    for setting in ([], ["--nu", "2.5"], [f"@{cfg}"]):
         assert run_cli([*modis, *setting]) == 0
     assert seen == [0.5, 2.5, 1.5]
 
@@ -482,30 +508,35 @@ def test_usage_error_exits_2(capsys, args, message):
 
 
 def test_config_line_without_equals_exits_2(workdir, capsys):
+    # a line is one argument: "--max-iter 3" is neither --max-iter nor 3
     cfg = workdir / "run.cfg"
-    cfg.write_text("k=5\nmax_iter 3\n")
-    assert run_cli(["fit", "--config", cfg, "--out", "f.npz", "data.csv"]) == 2
-    assert f"error: {cfg} line 2: expected key=value" in capsys.readouterr().err
+    cfg.write_text("--k=5\n--max-iter 3\n")
+    assert exit_code(["fit", "--out", "f.npz", "data.csv", f"@{cfg}"]) == 2
+    assert "error: unrecognized arguments: --max-iter 3\n" in capsys.readouterr().err
 
 
 class TestConfig:
     @pytest.mark.parametrize("command", sorted(BASE_ARGS))
     def test_every_own_long_flag_is_a_config_key(self, workdir, command):
-        from kryging.cli import _parse_config, build_parser
+        from kryging.cli import build_parser
 
-        _, commands = build_parser()
-        lines, expected = [], {}
+        parser, commands = build_parser()
+        lines, positionals, expected = [], [], {}
         for action in commands[command]._actions:
-            if not action.option_strings or action.dest in ("help", "config"):
+            if not action.option_strings:
+                positionals.append("x")
+                continue
+            if action.dest == "help":
                 continue
             text, value = {int: ("3", 3), float: ("0.5", 0.5)}.get(action.type, ("x", "x"))
             if action.choices:
                 text = value = action.choices[-1]
-            lines.append(f"{action.option_strings[-1][2:].replace('-', '_')}={text}")
+            lines.append(f"{action.option_strings[-1]}={text}")
             expected[action.dest] = value
         cfg = workdir / "run.cfg"
         cfg.write_text("\n".join(lines) + "\n")
-        assert _parse_config(cfg, commands[command]) == expected
+        args = parser.parse_args([command, f"@{cfg}", *positionals])
+        assert {dest: getattr(args, dest) for dest in expected} == expected
 
     def test_config_supplies_required_flags(self, workdir):
         data = simulate(workdir)
@@ -513,28 +544,30 @@ class TestConfig:
         assert run_cli(["fit", "--grid", "12x12", "--extent", "0,1,0,1", "--k", 10,
                         "--max-iter", 5, "--out", fitfile, data]) == 0
         cfg = workdir / "predict.cfg"
-        cfg.write_text(f"fit={fitfile}\nlocations={data}\nout={workdir / 'a.csv'}\n")
-        assert run_cli(["predict", "--config", cfg]) == 0
+        cfg.write_text(f"--fit={fitfile}\n--locations={data}\n--out={workdir / 'a.csv'}\n")
+        assert run_cli(["predict", f"@{cfg}"]) == 0
         assert run_cli(["predict", "--fit", fitfile, "--locations", data,
                         "--out", workdir / "b.csv"]) == 0
         a, b = (workdir / "a.csv").read_bytes(), (workdir / "b.csv").read_bytes()
         assert a == b and a.splitlines()[0] == b"lon,lat,y_hat"
 
-    @pytest.mark.parametrize("line", ["k=five", "study=kriging"])
-    def test_bad_config_value_names_line_and_key(self, workdir, capsys, line):
+    @pytest.mark.parametrize("line,message", [
+        ("k=five", "argument --k: invalid int value: 'five'"),
+        ("study=kriging", "argument --study: invalid choice: 'kriging'"),
+    ], ids=["k=five", "study=kriging"])
+    def test_bad_config_value_names_the_flag(self, workdir, capsys, line, message):
         command = "fit" if line.startswith("k") else "study"
         cfg = workdir / "run.cfg"
-        cfg.write_text(f"\n{line}\n")
-        assert run_cli([command, *BASE_ARGS[command], "--config", cfg]) == 2
-        key = line.partition("=")[0]
-        assert f"{cfg} line 2: bad value for {key!r}" in capsys.readouterr().err
+        cfg.write_text(f"--{line}\n")
+        assert exit_code([command, f"@{cfg}", *BASE_ARGS[command]]) == 2
+        assert f"kryging {command}: error: {message}" in capsys.readouterr().err
 
     def test_config_supplies_defaults_and_flags_override(self, workdir):
         data = simulate(workdir)
         cfg = workdir / "run.cfg"
-        cfg.write_text("k=15\nmax_iter=10\n")
+        cfg.write_text("--k=15\n--max-iter=10\n")
         fitfile = workdir / "fit.npz"
-        rc = run_cli(["fit", "--config", cfg, "--grid", "12x12", "--extent", "0,1,0,1",
+        rc = run_cli(["fit", f"@{cfg}", "--grid", "12x12", "--extent", "0,1,0,1",
                       "--max-iter", 25, "--out", fitfile, data])
         assert rc == 0
         import numpy as np
@@ -546,10 +579,10 @@ class TestConfig:
     def test_unknown_config_key_exits_2(self, workdir, capsys):
         data = simulate(workdir)
         cfg = workdir / "run.cfg"
-        cfg.write_text("frobnicate=1\n")
-        rc = run_cli(["fit", "--config", cfg, "--out", workdir / "f.npz", data])
+        cfg.write_text("--frobnicate=1\n")
+        rc = exit_code(["fit", f"@{cfg}", "--out", workdir / "f.npz", data])
         assert rc == 2
-        assert "frobnicate" in capsys.readouterr().err
+        assert "unrecognized arguments: --frobnicate=1\n" in capsys.readouterr().err
 
 
 class TestEntrypoint:
