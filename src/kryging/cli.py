@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: fit, predict (point predictions), bootstrap (predictions
-with bootstrap uncertainty), simulate, study; each takes only the flags
-it reads and reports any other with its own usage, and study refuses
-the settings of the other kind of design (``_DESIGN_DEFAULTS``). An
---init is beta_1,...,beta_q,sigma2,tau2,rho, and --extent auto is the
-observations' bounding box, so gridded data lands on the nodes. An
-argument @args.txt is replaced, where it stands, by the file's lines,
+with bootstrap uncertainty), simulate, and study <design>, whose designs
+(grid-scaling, settings, irregular, modis) are subcommands of their own.
+Each takes only the flags it reads and reports any other with its own
+usage. An --init is beta_1,...,beta_q,sigma2,tau2,rho, and --extent auto
+is the observations' bounding box, so gridded data lands on the nodes.
+An argument @args.txt is replaced, where it stands, by the file's lines,
 one argument per line (--max-iter=50); later arguments win, so flags
 after it override it. A path that starts with @ is written ./@name.
 Exit codes: 0 success, 2 input error, 3 numerical failure (no usable
@@ -30,7 +30,7 @@ from .data import (
     write_dataset,
     write_predictions,
 )
-from .estimation import bootstrap_uq, fit, predict
+from .estimation import _check_stopping, bootstrap_uq, fit, predict
 from .grid import GridSpec, ThetaParams
 from .likelihood import ModelData
 from .mapping import LocationError, build_map
@@ -42,9 +42,11 @@ from .toeplitz import EmbeddingError
 def _parse_grid(text) -> tuple:
     try:
         n1, n2 = text.lower().split("x")
-        return int(n1), int(n2)
+        shape = int(n1), int(n2)
     except ValueError:
         raise InputError(f"grid must look like N1xN2, got {text!r}")
+    GridSpec(*shape)  # the lattice's own 2x2 minimum, before any file is read
+    return shape
 
 
 def _parse_theta(text, nu) -> ThetaParams:
@@ -84,6 +86,9 @@ def cmd_fit(args) -> int:
     # every flag value is checked before the data file is opened
     if args.k < 1:
         raise InputError(f"k must be >= 1, got {args.k}")
+    if not (np.isfinite(args.nu) and args.nu > 0):
+        raise InputError(f"nu must be finite and positive, got {args.nu}")
+    _check_stopping(args.max_iter, args.tol)
     shape, extent = _parse_grid(args.grid), _parse_extent(args.extent)
     init = args.init if args.init == "auto" else _parse_theta(args.init, args.nu)
     covs = args.covariates.split(",") if args.covariates else None
@@ -180,31 +185,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-# study settings (by dest) that one kind of design reads, with their
-# defaults there; the synthetic designs take nu from their parameters
-_DESIGN_DEFAULTS = {
-    "modis": {"grid": "500x300", "extent": "auto", "train": None, "test": None,
-              "init_grid": None, "cv_folds": 5, "nu": 0.5},
-    "synthetic": {"scale": 1.0, "replicates": 5},
-}
-
-
 def cmd_study(args) -> int:
-    kind = "modis" if args.study == "modis" else "synthetic"
-    stray = []
-    for row, defaults in _DESIGN_DEFAULTS.items():
-        for dest, default in defaults.items():
-            if row != kind and getattr(args, dest) is not None:
-                stray.append("--" + dest.replace("_", "-"))
-            elif row == kind and getattr(args, dest) is None:
-                setattr(args, dest, default)
-    if stray:
-        raise InputError(f"study {args.study} does not read {', '.join(stray)}")
-    if args.study == "modis":
-        return _study_modis(args)
     # an explicit init's nu goes unread: fit takes nu from the data
     init = args.init if args.init in ("truth", "auto") else _parse_theta(args.init, 0.5)
-    results = run_study(args.study, k=args.k, replicates=args.replicates, scale=args.scale,
+    results = run_study(args.design, k=args.k, replicates=args.replicates, scale=args.scale,
                         seed=args.seed, B=args.B, init=init, max_iter=args.max_iter)
     table = format_study_tables(results)
     print(table)
@@ -245,15 +229,12 @@ def _cv_select_init(train, grid, candidates, args):
 
 def _study_modis(args) -> int:
     """Train/test evaluation on an archived gridded temperature split."""
-    if not (args.train and args.test):
-        raise InputError("study modis requires --train and --test CSV paths")
     # every flag value is checked before the CSVs are opened
     shape, extent = _parse_grid(args.grid), _parse_extent(args.extent)
     candidates = [
         _parse_theta(part, args.nu) for part in (args.init_grid or "").split(";") if part
     ]
-    # a real dataset has no generating parameters to start from
-    theta0 = "auto" if args.init in ("truth", "auto") else _parse_theta(args.init, args.nu)
+    theta0 = args.init if args.init == "auto" else _parse_theta(args.init, args.nu)
     train = read_dataset(args.train)
     test = read_dataset(args.test)
     grid = _fit_grid(shape, extent, np.vstack([train.locations, test.locations]))
@@ -297,8 +278,9 @@ def _add_shared(p, *flags):
 
 
 def build_parser() -> tuple:
-    """The top-level parser and a dict of its subcommand parsers by name.
-    The top-level parser expands @file arguments for every subcommand."""
+    """The top-level parser and a dict of its subcommand parsers by name,
+    the study designs among them. The top-level parser expands @file
+    arguments for every subcommand."""
     parser = argparse.ArgumentParser(
         prog="kryging",
         description="Krylov-subspace kriging for large spatial datasets",
@@ -336,30 +318,30 @@ def build_parser() -> tuple:
                    help="fraction of lattice rows to discard at random")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("study", help="run a desk-scale study design")
-    _add_shared(p, "--k", "--B", "--seed", "--max-iter")
-    p.add_argument("--out", help="output path for the results")
-    p.add_argument("--nu", type=float, help="fixed smoothness (modis; default 0.5)")
-    p.add_argument("--init", default="truth",
-                   help='"truth" (the generating parameters; modis starts from '
-                        '"auto" instead), "auto", or beta,sigma2,tau2,rho')
-    p.add_argument("--study", choices=["grid-scaling", "settings", "irregular", "modis"],
-                   required=True, help="study design")
-    p.add_argument("--scale", type=float,
-                   help="shrink factor for grid sizes (synthetic designs; default 1)")
-    p.add_argument("--replicates", type=int,
-                   help="replicates per setting (synthetic designs; default 5)")
-    p.add_argument("--grid", help="latent grid N1xN2 (modis; default 500x300)")
-    p.add_argument("--extent", help='"auto" or xmin,xmax,ymin,ymax (modis; default auto)')
-    p.add_argument("--train", help="training CSV (modis)")
-    p.add_argument("--test", help="test CSV (modis)")
-    p.add_argument("--init-grid",
-                   help="semicolon-separated initial values for CV selection "
-                        "(modis), each beta,sigma2,tau2,rho")
-    p.add_argument("--cv-folds", type=int, help="CV folds for --init-grid (modis; default 5)")
-    p.set_defaults(func=cmd_study)
+    designs = sub.add_parser("study", help="run a desk-scale study design").add_subparsers(
+        dest="design", required=True)
+    for design in ("grid-scaling", "settings", "irregular"):
+        p = designs.add_parser(design, help="synthetic study design (shrink with --scale)")
+        _add_shared(p, "--k", "--B", "--seed", "--max-iter")
+        p.add_argument("--out", help="output path for the results")
+        p.add_argument("--init", default="truth", help='"truth", "auto" or beta,sigma2,tau2,rho')
+        p.add_argument("--scale", type=float, default=1.0, help="shrink factor for grid sizes")
+        p.add_argument("--replicates", type=int, default=5, help="replicates per setting")
+        p.set_defaults(func=cmd_study)
 
-    return parser, sub.choices
+    p = designs.add_parser("modis", help="train/test evaluation on an archived gridded split")
+    _add_shared(p, "--k", "--B", "--seed", "--max-iter", "--nu")
+    p.add_argument("--out", help="output path for the results")
+    p.add_argument("--init", default="auto", help='"auto" or beta_1,...,beta_q,sigma2,tau2,rho')
+    p.add_argument("--grid", default="500x300", help="latent grid N1xN2")
+    p.add_argument("--extent", default="auto", help='"auto" or xmin,xmax,ymin,ymax')
+    p.add_argument("--train", required=True, help="training CSV")
+    p.add_argument("--test", required=True, help="test CSV")
+    p.add_argument("--init-grid", help="';'-separated --init candidates to select by CV")
+    p.add_argument("--cv-folds", type=int, default=5, help="CV folds for --init-grid")
+    p.set_defaults(func=_study_modis)
+
+    return parser, {**sub.choices, **designs.choices}
 
 
 def _unrecognized(argv, extra) -> list:
@@ -367,15 +349,18 @@ def _unrecognized(argv, extra) -> list:
     it in ``argv`` (@files expanded), or the leftover words if no flag is
     unknown. argparse hands that word to the next free positional, which
     leaves a positional the user gave (the data path of ``fit``) among the
-    leftovers instead."""
-    flags = {word for word in extra if word.startswith("-")}
+    leftovers instead. An @file line with a space (``--max-iter 3``) is a
+    flag and its value that argparse may have taken for the data path."""
+    flags = {word for word in argv if word.startswith("-") and " " in word}
+    flags |= {word for word in extra if word.startswith("-")}
     if not flags:
         return extra
     stray = []
     for i, word in enumerate(argv):
         if word in flags:
             stray.append(word)
-            if "=" not in word and i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            if ("=" not in word and " " not in word and i + 1 < len(argv)
+                    and not argv[i + 1].startswith("-")):
                 stray.append(argv[i + 1])
     return stray
 
@@ -388,8 +373,8 @@ def main(argv=None) -> int:
         # the words the parse saw; parsing the result expands nothing more
         argv = parser._read_args_from_files(argv)
         args, extra = parser.parse_known_args(argv)
-        if extra:
-            commands[args.command].error(
+        if extra:  # reported by the parser of the command or study design
+            commands[getattr(args, "design", args.command)].error(
                 f"unrecognized arguments: {' '.join(_unrecognized(argv, extra))}")
         return args.func(args)
     except (InputError, LocationError, OSError, ValueError) as exc:

@@ -131,6 +131,14 @@ def _feasible_box(data: ModelData, theta0: ThetaParams):
     return lo, hi
 
 
+def _check_stopping(max_iter: int, tol: float) -> None:
+    """Raise ``ValueError`` unless max_iter >= 1 and tol is finite and >= 0."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def fit(
     data: ModelData,
     k: int = 50,
@@ -179,9 +187,9 @@ def fit(
         the given parameters, with one mean coefficient per column of X
         (``ValueError`` otherwise). Any other value raises ``TypeError``.
     max_iter : int
-        Cap on objective evaluations.
+        Cap on objective evaluations, at least 1.
     tol : float
-        Relative objective-change stopping tolerance (accepted steps).
+        Relative objective-change stopping tolerance (accepted steps), >= 0.
 
     Returns
     -------
@@ -189,6 +197,7 @@ def fit(
         Parameter estimates, latent estimate, trace, and diagnostics.
         The objective trace is non-increasing by construction.
     """
+    _check_stopping(max_iter, tol)
     if isinstance(init, ThetaParams):
         theta0 = init
     elif isinstance(init, str) and init == "auto":
@@ -405,10 +414,11 @@ def bootstrap_uq(
     For each of B replicates: draw a latent field from the fitted
     covariance, add fitted-variance noise at the training locations,
     re-estimate the field with the fitted parameters known, and record
-    the squared error of the resulting prediction at each target
-    location (including fresh noise there, since the targets are
-    observations of the noisy process). The pointwise mean squared error
-    over replicates is the bootstrap variance.
+    the resulting prediction's expected squared error at each target
+    location: e^2 + tau2, with e the latent field's error there, is the
+    exact mean of (e + eps)^2 over the target's own noise eps (Casella
+    & Robert 1996). The pointwise mean over replicates is the bootstrap
+    variance.
 
     Replicates run concurrently on up to one thread per usable CPU,
     the calling thread included (B = 1 runs inline), and share one
@@ -442,11 +452,10 @@ def bootstrap_uq(
         rng = np.random.default_rng(streams[i])
         x_b = sigma * op.sample(rng)
         noise_train = tau * rng.standard_normal(data.p)
-        noise_pred = tau * rng.standard_normal(amap_pred.p)
         bsim = data.amap.apply(x_b) + noise_train
         x_hat_b = _rekryge(data.amap, op, bsim, theta, fitres.k)
-        diff = amap_pred.apply(x_b - x_hat_b) + noise_pred
-        return diff * diff
+        diff = amap_pred.apply(x_b - x_hat_b)
+        return diff * diff + theta.tau2
 
     sq = _sum_in_order(replicate, B, np.zeros(amap_pred.p))
     se = np.sqrt(sq / B)

@@ -316,7 +316,7 @@ def test_criterion_9_modis_study(report, tmp_path):
     out = tmp_path / "modis.txt"
     rc = main(
         [
-            "study", "--study", "modis", "--k", "200",
+            "study", "modis", "--k", "200",
             "--train", os.environ["KRYGING_MODIS_TRAIN"],
             "--test", os.environ["KRYGING_MODIS_TEST"],
             "--grid", "500x300", "--out", str(out),

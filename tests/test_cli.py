@@ -104,6 +104,7 @@ def test_directory_as_path_exits_2(workdir, capsys, role):
 
 @pytest.mark.parametrize("flag,value,message", [
     ("--grid", "12by12", "grid must look like N1xN2, got '12by12'"),
+    ("--grid", "1x40", "grid must be at least 2x2, got 1x40"),
     ("--extent", "0,1,0", "extent must be xmin,xmax,ymin,ymax; got '0,1,0'"),
     ("--init", "2,0.5,0.1", "theta must have at least 4 components, got 3"),
 ])
@@ -112,7 +113,7 @@ def test_flag_values_are_checked_before_any_file_is_read(workdir, capsys, comman
                                                          value, message):
     missing = workdir / "missing.csv"
     args = {"fit": ["fit", "--out", workdir / "x.npz", missing],
-            "study": ["study", "--study", "modis", "--train", missing, "--test", missing]}
+            "study": ["study", "modis", "--train", missing, "--test", missing]}
     assert run_cli([*args[command], flag, value]) == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err
@@ -374,8 +375,16 @@ BASE_ARGS = {
     "predict": ["--fit", "f.npz", "--locations", "l.csv", "--out", "p.csv"],
     "bootstrap": ["--fit", "f.npz", "--locations", "l.csv", "--out", "p.csv"],
     "simulate": ["--out", "s.csv"],
-    "study": ["--study", "settings"],
+    "study": [],
+    "modis": ["--train", "t.csv", "--test", "v.csv"],
 }
+# the words that start a command line, where they are not the key of
+# BASE_ARGS: "study" stands for a synthetic design, whose name follows it
+COMMAND_WORDS = {"study": ["study", "settings"], "modis": ["study", "modis"]}
+
+
+def words(command):
+    return COMMAND_WORDS.get(command, [command])
 
 
 def test_each_subcommand_has_only_its_own_flags():
@@ -383,19 +392,28 @@ def test_each_subcommand_has_only_its_own_flags():
 
     _, commands = build_parser()
     counts = {name: sum(a.dest != "help" for a in p._actions) for name, p in commands.items()}
-    assert counts == {"fit": 10, "predict": 3, "bootstrap": 5, "simulate": 7, "study": 16}
+    assert counts == {"fit": 10, "predict": 3, "bootstrap": 5, "simulate": 7, "study": 1,
+                      "grid-scaling": 8, "settings": 8, "irregular": 8, "modis": 13}
+
+
+def test_study_design_help_lists_only_its_own_flags(capsys):
+    for design, foreign in (("settings", "--train"), ("modis", "--scale")):
+        assert exit_code(["study", design, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: kryging study {design} ")
+        assert foreign not in out
 
 
 @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
 def test_flag_the_command_does_not_read_exits_2(workdir, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
-        run_cli([command, *BASE_ARGS[command], flag, FLAG_VALUES[flag]])
+        run_cli([*words(command), *BASE_ARGS[command], flag, FLAG_VALUES[flag]])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     # the same setting in an @file is refused by the same message
     cfg = workdir / "run.cfg"
     cfg.write_text(f"{flag}={FLAG_VALUES[flag]}\n")
-    assert exit_code([command, f"@{cfg}", *BASE_ARGS[command]]) == 2
+    assert exit_code([*words(command), f"@{cfg}", *BASE_ARGS[command]]) == 2
     assert f"unrecognized arguments: {flag}={FLAG_VALUES[flag]}\n" in capsys.readouterr().err
 
 
@@ -405,13 +423,14 @@ def test_unknown_flag_prints_the_subcommand_usage(workdir, capsys, command):
     # the report takes as argparse expanded them
     cfg = workdir / "bogus.cfg"
     cfg.write_text("--bogus\n1\n")
+    prog = " ".join(["kryging", *words(command)])
     for argv in ([*BASE_ARGS[command], "--bogus", "1"], [f"@{cfg}", *BASE_ARGS[command]]):
         with pytest.raises(SystemExit) as exc:
-            run_cli([command, *argv])
+            run_cli([*words(command), *argv])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"usage: kryging {command} ")
-        assert f"kryging {command}: error: unrecognized arguments: --bogus 1" in err
+        assert err.startswith(f"usage: {prog} ")
+        assert f"{prog}: error: unrecognized arguments: --bogus 1" in err
 
 
 def test_unknown_flag_before_the_data_path_is_the_one_reported(workdir, capsys):
@@ -439,11 +458,14 @@ SYNTHETIC_FLAGS = {"--scale": "0.5", "--replicates": "2"}
 ])
 def test_study_flag_of_another_design_exits_2(workdir, capsys, design, flag):
     value = {**MODIS_FLAGS, **SYNTHETIC_FLAGS}[flag]
+    base = BASE_ARGS["modis"] if design == "modis" else []
     cfg = workdir / "run.cfg"
     cfg.write_text(f"{flag}={value}\n")
-    for setting in ([flag, value], [f"@{cfg}"]):
-        assert run_cli(["study", "--study", design, *setting]) == 2
-        assert f"study {design} does not read {flag}" in capsys.readouterr().err
+    for setting, reported in (([flag, value], f"{flag} {value}"),
+                              ([f"@{cfg}"], f"{flag}={value}")):
+        assert exit_code(["study", design, *base, *setting]) == 2
+        assert (f"kryging study {design}: error: unrecognized arguments: {reported}\n"
+                in capsys.readouterr().err)
 
 
 def test_study_designs_resolve_their_own_defaults(monkeypatch):
@@ -452,15 +474,31 @@ def test_study_designs_resolve_their_own_defaults(monkeypatch):
     seen = {}
     monkeypatch.setattr(cli, "run_study", lambda design, **kwargs: seen.update(kwargs) or [])
     monkeypatch.setattr(cli, "format_study_tables", lambda results: "")
-    assert run_cli(["study", "--study", "settings"]) == 0
+    assert run_cli(["study", "settings"]) == 0
     assert (seen["scale"], seen["replicates"]) == (1.0, 5)
     # acceptance criterion 9's command line
+    seen.clear()
     monkeypatch.setattr(cli, "_study_modis", lambda args: seen.update(vars(args)) or 0)
-    assert run_cli(["study", "--study", "modis", "--k", "200", "--train", "t.csv",
+    assert run_cli(["study", "modis", "--k", "200", "--train", "t.csv",
                     "--test", "v.csv", "--grid", "500x300", "--out", "o.txt"]) == 0
     assert (seen["grid"], seen["extent"], seen["cv_folds"], seen["init_grid"]) == (
         "500x300", "auto", 5, None)
-    assert (seen["scale"], seen["replicates"]) == (None, None)
+    assert seen["init"] == "auto"
+    assert "scale" not in seen and "replicates" not in seen
+
+
+def test_study_design_can_come_from_a_file(workdir, monkeypatch):
+    # the design is the line right after "study", its flags the lines after it
+    from kryging import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "run_study", lambda design, **kwargs: seen.append(
+        (design, kwargs["replicates"])) or [])
+    monkeypatch.setattr(cli, "format_study_tables", lambda results: "")
+    cfg = workdir / "run.cfg"
+    cfg.write_text("irregular\n--replicates=2\n")
+    assert run_cli(["study", f"@{cfg}", "--replicates", "3"]) == 0
+    assert seen == [("irregular", 3)]
 
 
 def test_modis_reads_nu(workdir, monkeypatch):
@@ -470,7 +508,7 @@ def test_modis_reads_nu(workdir, monkeypatch):
     monkeypatch.setattr(cli, "_study_modis", lambda args: seen.append(args.nu) or 0)
     cfg = workdir / "run.cfg"
     cfg.write_text("--nu=1.5\n")
-    modis = ["study", "--study", "modis", "--train", "t.csv", "--test", "v.csv"]
+    modis = ["study", "modis", "--train", "t.csv", "--test", "v.csv"]
     for setting in ([], ["--nu", "2.5"], [f"@{cfg}"]):
         assert run_cli([*modis, *setting]) == 0
     assert seen == [0.5, 2.5, 1.5]
@@ -479,7 +517,7 @@ def test_modis_reads_nu(workdir, monkeypatch):
 @pytest.mark.parametrize("args,message", [
     (["bootstrap", "--fit", "f.npz", "--locations", "l.csv", "--B", "0", "--out", "p.csv"],
      "error: bootstrap requires B >= 1"),
-    (["study", "--study", "modis"], "error: study modis requires --train and --test CSV paths"),
+    (["study", "modis"], "the following arguments are required: --train, --test"),
     (["simulate", "--grid", "12by12", "--out", "s.csv"],
      "error: grid must look like N1xN2, got '12by12'"),
     (["simulate", "--theta", "1,two,0.5,0.1", "--out", "s.csv"],
@@ -491,7 +529,7 @@ def test_modis_reads_nu(workdir, monkeypatch):
 ])
 def test_input_error_exits_2(workdir, capsys, monkeypatch, args, message):
     monkeypatch.chdir(workdir)
-    assert run_cli(args) == 2
+    assert exit_code(args) == 2
     assert message in capsys.readouterr().err
     assert not any(workdir.iterdir())
 
@@ -508,11 +546,15 @@ def test_usage_error_exits_2(capsys, args, message):
 
 
 def test_config_line_without_equals_exits_2(workdir, capsys):
-    # a line is one argument: "--max-iter 3" is neither --max-iter nor 3
+    # a line is one argument: "--max-iter 3" is neither --max-iter nor 3;
+    # before the data path argparse takes it for that path, and the report
+    # still names the line rather than the path
     cfg = workdir / "run.cfg"
     cfg.write_text("--k=5\n--max-iter 3\n")
-    assert exit_code(["fit", "--out", "f.npz", "data.csv", f"@{cfg}"]) == 2
-    assert "error: unrecognized arguments: --max-iter 3\n" in capsys.readouterr().err
+    for argv in (["--out", "f.npz", "data.csv", f"@{cfg}"],
+                 [f"@{cfg}", "--out", "f.npz", "data.csv"]):
+        assert exit_code(["fit", *argv]) == 2
+        assert "error: unrecognized arguments: --max-iter 3\n" in capsys.readouterr().err
 
 
 class TestConfig:
@@ -522,20 +564,18 @@ class TestConfig:
 
         parser, commands = build_parser()
         lines, positionals, expected = [], [], {}
-        for action in commands[command]._actions:
+        for action in commands[words(command)[-1]]._actions:
             if not action.option_strings:
                 positionals.append("x")
                 continue
             if action.dest == "help":
                 continue
             text, value = {int: ("3", 3), float: ("0.5", 0.5)}.get(action.type, ("x", "x"))
-            if action.choices:
-                text = value = action.choices[-1]
             lines.append(f"{action.option_strings[-1]}={text}")
             expected[action.dest] = value
         cfg = workdir / "run.cfg"
         cfg.write_text("\n".join(lines) + "\n")
-        args = parser.parse_args([command, f"@{cfg}", *positionals])
+        args = parser.parse_args([*words(command), f"@{cfg}", *positionals])
         assert {dest: getattr(args, dest) for dest in expected} == expected
 
     def test_config_supplies_required_flags(self, workdir):
@@ -551,14 +591,14 @@ class TestConfig:
         a, b = (workdir / "a.csv").read_bytes(), (workdir / "b.csv").read_bytes()
         assert a == b and a.splitlines()[0] == b"lon,lat,y_hat"
 
-    @pytest.mark.parametrize("line,message", [
-        ("k=five", "argument --k: invalid int value: 'five'"),
-        ("study=kriging", "argument --study: invalid choice: 'kriging'"),
+    @pytest.mark.parametrize("command,line,message", [
+        ("fit", "--k=five", "argument --k: invalid int value: 'five'"),
+        ("study", "kriging", "argument design: invalid choice: 'kriging'"),
     ], ids=["k=five", "study=kriging"])
-    def test_bad_config_value_names_the_flag(self, workdir, capsys, line, message):
-        command = "fit" if line.startswith("k") else "study"
+    def test_bad_config_value_names_the_flag(self, workdir, capsys, command, line, message):
+        # a study design in a file is the line right after "study"
         cfg = workdir / "run.cfg"
-        cfg.write_text(f"--{line}\n")
+        cfg.write_text(f"{line}\n")
         assert exit_code([command, f"@{cfg}", *BASE_ARGS[command]]) == 2
         assert f"kryging {command}: error: {message}" in capsys.readouterr().err
 
@@ -628,11 +668,27 @@ class TestNumericalFailure:
                       "--out", workdir / "f.npz", data])
         assert rc == 2
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--max-iter", "-5", "--tol", "nan"], "max_iter must be >= 1, got -5"),
+        (["--max-iter", "0"], "max_iter must be >= 1, got 0"),
+        (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
+        (["--tol=-1e-8"], "tol must be finite and >= 0, got -1e-08"),
+        (["--nu", "0"], "nu must be finite and positive, got 0.0"),
+        (["--nu=-inf", "--init", "1,1,0.5,0.1"], "nu must be finite and positive"),
+    ])
+    def test_out_of_range_settings_exit_2_before_the_data_is_read(self, workdir, capsys,
+                                                                  flags, message):
+        missing = workdir / "missing.csv"
+        assert run_cli(["fit", *flags, "--out", workdir / "x.npz", missing]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "missing.csv" not in err
+
 
 class TestStudyCommand:
     def test_settings_study_smoke(self, workdir, capsys):
         out = workdir / "study.txt"
-        rc = run_cli(["study", "--study", "settings", "--scale", 0.08,
+        rc = run_cli(["study", "settings", "--scale", 0.08,
                       "--replicates", 1, "--k", 8, "--B", 3, "--max-iter", 10,
                       "--seed", 1, "--out", out])
         assert rc == 0
@@ -642,7 +698,7 @@ class TestStudyCommand:
         assert "sigma2=" in text  # parameter recovery table
 
     def test_grid_scaling_study_smoke(self, workdir, capsys):
-        rc = run_cli(["study", "--study", "grid-scaling", "--scale", 0.05,
+        rc = run_cli(["study", "grid-scaling", "--scale", 0.05,
                       "--replicates", 1, "--k", 5, "--B", 2, "--max-iter", 3])
         assert rc == 0
         out = capsys.readouterr().out
@@ -664,7 +720,7 @@ class TestStudyCommand:
 
         monkeypatch.setattr(cli, "run_study", runner)
         monkeypatch.setattr(cli, "format_study_tables", lambda results: "")
-        assert run_cli(["study", "--study", "settings"]) == 0
+        assert run_cli(["study", "settings"]) == 0
         assert seen["init"] == "truth"
         assert inspect.signature(study.run_replicate).parameters["init"].default == "truth"
 
@@ -681,12 +737,12 @@ class TestStudyCommand:
             return real_fit(data, **kwargs)
 
         monkeypatch.setattr(cli, "fit", recording_fit)
-        assert run_cli(["study", "--study", "modis", "--train", train, "--test", test,
+        assert run_cli(["study", "modis", "--train", train, "--test", test,
                         "--grid", "8x8", "--k", 5, "--B", 2, "--max-iter", 3]) == 0
         assert inits == ["auto"]
 
     def test_zero_replicates_exits_2(self, workdir, capsys):
-        rc = run_cli(["study", "--study", "settings", "--scale", 0.08,
+        rc = run_cli(["study", "settings", "--scale", 0.08,
                       "--replicates", 0, "--k", 8, "--B", 3, "--max-iter", 10])
         assert rc == 2
         assert "replicates must be >= 1" in capsys.readouterr().err
@@ -713,7 +769,7 @@ class TestStudyCommand:
         # exercise the archived-data code path with a synthetic stand-in
         train, test = self.modis_split(workdir)
         out = workdir / "modis.txt"
-        rc = run_cli(["study", "--study", "modis", "--train", train, "--test", test,
+        rc = run_cli(["study", "modis", "--train", train, "--test", test,
                       "--grid", "14x14", "--k", 10, "--B", 4, "--max-iter", 15,
                       "--init-grid", "20,1,1,0.1;20,2,0.3,0.2", "--cv-folds", 2,
                       "--out", out])
@@ -726,7 +782,7 @@ class TestStudyCommand:
     def test_cv_folds_outside_range_exit_2(self, workdir, capsys, folds):
         train, test = self.modis_split(workdir)  # 147 training rows
         capsys.readouterr()
-        rc = run_cli(["study", "--study", "modis", "--train", train, "--test", test,
+        rc = run_cli(["study", "modis", "--train", train, "--test", test,
                       "--grid", "14x14", "--init-grid", "20,1,1,0.1",
                       "--cv-folds", folds])
         assert rc == 2
@@ -737,7 +793,7 @@ class TestStudyCommand:
         # 48 training rows in 20 folds: independent random labels leave
         # some fold empty at this seed, and its fit would fail
         train, test = self.modis_split(workdir, grid="8x8")
-        rc = run_cli(["study", "--study", "modis", "--train", train, "--test", test,
+        rc = run_cli(["study", "modis", "--train", train, "--test", test,
                       "--grid", "8x8", "--k", 5, "--B", 2, "--max-iter", 3,
                       "--init-grid", "20,2,0.3,0.2", "--cv-folds", 20])
         assert rc == 0

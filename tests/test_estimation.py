@@ -19,7 +19,7 @@ from kryging.mapping import build_map
 from kryging.simulate import simulate_dataset
 from kryging.toeplitz import BttbOperator, EmbeddingError
 
-from oracles import identity_map, selection_map
+from oracles import dense_corr, identity_map, selection_map
 
 
 def simulated_data(m, theta, seed):
@@ -190,6 +190,24 @@ class TestFit:
                                              r"for 2 column\(s\) of X"):
             fit(data, k=5, init=TRUTH, max_iter=2)
         assert calls == []
+
+    @pytest.mark.parametrize("settings,message", [
+        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ({"max_iter": -5}, "max_iter must be >= 1, got -5"),
+        ({"tol": -1e-8}, "tol must be finite and >= 0"),
+        ({"tol": float("nan")}, "tol must be finite and >= 0, got nan"),
+        ({"tol": float("inf")}, "tol must be finite and >= 0, got inf"),
+    ])
+    def test_out_of_range_stopping_settings_rejected(self, monkeypatch, settings, message):
+        g, sim, data = simulated_data(6, TRUTH, seed=5)
+        calls = []
+        monkeypatch.setattr(estimation, "evaluate_objective",
+                            lambda *args: calls.append(args) or evaluate_objective(*args))
+        with pytest.raises(ValueError, match=message):
+            fit(data, k=5, init=TRUTH, **settings)
+        assert calls == []
+        # one evaluation and a zero tolerance stay valid
+        assert fit(data, k=5, init=TRUTH, max_iter=1, tol=0.0).iterations == 1
 
 
 class TestTrustRegionStops:
@@ -445,6 +463,26 @@ class TestBootstrap:
         coverage = hits / total
         assert 0.90 <= coverage <= 0.99
 
+    def test_se_matches_the_dense_kriging_variance(self):
+        # theta known, off-node data on a 16 x 16 lattice: each replicate
+        # records e^2 + tau2, whose mean is the kriging variance of the
+        # latent field at the target plus the target's own noise
+        theta = ThetaParams(np.array([0.0]), 1.0, 0.25, 0.2)
+        g = GridSpec(16, 16)
+        rng = np.random.default_rng(0)
+        amap = build_map(rng.uniform(0.0, 1.0, (150, 2)), g)
+        targets = rng.uniform(0.0, 1.0, (40, 2))
+        data = ModelData(y=np.zeros(amap.p), X=np.ones((amap.p, 1)), amap=amap, grid=g)
+        pset = bootstrap_uq(manual_fit(g, theta, np.zeros(g.n), k=50), data, targets,
+                            B=200, seed=0)
+        A, A_pred = amap.matrix.toarray(), build_map(targets, g).matrix.toarray()
+        S = dense_corr(g, theta.rho, theta.nu)
+        post = np.linalg.inv(np.linalg.inv(S) / theta.sigma2 + A.T @ A / theta.tau2)
+        variance = np.einsum("ij,jk,ik->i", A_pred, post, A_pred) + theta.tau2
+        # per target the ratio's Monte Carlo s.d. is about sqrt(2 / B) = 0.1
+        # at most; the median over 40 targets sits well inside 5%
+        assert abs(np.median(pset.se ** 2 / variance) - 1.0) < 0.05
+
     @pytest.mark.parametrize("change", [
         {"grid": GridSpec(8, 8, 0.0, 2.0, 0.0, 1.0)},  # same size, other extents
         {"nu": 1.5},
@@ -474,11 +512,10 @@ def serial_bootstrap_se(res, data, locs, B, seed):
         rng = np.random.default_rng(child)
         x_b = np.sqrt(theta.sigma2) * op.sample(rng)
         noise_train = np.sqrt(theta.tau2) * rng.standard_normal(data.p)
-        noise_pred = np.sqrt(theta.tau2) * rng.standard_normal(amap_pred.p)
         bsim = data.amap.apply(x_b) + noise_train
         x_hat = estimation._rekryge(data.amap, op, bsim, theta, res.k)
-        diff = amap_pred.apply(x_b - x_hat) + noise_pred
-        sq += diff * diff
+        diff = amap_pred.apply(x_b - x_hat)
+        sq += diff * diff + theta.tau2
     return np.sqrt(sq / B)
 
 
