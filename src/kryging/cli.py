@@ -29,6 +29,7 @@ from .data import (
     save_fit_artifact,
     write_dataset,
     write_predictions,
+    write_truth,
 )
 from .estimation import _check_stopping, bootstrap_uq, fit, predict
 from .grid import GridSpec, ThetaParams
@@ -82,13 +83,26 @@ def _fit_grid(shape, extent, locations) -> GridSpec:
     return GridSpec(n1, n2, lo[0] - pad[0], hi[0] + pad[0], lo[1] - pad[1], hi[1] + pad[1])
 
 
-def cmd_fit(args) -> int:
-    # every flag value is checked before the data file is opened
+def _report(text, path=None):
+    """Print a text result and, when ``path`` is given, save it there."""
+    print(text)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+
+
+def _check_fit_settings(args):
+    """Check --k, --nu, --max-iter and --tol (where the command has it)."""
     if args.k < 1:
         raise InputError(f"k must be >= 1, got {args.k}")
     if not (np.isfinite(args.nu) and args.nu > 0):
         raise InputError(f"nu must be finite and positive, got {args.nu}")
-    _check_stopping(args.max_iter, args.tol)
+    _check_stopping(args.max_iter, getattr(args, "tol", 0.0))
+
+
+def cmd_fit(args) -> int:
+    # every flag value is checked before the data file is opened
+    _check_fit_settings(args)
     shape, extent = _parse_grid(args.grid), _parse_extent(args.extent)
     init = args.init if args.init == "auto" else _parse_theta(args.init, args.nu)
     covs = args.covariates.split(",") if args.covariates else None
@@ -116,9 +130,7 @@ def cmd_fit(args) -> int:
             f"wall time: {res.diagnostics['wall_time']:.2f}s",
         ]
     )
-    print(report)
-    with open(str(args.out) + ".report.txt", "w") as fh:
-        fh.write(report + "\n")
+    _report(report, str(args.out) + ".report.txt")
     return 0
 
 
@@ -155,7 +167,7 @@ def cmd_bootstrap(args) -> int:
     columns = (np.zeros(0),) * 4
     if locations.shape[0]:
         amap = build_map(dataset.locations, res.grid)
-        data = ModelData(y=dataset.y, X=dataset.X, amap=amap, grid=res.grid, nu=res.nu)
+        data = ModelData(y=dataset.y, X=dataset.X, amap=amap, grid=res.grid, nu=res.theta_hat.nu)
         pset = bootstrap_uq(res, data, locations, B=args.B, seed=args.seed,
                             allow_unconverged=True)
         columns = (pset.y_hat, pset.se, pset.ci_lo, pset.ci_hi)
@@ -173,14 +185,7 @@ def cmd_simulate(args) -> int:
     sim = simulate_dataset(grid, theta, seed=args.seed, thin_fraction=args.thin)
     write_dataset(args.out, sim.dataset)
     truth_path = str(args.out) + ".truth.csv"
-    coords = grid.node_coords()
-    with open(truth_path, "w") as fh:
-        fh.write("lon,lat,x,y\n")
-        for i in range(grid.n):
-            fh.write(
-                f"{float(coords[i, 0])!r},{float(coords[i, 1])!r},"
-                f"{float(sim.x[i])!r},{float(sim.y[i])!r}\n"
-            )
+    write_truth(truth_path, grid, sim.x, sim.y)
     print(f"wrote {sim.dataset.p} observations to {args.out}; truth in {truth_path}")
     return 0
 
@@ -190,11 +195,7 @@ def cmd_study(args) -> int:
     init = args.init if args.init in ("truth", "auto") else _parse_theta(args.init, 0.5)
     results = run_study(args.design, k=args.k, replicates=args.replicates, scale=args.scale,
                         seed=args.seed, B=args.B, init=init, max_iter=args.max_iter)
-    table = format_study_tables(results)
-    print(table)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table + "\n")
+    _report(format_study_tables(results), args.out)
     return 0
 
 
@@ -230,6 +231,7 @@ def _cv_select_init(train, grid, candidates, args):
 def _study_modis(args) -> int:
     """Train/test evaluation on an archived gridded temperature split."""
     # every flag value is checked before the CSVs are opened
+    _check_fit_settings(args)
     shape, extent = _parse_grid(args.grid), _parse_extent(args.extent)
     candidates = [
         _parse_theta(part, args.nu) for part in (args.init_grid or "").split(";") if part
@@ -248,14 +250,11 @@ def _study_modis(args) -> int:
                         seed=args.seed, allow_unconverged=True)
     minutes = (time.perf_counter() - t0) / 60.0
     s = score_predictions(test.y, pset.y_hat, pset.se)
-    line = (
+    _report(
         f"k={args.k}  MAE={s['mae']:.3f}  RMSE={s['rmse']:.3f}  CRPS={s['crps']:.3f}"
-        f"  INT={s['int']:.3f}  CVG={s['cvg']:.3f}  time={minutes:.2f}min"
+        f"  INT={s['int']:.3f}  CVG={s['cvg']:.3f}  time={minutes:.2f}min",
+        args.out,
     )
-    print(line)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(line + "\n")
     return 0
 
 

@@ -1,10 +1,10 @@
-"""Dataset container, CSV ingestion, and the fit artifact format.
+"""Dataset container and every file format: the CSVs and the fit artifact.
 
-Input CSV schema: header ``lon,lat,y[,name1,name2,...]`` with one
-observation per row; extra columns are covariates and an intercept is
-always prepended. Prediction output schema: header
-``lon,lat,y_hat,se,ci_lo,ci_hi`` (the uncertainty columns are omitted
-when no bootstrap was run).
+CSV headers: input data ``lon,lat,y[,name1,...]``, whose extra columns
+are covariates (an intercept is always prepended); prediction locations
+``lon,lat``; predictions ``lon,lat,y_hat[,se,ci_lo,ci_hi]`` (uncertainty
+only from a bootstrap); a simulation's truth ``lon,lat,x,y``. Values
+are written as float ``repr``, so they read back bitwise.
 
 The fit artifact is an uncompressed numpy archive (``.npz``) with a
 format version field; all arrays needed to predict and bootstrap from
@@ -30,6 +30,7 @@ __all__ = [
     "write_dataset",
     "read_locations",
     "write_predictions",
+    "write_truth",
     "save_fit_artifact",
     "load_fit_artifact",
 ]
@@ -144,6 +145,19 @@ def _read_columns(reader, columns: list, width: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _header(reader, path, first: list) -> list:
+    """The stripped header row of ``reader``, which must start with the
+    column names ``first``."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise InputError(f"{path}: empty file")
+    got = header[: len(first)]
+    if got != first:
+        raise InputError(f"{path}: header must start with {','.join(first)} (got {','.join(got)})")
+    return header
+
+
 def read_dataset(path, covariates: list | None = None) -> Dataset:
     """Read observations from CSV; an intercept column is always prepended.
 
@@ -159,15 +173,7 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if header[:3] != ["lon", "lat", "y"]:
-            raise InputError(
-                f"{path}: header must start with lon,lat,y (got {','.join(header[:3])})"
-            )
+        header = _header(reader, path, ["lon", "lat", "y"])
         extra = header[3:]
         if covariates is None:
             use = list(extra)
@@ -199,13 +205,18 @@ def read_locations(path) -> np.ndarray:
     """Read lon,lat rows from a CSV with at least those two columns."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise InputError(f"{path}: empty file")
-        if header[:2] != ["lon", "lat"]:
-            raise InputError(f"{path}: header must start with lon,lat")
+        _header(reader, path, ["lon", "lat"])
         return _read_columns(reader, [(0, "lon"), (1, "lat")], 2)
+
+
+def _write_rows(path, header: list, columns: list):
+    """Write ``header`` through ``csv.writer``, which quotes a name that
+    needs it, then the rows of the stacked float ``columns`` as CRLF lines
+    of ``repr`` values, which never need quoting."""
+    rows = np.column_stack(columns).tolist()
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def write_dataset(path, dataset: Dataset):
@@ -217,11 +228,8 @@ def write_dataset(path, dataset: Dataset):
         raise InputError(
             f"covariate_names {names} must name every column of X, intercept first"
         )
-    rows = np.column_stack([dataset.locations, dataset.y, dataset.X[:, 1:]]).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lon", "lat", "y", *names[1:]])
-        writer.writerows([repr(v) for v in row] for row in rows)
+    _write_rows(path, ["lon", "lat", "y", *names[1:]],
+                [dataset.locations, dataset.y, dataset.X[:, 1:]])
 
 
 def write_predictions(path, locations, y_hat, se=None, ci_lo=None, ci_hi=None):
@@ -230,11 +238,12 @@ def write_predictions(path, locations, y_hat, se=None, ci_lo=None, ci_hi=None):
     columns = {"lon": locations[:, 0], "lat": locations[:, 1], "y_hat": y_hat}
     if se is not None:
         columns.update(se=se, ci_lo=ci_lo, ci_hi=ci_hi)
-    rows = np.column_stack(list(columns.values())).tolist()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([repr(v) for v in row] for row in rows)
+    _write_rows(path, list(columns), list(columns.values()))
+
+
+def write_truth(path, grid: GridSpec, x, y):
+    """Write a simulated field ``x`` and response ``y`` at ``grid``'s nodes."""
+    _write_rows(path, ["lon", "lat", "x", "y"], [grid.node_coords(), x, y])
 
 
 def save_fit_artifact(path, fitres: FitResult, dataset: Dataset):
@@ -254,7 +263,7 @@ def save_fit_artifact(path, fitres: FitResult, dataset: Dataset):
         path,
         format_version=ARTIFACT_VERSION,
         grid=np.array([g.n1, g.n2, g.x_min, g.x_max, g.y_min, g.y_max]),
-        nu=fitres.nu,
+        nu=th.nu,
         k=fitres.k,
         beta=th.beta,
         sigma2=th.sigma2,
@@ -313,13 +322,12 @@ def _unpack_artifact(path, z):
         )
     n1, n2, x0, x1, y0, y1 = z["grid"]
     grid = GridSpec(int(n1), int(n2), float(x0), float(x1), float(y0), float(y1))
-    nu = float(z["nu"])
     theta = ThetaParams(
         beta=z["beta"],
         sigma2=float(z["sigma2"]),
         tau2=float(z["tau2"]),
         rho=float(z["rho"]),
-        nu=nu,
+        nu=float(z["nu"]),
     )
     fitres = FitResult(
         theta_hat=theta,
@@ -329,7 +337,6 @@ def _unpack_artifact(path, z):
         iterations=int(z["iterations"]),
         grid=grid,
         k=int(z["k"]),
-        nu=nu,
         diagnostics={
             "clamp_count": int(z["clamp_count"]),
             "wall_time": float(z["wall_time"]),

@@ -56,7 +56,6 @@ class FitResult:
     iterations: int
     grid: GridSpec
     k: int
-    nu: float
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -64,7 +63,6 @@ class FitResult:
 class PredictionSet:
     """Pointwise predictions with bootstrap standard errors and 95% bounds."""
 
-    locations: np.ndarray
     y_hat: np.ndarray
     se: np.ndarray
     ci_lo: np.ndarray
@@ -284,7 +282,6 @@ def fit(
         iterations=n_eval,
         grid=data.grid,
         k=k,
-        nu=data.nu,
         diagnostics={
             "stop_reason": note,
             "embedding_failures": embedding_failures,
@@ -434,12 +431,11 @@ def bootstrap_uq(
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    if data.grid != fitres.grid or data.nu != fitres.nu:
+    if data.grid != fitres.grid or data.nu != fitres.theta_hat.nu:
         raise ValueError(
             "data does not match the fit: bootstrap needs the fit's grid and nu"
         )
     theta = fitres.theta_hat
-    locations = np.atleast_2d(np.asarray(locations, dtype=float))
     amap_pred = build_map(locations, fitres.grid)
     y_hat = predict(fitres, amap_pred, X_pred, allow_unconverged=allow_unconverged)
 
@@ -460,7 +456,6 @@ def bootstrap_uq(
     sq = _sum_in_order(replicate, B, np.zeros(amap_pred.p))
     se = np.sqrt(sq / B)
     return PredictionSet(
-        locations=locations,
         y_hat=y_hat,
         se=se,
         ci_lo=y_hat - 1.96 * se,

@@ -23,8 +23,6 @@ class SimulatedField:
     """A simulated realization: the full lattice truth plus the observed
     (possibly thinned) dataset."""
 
-    grid: GridSpec
-    theta: ThetaParams
     x: np.ndarray  # latent field on the full lattice
     y: np.ndarray  # noisy observations on the full lattice
     dataset: Dataset  # observed rows (thinned when requested)
@@ -65,4 +63,4 @@ def simulate_dataset(
         X=np.ones((kept.size, 1)),
         covariate_names=("intercept",),
     )
-    return SimulatedField(grid=grid, theta=theta, x=x, y=y, dataset=dataset, kept=kept)
+    return SimulatedField(x=x, y=y, dataset=dataset, kept=kept)

@@ -50,6 +50,9 @@ SETTING_THETAS = {
 
 BASELINE_THETA = (44.49, 3.0, 0.5, 0.1)
 
+# share of each replicate's observations held out for scoring
+HOLDOUT = 0.05
+
 
 @dataclass
 class ReplicateResult:
@@ -122,7 +125,6 @@ def run_replicate(
     theta_true: ThetaParams,
     k: int,
     seed: int,
-    holdout_frac: float = 0.05,
     thin_fraction: float = 0.0,
     B: int = 20,
     init="truth",
@@ -132,7 +134,7 @@ def run_replicate(
     sim = simulate_dataset(source_grid, theta_true, seed=seed, thin_fraction=thin_fraction)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     p = sim.dataset.p
-    n_hold = max(1, round(holdout_frac * p))
+    n_hold = max(1, round(HOLDOUT * p))
     hold = np.zeros(p, dtype=bool)
     hold[rng.choice(p, size=n_hold, replace=False)] = True
 

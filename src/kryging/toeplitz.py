@@ -61,8 +61,6 @@ def _quarter_spectrum(base: np.ndarray, m1: int, m2: int) -> np.ndarray:
     along axis 0 of the even column sequence built from those rows.
     """
     n2, n1 = base.shape
-    if m1 < 2 * n1 - 1 or m2 < 2 * n2 - 1:
-        raise ValueError("embedding dimensions too small for exact products")
     rows = np.zeros((n2, m1))
     rows[:, :n1] = base
     rows[:, m1 - n1 + 1 :] = base[:, :0:-1]

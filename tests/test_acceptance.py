@@ -189,7 +189,7 @@ def setting1_study():
     g = GridSpec(100, 100)
     t0 = time.perf_counter()
     reps = [
-        run_replicate(g, g, theta, k=50, seed=9000 + 7 * r, holdout_frac=0.05, B=20)
+        run_replicate(g, g, theta, k=50, seed=9000 + 7 * r, B=20)
         for r in range(5)
     ]
     return reps, theta, time.perf_counter() - t0
@@ -238,11 +238,11 @@ def test_criterion_7_irregular_path(report):
     seed = 7100
     irr = run_replicate(
         src, GridSpec(100, 100), theta, k=50, seed=seed,
-        holdout_frac=0.05, thin_fraction=thin, B=20,
+        thin_fraction=thin, B=20,
     )
     col = run_replicate(
         src, src, theta, k=50, seed=seed,
-        holdout_frac=0.05, thin_fraction=thin, B=20,
+        thin_fraction=thin, B=20,
     )
     rel_gap = abs(irr.rmse - col.rmse) / col.rmse
     ok = irr.coverage >= 0.80 and rel_gap <= 0.15
@@ -286,7 +286,7 @@ def test_criterion_8_bootstrap_contract(report):
     )
     res0 = FitResult(
         theta_hat=theta0, x_hat=np.zeros(g0.n), objective_trace=[0.0],
-        converged=True, iterations=1, grid=g0, k=g0.n, nu=0.5,
+        converged=True, iterations=1, grid=g0, k=g0.n,
     )
     p0 = bootstrap_uq(res0, data0, g0.node_coords(), B=20, seed=3)
     limit_ok = bool(p0.se.max() < 1e-4)

@@ -107,6 +107,9 @@ def test_directory_as_path_exits_2(workdir, capsys, role):
     ("--grid", "1x40", "grid must be at least 2x2, got 1x40"),
     ("--extent", "0,1,0", "extent must be xmin,xmax,ymin,ymax; got '0,1,0'"),
     ("--init", "2,0.5,0.1", "theta must have at least 4 components, got 3"),
+    ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+    ("--nu", "0", "nu must be finite and positive, got 0.0"),
+    ("--k", "0", "k must be >= 1, got 0"),
 ])
 @pytest.mark.parametrize("command", ["fit", "study"])
 def test_flag_values_are_checked_before_any_file_is_read(workdir, capsys, command, flag,
@@ -357,6 +360,51 @@ class TestPredict:
         ys = [float(r[2]) for r in sim_rows]
         for yhat, y in zip(preds, ys):
             assert abs(yhat - y) < 3.0  # same scale, shrunk toward the mean
+
+    def test_every_csv_has_crlf_lines_and_reads_back_bitwise(self, workdir, fitted):
+        from kryging import (GridSpec, ModelData, ThetaParams, bootstrap_uq, build_map,
+                             load_fit_artifact, predict, simulate_dataset)
+        from kryging.data import read_locations
+
+        def rows(path):
+            text = path.read_bytes()
+            assert text.endswith(b"\r\n") and text.count(b"\n") == text.count(b"\r\n")
+            lines = text.decode().split("\r\n")[:-1]
+            return lines[0], np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+        def same(got, want):
+            want = np.asarray(want, dtype=float)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        # simulate(workdir) wrote sim.csv and its truth on the unit square
+        sim = simulate_dataset(GridSpec(12, 12), ThetaParams(np.array([10.0]), 2, 0.4, 0.2),
+                               seed=3)
+        header, values = rows(workdir / "sim.csv")
+        assert header == "lon,lat,y"
+        same(values, np.column_stack([sim.dataset.locations, sim.dataset.y]))
+        header, values = rows(workdir / "sim.csv.truth.csv")
+        assert header == "lon,lat,x,y"
+        same(values, np.column_stack([GridSpec(12, 12).node_coords(), sim.x, sim.y]))
+
+        locs = workdir / "locs.csv"
+        locs.write_text("lon,lat\n0.5,0.5\n0.25,0.75\n0.1,0.9\n")
+        res, dataset = load_fit_artifact(fitted)
+        targets = read_locations(locs)
+        for command, extra in (("predict", []), ("bootstrap", ["--B", 3, "--seed", 4])):
+            out = workdir / f"{command}.csv"
+            assert run_cli([command, "--fit", fitted, "--locations", locs,
+                            *extra, "--out", out]) == 0
+            header, values = rows(out)
+            if command == "predict":
+                want = [predict(res, build_map(targets, res.grid), allow_unconverged=True)]
+            else:
+                data = ModelData(y=dataset.y, X=dataset.X, grid=res.grid, nu=res.theta_hat.nu,
+                                 amap=build_map(dataset.locations, res.grid))
+                pset = bootstrap_uq(res, data, targets, B=3, seed=4, allow_unconverged=True)
+                want = [pset.y_hat, pset.se, pset.ci_lo, pset.ci_hi]
+            assert header.split(",") == ["lon", "lat", "y_hat", "se", "ci_lo", "ci_hi"][
+                : 2 + len(want)]
+            same(values, np.column_stack([targets, *want]))
 
 
 # (subcommand, flag) pairs each command once accepted and ignored

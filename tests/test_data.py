@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kryging import data
-from kryging.data import Dataset, InputError, read_dataset, read_locations, write_dataset
+from kryging.data import (Dataset, InputError, read_dataset, read_locations, write_dataset,
+                          write_predictions)
 
 
 def write_rows(path, rows):
@@ -142,6 +143,21 @@ class TestFaults:
         with pytest.raises(InputError, match=r"^line 3: expected 2 fields, got 1$"):
             read_locations(path)
 
+    @pytest.mark.parametrize("reader,text,message", [
+        (read_dataset, "", "empty file"),
+        (read_dataset, "\nlon,lat,y\n", "header must start with lon,lat,y (got )"),
+        (read_dataset, "lat,lon,y\n", "header must start with lon,lat,y (got lat,lon,y)"),
+        (read_locations, "", "empty file"),
+        (read_locations, "\nlon,lat\n", "header must start with lon,lat (got )"),
+        (read_locations, "lat,lon,id\n", "header must start with lon,lat (got lat,lon)"),
+    ])
+    def test_header_faults(self, tmp_path, reader, text, message):
+        path = tmp_path / "h.csv"
+        path.write_text(text)
+        with pytest.raises(InputError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 class TestValues:
     def test_tokens_parse_as_float_does(self, tmp_path):
@@ -261,3 +277,34 @@ def test_write_read_round_trip_is_bitwise(tmp_path_factory, rows):
     assert back.covariate_names == ds.covariate_names
     for got, want in ((back.locations, ds.locations), (back.y, ds.y), (back.X, ds.X)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def csv_writer_reference(path, header, rows):
+    """The writer both CSV functions once used: csv.writer on each value's
+    repr, kept here as the byte-level reference."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(v) for v in row] for row in rows)
+
+
+def test_writers_match_the_csv_writer_bytes(tmp_path):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-300, 300, (50, 6))
+    values[0] = [5e-324, -1.7976931348623157e308, -0.0, 0.0, 1e16, 0.1]
+    ds = Dataset(values[:, :2], values[:, 2], np.column_stack([np.ones(50), values[:, 3:]]),
+                 ("intercept", "elev", "a,b", 'say "c"'))
+    cases = [
+        (write_dataset, (ds,), ["lon", "lat", "y", "elev", "a,b", 'say "c"'], values),
+        (write_predictions, (values[:, :2], values[:, 2]), ["lon", "lat", "y_hat"],
+         values[:, :3]),
+        (write_predictions, (values[:, :2], *values[:, 2:].T), ["lon", "lat", "y_hat", "se",
+                                                                 "ci_lo", "ci_hi"], values),
+        (write_predictions, (np.zeros((0, 2)), np.zeros(0)), ["lon", "lat", "y_hat"],
+         np.zeros((0, 3))),
+    ]
+    for writer, args, header, rows in cases:
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        writer(got, *args)
+        csv_writer_reference(want, header, rows.tolist())
+        assert got.read_bytes() == want.read_bytes()

@@ -44,7 +44,6 @@ def manual_fit(grid, theta, x_hat, k=10):
         iterations=1,
         grid=grid,
         k=k,
-        nu=theta.nu,
     )
 
 

@@ -71,7 +71,7 @@ def test_fit_holds_one_factorization_at_a_time(traced, colocated):
 
 def test_bootstrap_holds_one_replicate_per_thread(traced, colocated, monkeypatch):
     g = colocated.grid
-    res = FitResult(THETA, np.zeros(g.n), [0.0], True, 1, g, K, THETA.nu)
+    res = FitResult(THETA, np.zeros(g.n), [0.0], True, 1, g, K)
     locs = g.node_coords()[::7]
     _, one = traced(lambda: bootstrap_uq(res, colocated, locs, B=1, seed=0))
     workers = 3
