@@ -92,12 +92,14 @@ def _report(text, path=None):
 
 
 def _check_fit_settings(args):
-    """Check --k, --nu, --max-iter and --tol (where the command has it)."""
-    if args.k < 1:
-        raise InputError(f"k must be >= 1, got {args.k}")
-    if not (np.isfinite(args.nu) and args.nu > 0):
-        raise InputError(f"nu must be finite and positive, got {args.nu}")
-    _check_stopping(args.max_iter, getattr(args, "tol", 0.0))
+    """Check each of --k, --B, --nu, --max-iter and --tol the command has."""
+    for name in ("k", "B"):
+        if getattr(args, name, 1) < 1:
+            raise InputError(f"{name} must be >= 1, got {getattr(args, name)}")
+    nu = getattr(args, "nu", 1.0)
+    if not (np.isfinite(nu) and nu > 0):
+        raise InputError(f"nu must be finite and positive, got {nu}")
+    _check_stopping(getattr(args, "max_iter", 1), getattr(args, "tol", 0.0))
 
 
 def cmd_fit(args) -> int:
@@ -122,6 +124,7 @@ def cmd_fit(args) -> int:
             f"beta: [{beta_txt}]",
             f"sigma2: {th.sigma2:.6g}   tau2: {th.tau2:.6g}   rho: {th.rho:.6g}   nu: {th.nu:g}",
             f"converged: {res.converged} ({res.diagnostics['stop_reason']})",
+            f"largest log-scale move from init: {res.diagnostics['max_log_step']:.4g}",
             f"evaluations: {res.iterations}   accepted steps: {len(trace) - 1}",
             f"embedding failures: {res.diagnostics['embedding_failures']}",
             f"objective: {trace[0]:.4f} -> {trace[-1]:.4f}",
@@ -154,7 +157,7 @@ def cmd_predict(args) -> int:
     res, _, locations = _load_for_prediction(args)
     y_hat = np.zeros(0)
     if locations.shape[0]:
-        y_hat = predict(res, build_map(locations, res.grid), allow_unconverged=True)
+        y_hat = predict(res, build_map(locations, res.grid))
     write_predictions(args.out, locations, y_hat)
     print(f"wrote {locations.shape[0]} predictions to {args.out}")
     return 0
@@ -168,8 +171,7 @@ def cmd_bootstrap(args) -> int:
     if locations.shape[0]:
         amap = build_map(dataset.locations, res.grid)
         data = ModelData(y=dataset.y, X=dataset.X, amap=amap, grid=res.grid, nu=res.theta_hat.nu)
-        pset = bootstrap_uq(res, data, locations, B=args.B, seed=args.seed,
-                            allow_unconverged=True)
+        pset = bootstrap_uq(res, data, locations, B=args.B, seed=args.seed)
         columns = (pset.y_hat, pset.se, pset.ci_lo, pset.ci_hi)
     write_predictions(args.out, locations, *columns)
     print(f"wrote {locations.shape[0]} predictions to {args.out}")
@@ -191,6 +193,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_study(args) -> int:
+    _check_fit_settings(args)
     # an explicit init's nu goes unread: fit takes nu from the data
     init = args.init if args.init in ("truth", "auto") else _parse_theta(args.init, 0.5)
     results = run_study(args.design, k=args.k, replicates=args.replicates, scale=args.scale,
@@ -220,7 +223,7 @@ def _cv_select_init(train, grid, candidates, args):
             data = ModelData(y=tr.y, X=tr.X, amap=amap, grid=grid, nu=args.nu)
             res = fit(data, k=args.k, init=cand, max_iter=args.max_iter)
             amap_te = build_map(te.locations, grid)
-            yhat = predict(res, amap_te, X_pred=te.X, allow_unconverged=True)
+            yhat = predict(res, amap_te, X_pred=te.X)
             errs.append(score_predictions(te.y, yhat)["rmse"])
         scores.append(float(np.mean(errs)))
     best = int(np.argmin(scores))
@@ -246,8 +249,7 @@ def _study_modis(args) -> int:
     amap = build_map(train.locations, grid)
     data = ModelData(y=train.y, X=train.X, amap=amap, grid=grid, nu=args.nu)
     res = fit(data, k=args.k, init=theta0, max_iter=args.max_iter)
-    pset = bootstrap_uq(res, data, test.locations, X_pred=test.X, B=args.B,
-                        seed=args.seed, allow_unconverged=True)
+    pset = bootstrap_uq(res, data, test.locations, X_pred=test.X, B=args.B, seed=args.seed)
     minutes = (time.perf_counter() - t0) / 60.0
     s = score_predictions(test.y, pset.y_hat, pset.se)
     _report(

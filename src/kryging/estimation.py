@@ -169,6 +169,9 @@ def fit(
     the model's, so it is linear at the step scale and no stationary
     point is within reach; each further step would gain about one unit
     of log-likelihood and move the estimate by 1/|g| toward the boundary.
+    Only the first two are convergence; the third, like the evaluation
+    cap, leaves ``converged`` False. ``diagnostics["max_log_step"]`` is
+    the largest move of log sigma2, tau2 or rho from the clipped start.
 
     A trial point whose embedding fails (:class:`EmbeddingError`) counts
     as an evaluation and a rejected step;
@@ -208,7 +211,7 @@ def fit(
 
     t0 = time.perf_counter()
     lo, hi = _feasible_box(data, theta0)
-    vec = np.clip(theta0.to_optimizer_vector(), lo, hi)
+    vec = start = np.clip(theta0.to_optimizer_vector(), lo, hi)
     state = evaluate_objective(
         data, ThetaParams.from_optimizer_vector(vec, nu=data.nu), k
     )
@@ -265,7 +268,7 @@ def fit(
                 converged, note = True, "objective change below tolerance"
                 break
             if ratio > 1.75:
-                converged, note = True, "objective linear along the gradient"
+                note = "objective linear along the gradient: no stationary point within reach"
                 break
 
     at_bound = bool(np.any(np.isclose(vec, lo)) or np.any(np.isclose(vec, hi)))
@@ -286,6 +289,7 @@ def fit(
             "stop_reason": note,
             "embedding_failures": embedding_failures,
             "gradient": state.grad,
+            "max_log_step": float(np.abs(vec[-3:] - start[-3:]).max()),
             "wall_time": wall,
             **state.diagnostics,
         },
@@ -296,20 +300,13 @@ def predict(
     fitres: FitResult,
     amap_pred: SparseMap,
     X_pred: np.ndarray | None = None,
-    allow_unconverged: bool = False,
 ) -> np.ndarray:
     """Predicted responses X_pred beta_hat + A_pred x_hat.
 
     ``X_pred`` defaults to an intercept column when the fitted mean has a
-    single coefficient. Predicting from a fit that did not converge
-    requires the explicit ``allow_unconverged`` override.
+    single coefficient. Any fit predicts, converged or not; its verdict
+    is reported by :func:`fit`, never checked here.
     """
-    if not fitres.converged and not allow_unconverged:
-        raise ValueError(
-            "fit did not converge "
-            f"({fitres.diagnostics.get('stop_reason', 'unknown')}); "
-            "pass allow_unconverged=True to predict anyway"
-        )
     q = fitres.theta_hat.beta.size
     if X_pred is None:
         if q != 1:
@@ -404,6 +401,7 @@ def bootstrap_uq(
     X_pred: np.ndarray | None = None,
     B: int = 20,
     seed: int = 0,
+    # no effect: kept for perfbench/workloads.py, which passes it; ROADMAP item 12 deletes it
     allow_unconverged: bool = False,
 ) -> PredictionSet:
     """Parametric-bootstrap prediction standard errors (theta held fixed).
@@ -427,7 +425,8 @@ def bootstrap_uq(
     ``data`` must hold the fit's grid and smoothness; otherwise the draws
     would come from another model than the one that predicts, and a
     ``ValueError`` is raised. An untrustworthy embedding at theta_hat
-    makes the first draw raise :class:`EmbeddingError`.
+    makes the first draw raise :class:`EmbeddingError`. Any fit is used,
+    converged or not.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -437,7 +436,7 @@ def bootstrap_uq(
         )
     theta = fitres.theta_hat
     amap_pred = build_map(locations, fitres.grid)
-    y_hat = predict(fitres, amap_pred, X_pred, allow_unconverged=allow_unconverged)
+    y_hat = predict(fitres, amap_pred, X_pred)
 
     op = BttbOperator.from_matern(data.grid, theta.rho, data.nu)
     sigma = np.sqrt(theta.sigma2)

@@ -86,9 +86,11 @@ class StudyResult:
         r, rse = _mean_se([rep.rmse for rep in self.replicates])
         c, cse = _mean_se([rep.coverage for rep in self.replicates])
         medtime = np.median([rep.seconds for rep in self.replicates])
+        converged = sum(rep.converged for rep in self.replicates)
         return (
             f"{self.label:<16} rmse={r:.3f} (se {rse:.3f})  "
-            f"coverage={c:.3f} (se {cse:.3f})  medtime={medtime:.1f}s"
+            f"coverage={c:.3f} (se {cse:.3f})  medtime={medtime:.1f}s  "
+            f"converged={converged}/{len(self.replicates)}"
         )
 
 
@@ -145,10 +147,7 @@ def run_replicate(
     data = ModelData(y=train.y, X=train.X, amap=amap, grid=latent_grid, nu=theta_true.nu)
     theta0 = theta_true if init == "truth" else init
     res = fit(data, k=k, init=theta0, max_iter=max_iter)
-    pset = bootstrap_uq(
-        res, data, test.locations, X_pred=test.X, B=B, seed=seed + 1,
-        allow_unconverged=True,
-    )
+    pset = bootstrap_uq(res, data, test.locations, X_pred=test.X, B=B, seed=seed + 1)
     seconds = time.perf_counter() - t0
 
     scores = score_predictions(test.y, pset.y_hat, pset.se)

@@ -242,7 +242,7 @@ class BttbOperator:
         embedding.
         """
         self._check_trustworthy()
-        rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+        rng = np.random.default_rng(rng)
         m1, m2 = self.embed_dims
         h1 = m1 // 2 + 1
         # frequency -k of each kept frequency k, in both axes

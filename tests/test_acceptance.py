@@ -271,8 +271,8 @@ def test_criterion_8_bootstrap_contract(report):
     )
     res = fit(data, k=20, init=theta, max_iter=40)
     locs = g.node_coords()[::7]
-    p1 = bootstrap_uq(res, data, locs, B=20, seed=5, allow_unconverged=True)
-    p2 = bootstrap_uq(res, data, locs, B=20, seed=5, allow_unconverged=True)
+    p1 = bootstrap_uq(res, data, locs, B=20, seed=5)
+    p2 = bootstrap_uq(res, data, locs, B=20, seed=5)
     identical = bool(np.array_equal(p1.se, p2.se))
     nonneg = bool(np.all(p1.se >= 0))
 

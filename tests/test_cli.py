@@ -102,16 +102,18 @@ def test_directory_as_path_exits_2(workdir, capsys, role):
     assert "Is a directory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    ("--grid", "12by12", "grid must look like N1xN2, got '12by12'"),
-    ("--grid", "1x40", "grid must be at least 2x2, got 1x40"),
-    ("--extent", "0,1,0", "extent must be xmin,xmax,ymin,ymax; got '0,1,0'"),
-    ("--init", "2,0.5,0.1", "theta must have at least 4 components, got 3"),
-    ("--max-iter", "0", "max_iter must be >= 1, got 0"),
-    ("--nu", "0", "nu must be finite and positive, got 0.0"),
-    ("--k", "0", "k must be >= 1, got 0"),
+@pytest.mark.parametrize("command,flag,value,message", [
+    *((command, *row) for command in ("fit", "study") for row in [
+        ("--grid", "12by12", "grid must look like N1xN2, got '12by12'"),
+        ("--grid", "1x40", "grid must be at least 2x2, got 1x40"),
+        ("--extent", "0,1,0", "extent must be xmin,xmax,ymin,ymax; got '0,1,0'"),
+        ("--init", "2,0.5,0.1", "theta must have at least 4 components, got 3"),
+        ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+        ("--nu", "0", "nu must be finite and positive, got 0.0"),
+        ("--k", "0", "k must be >= 1, got 0"),
+    ]),
+    ("study", "--B", "0", "B must be >= 1, got 0"),  # fit has no --B
 ])
-@pytest.mark.parametrize("command", ["fit", "study"])
 def test_flag_values_are_checked_before_any_file_is_read(workdir, capsys, command, flag,
                                                          value, message):
     missing = workdir / "missing.csv"
@@ -133,6 +135,7 @@ class TestFit:
         assert fitfile.exists()
         report = (workdir / "fit.npz.report.txt").read_text()
         assert "clamp_count" in report
+        assert "largest log-scale move from init: " in report
         assert "embedding failures: 0" in report
         assert "sigma2" in report
         out = capsys.readouterr().out
@@ -396,11 +399,11 @@ class TestPredict:
                             *extra, "--out", out]) == 0
             header, values = rows(out)
             if command == "predict":
-                want = [predict(res, build_map(targets, res.grid), allow_unconverged=True)]
+                want = [predict(res, build_map(targets, res.grid))]
             else:
                 data = ModelData(y=dataset.y, X=dataset.X, grid=res.grid, nu=res.theta_hat.nu,
                                  amap=build_map(dataset.locations, res.grid))
-                pset = bootstrap_uq(res, data, targets, B=3, seed=4, allow_unconverged=True)
+                pset = bootstrap_uq(res, data, targets, B=3, seed=4)
                 want = [pset.y_hat, pset.se, pset.ci_lo, pset.ci_hi]
             assert header.split(",") == ["lon", "lat", "y_hat", "se", "ci_lo", "ci_hi"][
                 : 2 + len(want)]
@@ -743,7 +746,7 @@ class TestStudyCommand:
         text = out.read_text()
         assert "setting-1" in text and "setting-4" in text
         assert "rmse=" in text and "coverage=" in text and "se " in text
-        assert "sigma2=" in text  # parameter recovery table
+        assert "converged=" in text and "sigma2=" in text  # and parameter recovery
 
     def test_grid_scaling_study_smoke(self, workdir, capsys):
         rc = run_cli(["study", "grid-scaling", "--scale", 0.05,
@@ -788,6 +791,15 @@ class TestStudyCommand:
         assert run_cli(["study", "modis", "--train", train, "--test", test,
                         "--grid", "8x8", "--k", 5, "--B", 2, "--max-iter", 3]) == 0
         assert inits == ["auto"]
+
+    @pytest.mark.parametrize("flag,name", [("--B", "B"), ("--k", "k"), ("--max-iter", "max_iter")])
+    def test_synthetic_design_checks_flags_before_any_replicate(self, monkeypatch, capsys,
+                                                                flag, name):
+        from kryging import study
+
+        monkeypatch.setattr(study, "run_replicate", lambda *a, **k: pytest.fail("ran"))
+        assert run_cli(["study", "settings", flag, "0"]) == 2
+        assert f"error: {name} must be >= 1, got 0" in capsys.readouterr().err
 
     def test_zero_replicates_exits_2(self, workdir, capsys):
         rc = run_cli(["study", "settings", "--scale", 0.08,

@@ -62,13 +62,16 @@ class TestFit:
     def test_stops_once_objective_is_linear_along_gradient(self):
         # far from a stationary point the model's step gains about twice
         # its predicted reduction; the fit stops there instead of walking
-        # one unit of log-likelihood per evaluation toward the boundary
+        # one unit of log-likelihood per evaluation toward the boundary,
+        # and says it did not converge
         g, sim, data = simulated_data(10, TRUTH, seed=2)
         for init in (TRUTH, "auto"):
             res = fit(data, k=20, init=init, max_iter=60)
-            assert res.diagnostics["stop_reason"] == "objective linear along the gradient"
-            assert res.converged
+            assert res.diagnostics["stop_reason"] == (
+                "objective linear along the gradient: no stationary point within reach")
+            assert not res.converged
             assert (res.iterations, len(res.objective_trace)) == (2, 2)
+            assert res.diagnostics["max_log_step"] > 0
 
     def test_reproducible(self):
         g, sim, data = simulated_data(8, TRUTH, seed=3)
@@ -245,6 +248,7 @@ class TestTrustRegionStops:
         assert res.objective_trace == [1.0]
         np.testing.assert_array_equal(res.theta_hat.to_optimizer_vector(),
                                       TRUTH.to_optimizer_vector())
+        assert res.diagnostics["max_log_step"] == 0.0
 
     def test_objective_change_below_tolerance(self, monkeypatch, data):
         grad = 1e-12 * np.array([0.0, 1.0, 1.0, 1.0])
@@ -404,17 +408,17 @@ class TestBootstrap:
         g, sim, data = simulated_data(8, TRUTH, seed=6)
         res = fit(data, k=10, init=TRUTH, max_iter=20)
         locs = data.grid.node_coords()[:25]
-        p1 = bootstrap_uq(res, data, locs, B=5, seed=11, allow_unconverged=True)
-        p2 = bootstrap_uq(res, data, locs, B=5, seed=11, allow_unconverged=True)
+        p1 = bootstrap_uq(res, data, locs, B=5, seed=11)
+        p2 = bootstrap_uq(res, data, locs, B=5, seed=11)
         np.testing.assert_array_equal(p1.se, p2.se)
-        p3 = bootstrap_uq(res, data, locs, B=5, seed=12, allow_unconverged=True)
+        p3 = bootstrap_uq(res, data, locs, B=5, seed=12)
         assert not np.array_equal(p1.se, p3.se)
 
     def test_se_nonnegative_and_interval_order(self):
         g, sim, data = simulated_data(8, TRUTH, seed=7)
         res = fit(data, k=10, init=TRUTH, max_iter=20)
         locs = data.grid.node_coords()[::3]
-        pset = bootstrap_uq(res, data, locs, B=6, seed=0, allow_unconverged=True)
+        pset = bootstrap_uq(res, data, locs, B=6, seed=0)
         assert np.all(pset.se >= 0)
         assert np.all(pset.ci_lo <= pset.y_hat)
         assert np.all(pset.y_hat <= pset.ci_hi)
@@ -497,7 +501,7 @@ class TestBootstrap:
         g, sim, data = simulated_data(6, TRUTH, seed=8)
         res = fit(data, k=5, init=TRUTH, max_iter=5)
         with pytest.raises(ValueError):
-            bootstrap_uq(res, data, g.node_coords()[:4], B=0, allow_unconverged=True)
+            bootstrap_uq(res, data, g.node_coords()[:4], B=0)
 
 
 def serial_bootstrap_se(res, data, locs, B, seed):
@@ -605,16 +609,20 @@ class TestConcurrentBootstrap:
         np.testing.assert_array_equal(pset.se, serial_bootstrap_se(res, data, locs, 1, 2))
 
 
-class TestConvergenceGate:
-    def test_predict_refuses_unconverged_without_override(self):
+class TestConvergenceVerdict:
+    def test_predict_and_bootstrap_do_not_read_the_verdict(self):
+        # the verdict is reported, never gated: an unconverged fit gives
+        # bitwise the numbers of the same fit marked converged
         g, sim, data = simulated_data(6, TRUTH, seed=9)
         res = fit(data, k=5, init=TRUTH, max_iter=1)
         assert not res.converged
-        amap = identity_map(g.n)
-        with pytest.raises(ValueError, match="converge"):
-            predict(res, amap)
-        out = predict(res, amap, allow_unconverged=True)
-        assert out.shape == (g.n,)
+        marked = dataclasses.replace(res, converged=True)
+        amap, locs = identity_map(g.n), g.node_coords()[::2]
+        np.testing.assert_array_equal(predict(res, amap), predict(marked, amap))
+        got = bootstrap_uq(res, data, locs, B=3, seed=4)
+        want = bootstrap_uq(marked, data, locs, B=3, seed=4)
+        for field in ("y_hat", "se", "ci_lo", "ci_hi"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 class TestCovariateMean:

@@ -13,6 +13,8 @@ from kryging.grid import GridSpec, ThetaParams
 from kryging.simulate import simulate_dataset
 from kryging.study import (
     SETTING_THETAS,
+    ReplicateResult,
+    StudyResult,
     _configs,
     format_study_tables,
     run_replicate,
@@ -104,6 +106,13 @@ class TestRunners:
         monkeypatch.setattr(study, "run_replicate", lambda *a, **k: pytest.fail("ran"))
         with pytest.raises(ValueError, match=message):
             run_study(design, **kw)
+
+
+def test_table_row_counts_converged_replicates():
+    reps = [ReplicateResult(rmse=1.0, coverage=0.95, seconds=2.0, theta_hat=THETA,
+                            converged=flag) for flag in (True, False, True)]
+    row = StudyResult(label="setting-1", replicates=reps, theta_true=THETA).table_row()
+    assert row.endswith("medtime=2.0s  converged=2/3")
 
 
 class TestDesigns:
