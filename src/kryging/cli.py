@@ -164,8 +164,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    if args.B < 1:
-        raise InputError("bootstrap requires B >= 1")
+    _check_fit_settings(args)
     res, dataset, locations = _load_for_prediction(args)
     columns = (np.zeros(0),) * 4
     if locations.shape[0]:

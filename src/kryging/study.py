@@ -94,9 +94,77 @@ class StudyResult:
         )
 
 
+# Cephes' erf/erfc rational approximations, as scipy.special.ndtr runs
+# them: numerators P, R, T and denominators Q, S, U, highest degree
+# first. Cephes leaves the denominators' leading 1 implicit (p1evl); it
+# is written out here, which rounds the same, as 1.0 * x is exact
+_MAXLOG = 7.09782712893383996843e2
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+_SQRT1_2 = math.sqrt(0.5)
+
+
+def _polevl(x, coefs):
+    """Horner's rule, as Cephes' polevl."""
+    y = coefs[0]
+    for c in coefs[1:]:
+        y = y * x + c
+    return y
+
+
+def _erf(x):
+    """erf for |x| < 1, the only arguments _ndtr and _erfc pass."""
+    z = x * x
+    return x * _polevl(z, _T) / _polevl(z, _U)
+
+
+def _erfc(a):
+    """erfc for a >= sqrt(1/2), the only arguments _ndtr passes."""
+    if a < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:  # exp underflows, and a = inf would give 0 * inf
+        return 0.0
+    if a < 8.0:
+        p, q = _polevl(a, _P), _polevl(a, _Q)
+    else:
+        p, q = _polevl(a, _R), _polevl(a, _S)
+    return math.exp(z) * p / q
+
+
+def _ndtr(a):
+    """The standard normal cdf at the Python float ``a``: Cephes' ndtr,
+    step for step, with libm exp (math.exp; np.exp rounds differently
+    on some CPUs), so it equals scipy.special.ndtr bitwise."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
 def score_predictions(y_true, y_hat, se=None) -> dict:
     """Held-out scores: MAE, RMSE and, with standard errors available,
-    CRPS, mean 95% interval score, and coverage (Gaussian intervals)."""
+    CRPS, mean 95% interval score, and coverage (Gaussian intervals).
+
+    The normal cdf in the CRPS is a port of the Cephes ``ndtr`` that
+    ``scipy.special.ndtr`` runs, evaluated on Python floats with libm
+    ``exp``; it matches ``ndtr`` bitwise, so scoring imports no scipy."""
     y_true = np.asarray(y_true)
     y_hat = np.asarray(y_hat)
     err = y_hat - y_true
@@ -105,12 +173,10 @@ def score_predictions(y_true, y_hat, se=None) -> dict:
         "rmse": float(np.sqrt(np.mean(err**2))),
     }
     if se is not None:
-        from scipy.special import ndtr  # loaded only when scoring intervals
-
         se = np.maximum(np.asarray(se), 1e-300)
         zed = err / se
         # standard normal cdf and pdf, computed as scipy.stats.norm does
-        cdf = ndtr(zed)
+        cdf = np.array([_ndtr(v) for v in zed.ravel().tolist()]).reshape(zed.shape)
         pdf = np.exp(-zed**2 / 2.0) / np.sqrt(2 * np.pi)
         out["crps"] = float(np.mean(se * (zed * (2 * cdf - 1) + 2 * pdf - 1 / math.sqrt(math.pi))))
         lo, hi = y_hat - 1.96 * se, y_hat + 1.96 * se

@@ -567,7 +567,7 @@ def test_modis_reads_nu(workdir, monkeypatch):
 
 @pytest.mark.parametrize("args,message", [
     (["bootstrap", "--fit", "f.npz", "--locations", "l.csv", "--B", "0", "--out", "p.csv"],
-     "error: bootstrap requires B >= 1"),
+     "error: B must be >= 1, got 0"),
     (["study", "modis"], "the following arguments are required: --train, --test"),
     (["simulate", "--grid", "12by12", "--out", "s.csv"],
      "error: grid must look like N1xN2, got '12by12'"),

@@ -286,6 +286,19 @@ class TestTrustRegionStops:
         assert np.all(steps[:, 3] == 0) and np.all(steps[:, 1:3] < 0)
         assert res.theta_hat.rho == pytest.approx(start.rho, rel=1e-12)
 
+    def test_box_clips_the_whole_step_away(self, monkeypatch, data):
+        # rho starts on its upper bound and the gradient pushes only rho
+        # up, so every step is clipped to zero: the radius shrinks below
+        # parameter resolution with no evaluation beyond the first
+        start = dataclasses.replace(TRUTH, rho=3.0 * np.sqrt(2.0))
+        calls = self.scripted(monkeypatch, lambda i, vec: 0.0, [0.0, 0.0, 0.0, -1.0])
+        res = fit(data, k=5, init=start, max_iter=60)
+        assert res.iterations == len(calls) == 1
+        assert res.diagnostics["stop_reason"] == (
+            "trust radius below parameter resolution; estimate at feasibility bound")
+        assert not res.converged
+        assert res.objective_trace == [0.0]
+
     def test_radius_shrinks_on_a_poor_step_and_grows_back(self, monkeypatch, data):
         # a small linear objective, so each step is cut to the radius and
         # gains what the model predicts; the second evaluation is worse

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import kryging
 from kryging.grid import GridSpec, ThetaParams
@@ -16,6 +16,7 @@ from kryging.study import (
     ReplicateResult,
     StudyResult,
     _configs,
+    _ndtr,
     format_study_tables,
     run_replicate,
     run_study,
@@ -65,6 +66,28 @@ class TestScores:
             z * (2 * stats.norm.cdf(z) - 1) + 2 * stats.norm.pdf(z) - 1 / np.sqrt(np.pi)
         )))
         assert score_predictions(y, y_hat, se)["crps"] == expected
+
+    @staticmethod
+    def ndtr_arguments():
+        """A dense sweep, a N(0, 9) sample and the port's edges: the
+        erf/erfc split at |a| = sqrt(2), the P,Q/R,S split at 8 sqrt(2),
+        erfc's underflow near |a| = 38, infinities, nan, signed zeros and
+        the extremes of the float range."""
+        splits = [s * c for c in (np.sqrt(2.0), 8.0 * np.sqrt(2.0)) for s in (1.0, -1.0)]
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, -5e-324]
+        for a in splits:
+            edges += [np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)]
+        underflow = np.linspace(37.5, 38.5, 10_001)
+        return np.concatenate([
+            np.linspace(-40.0, 40.0, 400_001),
+            3.0 * np.random.default_rng(8).standard_normal(200_000),
+            edges, underflow, -underflow,
+        ])
+
+    def test_ndtr_port_equals_scipy_bitwise(self):
+        a = self.ndtr_arguments()
+        port = np.array([_ndtr(v) for v in a.tolist()])
+        np.testing.assert_array_equal(port.view(np.uint64), special.ndtr(a).view(np.uint64))
 
     def test_interval_score_inside_band(self):
         se = np.ones(10)
@@ -154,7 +177,7 @@ def fresh_interpreter_output(code: str, cwd=None):
 def test_package_import_leaves_out_scipy_fft_linalg_special_and_stats():
     # numpy runs the FFTs, the projected solve and selection maps;
     # scipy.sparse loads with the first off-node map, and scipy.special
-    # only for a general nu or for interval scores. Any scipy subpackage
+    # only for a general nu. Any scipy subpackage
     # costs about 20 MB resident (scipy.stats about 35 MB more) and a
     # tenth of a second or more to import
     code = (
@@ -188,3 +211,16 @@ def test_only_off_node_maps_load_scipy_sparse(tmp_path):
     colocated, off_node = fresh_interpreter_output(code, cwd=tmp_path)
     assert colocated == []
     assert off_node == ["scipy", "scipy.sparse"]
+
+
+def test_co_located_study_loads_no_scipy(tmp_path):
+    # a study simulates, fits, bootstraps and scores its held-out
+    # targets; co-located at nu = 0.5, none of it needs scipy
+    code = (
+        "import sys\n"
+        "from kryging.cli import main\n"
+        "assert main(['study', 'settings', '--scale', '0.05', '--replicates', '1', '--k', '3',\n"
+        "             '--B', '1', '--max-iter', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert fresh_interpreter_output(code, cwd=tmp_path) == []
