@@ -67,25 +67,21 @@ class TestScores:
         )))
         assert score_predictions(y, y_hat, se)["crps"] == expected
 
-    @staticmethod
-    def ndtr_arguments():
-        """A dense sweep, a N(0, 9) sample and the port's edges: the
-        erf/erfc split at |a| = sqrt(2), the P,Q/R,S split at 8 sqrt(2),
-        erfc's underflow near |a| = 38, infinities, nan, signed zeros and
-        the extremes of the float range."""
+    def test_ndtr_port_equals_scipy_bitwise(self):
+        # a dense sweep, a N(0, 9) sample and the port's edges: the
+        # erf/erfc split at |a| = sqrt(2), the P,Q/R,S split at 8 sqrt(2),
+        # erfc's underflow near |a| = 38, infinities, nan, signed zeros
+        # and the extremes of the float range
         splits = [s * c for c in (np.sqrt(2.0), 8.0 * np.sqrt(2.0)) for s in (1.0, -1.0)]
         edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324, -5e-324]
         for a in splits:
             edges += [np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)]
         underflow = np.linspace(37.5, 38.5, 10_001)
-        return np.concatenate([
+        a = np.concatenate([
             np.linspace(-40.0, 40.0, 400_001),
             3.0 * np.random.default_rng(8).standard_normal(200_000),
             edges, underflow, -underflow,
         ])
-
-    def test_ndtr_port_equals_scipy_bitwise(self):
-        a = self.ndtr_arguments()
         port = np.array([_ndtr(v) for v in a.tolist()])
         np.testing.assert_array_equal(port.view(np.uint64), special.ndtr(a).view(np.uint64))
 
