@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +8,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_benchpair():
+    spec = importlib.util.spec_from_file_location("benchpair", ROOT / "tools" / "benchpair.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def in_git_work_tree() -> bool:
@@ -46,3 +54,31 @@ def test_head_against_itself_on_a_toy_pair(tmp_path):
         assert (summary[name]["ties"], summary[name]["verdict"]) == (1, "within bound")
     # one pair claims nothing
     assert all(s["verdict"] != "better" for s in summary.values())
+
+
+def made_up_runs(failed_base, failed_change, pairs=10, attempted=20):
+    """Pairs where CHANGE is faster in every one, by far more than the
+    spread, with the given failed requests per run on each side."""
+    return [{"pair": i,
+             "base": {"attempted": attempted, "failed": failed_base,
+                      "metrics": {"fit_s": 1.0 + 0.01 * i}},
+             "change": {"attempted": attempted, "failed": failed_change,
+                        "metrics": {"fit_s": 0.5 + 0.01 * i}}}
+            for i in range(pairs)]
+
+
+@pytest.mark.parametrize("failed_base, failed_change, verdict", [
+    (0, 0, "better"),
+    (1, 1, "better"),
+    (1, 0, "better"),
+    (0, 1, "within bound"),
+    (2, 3, "within bound"),
+])
+def test_a_change_that_fails_more_requests_is_not_better(failed_base, failed_change, verdict):
+    benchpair = load_benchpair()
+    spec = {"end_to_end": [{"name": "fit_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    summary, totals = benchpair.summarize(spec, made_up_runs(failed_base, failed_change))
+    assert summary["fit_s"]["wins"] == 10
+    assert summary["fit_s"]["verdict"] == verdict
+    for side, failed in (("base", failed_base), ("change", failed_change)):
+        assert totals[side] == {"failed": 10 * failed, "attempted": 200, "share": failed / 20}

@@ -159,6 +159,22 @@ class TestFaults:
         assert str(info.value) == f"{path}: {message}"
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("locations", np.zeros((4, 3)), r"^locations must be \(4, 2\)$"),
+        ("locations", np.zeros((3, 2)), r"^locations must be \(4, 2\)$"),
+        ("X", np.ones((3, 1)), "^X row count differs from y$"),
+        ("locations", np.array([[0.0, 0.0], [0.0, np.inf], [1.0, 0.0], [1.0, 1.0]]),
+         "^non-finite values in locations$"),
+        ("y", np.array([1.0, np.nan, 2.0, 3.0]), "^non-finite values in y$"),
+        ("X", np.array([[1.0], [1.0], [-np.inf], [1.0]]), "^non-finite values in X$"),
+    ])
+    def test_dataset_refuses_malformed_arrays(self, field, value, message):
+        arrays = {"locations": np.zeros((4, 2)), "y": np.arange(4.0), "X": np.ones((4, 1))}
+        arrays[field] = value
+        with pytest.raises(InputError, match=message):
+            Dataset(**arrays)
+
+
 class TestValues:
     def test_tokens_parse_as_float_does(self, tmp_path):
         tokens = ["1_000", " 2.5 ", "+3", "-0", "١٢", "1e-320"]

@@ -412,6 +412,9 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(res, amap)
         X_pred = np.column_stack([np.ones(g.n), rng.standard_normal(g.n)])
+        for bad in (X_pred[:, :1], X_pred[1:], np.ones((g.n, 3))):
+            with pytest.raises(ValueError, match=r"X_pred must be \(16, 2\)"):
+                predict(res, amap, bad)
         out = predict(res, amap, X_pred)
         np.testing.assert_allclose(out, X_pred @ theta.beta, atol=1e-12)
 

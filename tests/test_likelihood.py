@@ -43,6 +43,16 @@ class TestModelData:
         with pytest.raises(ValueError, match=f"non-finite values in {field}"):
             ModelData(amap=identity_map(g.n), grid=g, **arrays)
 
+    @pytest.mark.parametrize("p_X, p_map, grid, message", [
+        (8, 9, GridSpec(3, 3), "X and y row counts differ"),
+        (9, 8, GridSpec(3, 3), "mapping shape inconsistent"),
+        (9, 9, GridSpec(4, 3), "mapping shape inconsistent"),
+    ])
+    def test_rejects_inconsistent_shapes(self, p_X, p_map, grid, message):
+        amap = SparseMap(np.ones(p_map), np.arange(p_map), np.arange(p_map + 1), (p_map, 9))
+        with pytest.raises(ValueError, match=message):
+            ModelData(y=np.ones(9), X=np.ones((p_X, 1)), amap=amap, grid=grid)
+
 
 class TestProfileLoglik:
     def test_matches_dense_profile_with_exact_logdet(self, rng):

@@ -101,6 +101,10 @@ class TestBuildMap:
         with pytest.raises(LocationError):
             build_map(np.array([[np.nan, 0.5]]), GridSpec(4, 4))
 
+    def test_rejects_locations_that_are_not_pairs(self):
+        with pytest.raises(ValueError, match=r"locations must be \(p, 2\)"):
+            build_map(np.full((3, 3), 0.5), GridSpec(4, 4))
+
     def test_corner_and_boundary_points(self):
         g = GridSpec(4, 4)
         locs = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.37, 1.0]])

@@ -105,6 +105,16 @@ class TestMatvec:
 
 
 class TestStructure:
+    def test_first_column_of_the_wrong_length(self):
+        g = GridSpec(4, 3)
+        for col in (np.ones(g.n + 1), np.ones((g.n, 1))):
+            with pytest.raises(ValueError, match="first_col must have length 12"):
+                BttbOperator(g, col)
+
+    def test_zero_first_column_has_no_positive_eigenvalue(self):
+        with pytest.raises(EmbeddingError, match="no positive eigenvalue"):
+            BttbOperator(GridSpec(4, 3), np.zeros(12))
+
     def test_embedding_dimensions(self):
         g = GridSpec(9, 4)
         op = BttbOperator.from_matern(g, 0.2, 0.5)
@@ -239,6 +249,18 @@ class TestDlogdet:
             op.logdet()
         with pytest.raises(EmbeddingError, match="threshold"):
             dlogdet_drho(op, dop)
+
+    def test_unclamped_derivative_spectrum_refuses_logdet_and_derivative(self):
+        # the rho-derivative operator is built unclamped, and part of its
+        # spectrum is nonpositive, so it is no covariance to read a
+        # log-determinant or a derivative trace from
+        g = GridSpec(8, 6)
+        dop = BttbOperator.from_matern_drho(g, 0.2, 0.5)
+        assert dop.clamp_count == 0
+        with pytest.raises(EmbeddingError, match="nonpositive eigenvalues in log-determinant"):
+            dop.logdet()
+        with pytest.raises(EmbeddingError, match="nonpositive eigenvalues in derivative trace"):
+            dlogdet_drho(dop, dop)
 
     def test_pair_requires_same_grid(self):
         op = BttbOperator.from_matern(GridSpec(5, 5), 0.2, 0.5)

@@ -19,8 +19,9 @@ metric of BASE's ``BENCHMARK.json`` the pairs CHANGE won, lost and tied
 (in the metric's ``better`` direction) and one verdict:
 
 - ``better``: CHANGE wins at least 9 in 10 of 10 or more pairs, ties
-  counting for neither side, and its median beats BASE's by more than
-  BASE's interquartile range;
+  counting for neither side, its median beats BASE's by more than
+  BASE's interquartile range, and no larger share of its requests
+  failed than of BASE's;
 - ``worse beyond bound``: CHANGE's median is worse than BASE's by more
   than the metric's ``bound``, a fraction of BASE's median;
 - ``unresolved``: BASE's own interquartile range is wider than that
@@ -87,15 +88,37 @@ def quartiles(values) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def compare(spec: dict, base: list, change: list) -> dict:
-    """Wins, quartiles and the verdict of one metric over the pairs."""
+def summarize(spec: dict, runs: list) -> tuple:
+    """The verdict of every end-to-end metric, and each side's failed
+    and attempted requests over all pairs with the failed share. A change
+    that fails a larger share of its requests is better on no metric."""
+    totals = {}
+    for side in SIDES:
+        failed = sum(r[side]["failed"] for r in runs)
+        attempted = sum(r[side]["attempted"] for r in runs)
+        totals[side] = {"failed": failed, "attempted": attempted,
+                        "share": failed / attempted if attempted else 0.0}
+    more_failures = totals["change"]["share"] > totals["base"]["share"]
+    summary = {
+        m["name"]: compare(m, *([r[side]["metrics"][m["name"]] for r in runs] for side in SIDES),
+                           more_failures)
+        for m in spec["end_to_end"]
+    }
+    return summary, totals
+
+
+def compare(spec: dict, base: list, change: list, more_failures: bool) -> dict:
+    """Wins, quartiles and the verdict of one metric over the pairs;
+    ``more_failures`` (CHANGE failed a larger share of its requests)
+    rules out ``better``."""
     sign = 1.0 if spec["better"] == "lower" else -1.0
     gains = [sign * (b - c) for b, c in zip(base, change)]
     wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
     b, c = quartiles(base), quartiles(change)
     gain, spread = sign * (b["median"] - c["median"]), b["q3"] - b["q1"]
     allowed = spec["bound"] * abs(b["median"])
-    if len(gains) >= 10 and wins >= math.ceil(0.9 * len(gains)) and gain > spread:
+    if (not more_failures and len(gains) >= 10 and wins >= math.ceil(0.9 * len(gains))
+            and gain > spread):
         verdict = "better"
     elif -gain > allowed:
         verdict = "worse beyond bound"
@@ -149,10 +172,7 @@ def main(argv=None) -> int:
                 print(f"pair {i} {side}: {pair[side]['metrics']}", file=sys.stderr)
             runs.append(pair)
 
-    summary = {
-        m["name"]: compare(m, *([r[side]["metrics"][m["name"]] for r in runs] for side in SIDES))
-        for m in spec["end_to_end"]
-    }
+    summary, totals = summarize(spec, runs)
     label = f"{args.workload}-{commits['base'][:7]}-{commits['change'][:7]}-seed{args.seed}"
     report = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
@@ -166,9 +186,7 @@ def main(argv=None) -> int:
             "cpus": len(os.sched_getaffinity(0)),
             "reported": reported,
         },
-        "failures": {side: {"failed": sum(r[side]["failed"] for r in runs),
-                            "attempted": sum(r[side]["attempted"] for r in runs)}
-                     for side in SIDES},
+        "failures": totals,
         "summary": summary,
         "runs": runs,
     }
@@ -179,6 +197,8 @@ def main(argv=None) -> int:
         print(f"{name:<13} {s['base']['median']:.6g} [{s['base']['q1']:.6g}, {s['base']['q3']:.6g}]"
               f" -> {s['change']['median']:.6g} [{s['change']['q1']:.6g}, {s['change']['q3']:.6g}]"
               f"  wins {s['wins']}/{args.pairs}  {s['verdict']}")
+    print("failed requests: " + ", ".join(
+        f"{side} {t['failed']}/{t['attempted']} ({t['share']:.1%})" for side, t in totals.items()))
     print(f"wrote {path}")
     return 0
 
