@@ -17,10 +17,11 @@ and noise from the fitted model, re-estimate each replicate with the
 parameters held fixed, and average squared prediction errors. The
 replicates run concurrently, one thread per usable CPU (the calling
 thread among them), and their squared errors are summed in replicate
-order, so the result is bitwise that of a serial loop. No step of a
-Golub-Kahan factorization or solve calls BLAS (see :mod:`kryging.gengk`),
-so each is bitwise the same under any BLAS thread count, and replicates
-do not contend for the BLAS thread pool at any k.
+order, so the result is bitwise that of a serial loop. A replicate's
+Golub-Kahan sums and products run through ``np.einsum``, and its k x k
+projected solve through O(k) scalar recurrences, never BLAS (see
+:mod:`kryging.gengk`), so replicates do not contend for the BLAS thread
+pool at any k.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gengk import gengk_factorize, solve
+from .gengk import _blas_free, gengk_factorize, solve
 from .grid import GridSpec, ThetaParams
 from .likelihood import ModelData, evaluate_objective
 from .mapping import SparseMap, build_map
@@ -318,8 +319,10 @@ def predict(
 
 
 def _rekryge(amap, op, bsim, theta, k):
-    """Latent re-estimate for one bootstrap replicate with theta known."""
-    fact = gengk_factorize(amap, op, bsim, theta.tau2, k)
+    """Latent re-estimate for one bootstrap replicate with theta known.
+    Replicates run concurrently, so its factorization calls no BLAS."""
+    with _blas_free():
+        fact = gengk_factorize(amap, op, bsim, theta.tau2, k)
     return solve(fact, theta.sigma2, op).x_star
 
 

@@ -26,19 +26,27 @@ The regularized estimate is then x* = Sigma m, one covariance matvec.
 The projected system for z is tridiagonal, so :func:`solve` runs in O(k)
 scalar steps.
 
-No step of a factorization or a solve calls BLAS, so each gives bitwise
-the same result under any BLAS thread count (a test pins this); a
-threaded BLAS would split its sums differently for each count.
-The re-orthogonalization's coefficients U r and update U' c, alpha's
-inner product, beta's and ||b||'s norms and the solve's product with U
-run through ``np.einsum`` without ``optimize``, which sums in one fixed
-order, and the solve's recurrences run on Python floats. Concurrent
-bootstrap replicates therefore never contend for the BLAS thread pool.
+The reductions (the re-orthogonalization coefficients U r, alpha's inner
+product, beta's and ||b||'s norms, the product with U in the solve) run
+through ``np.einsum`` without ``optimize``, which never calls BLAS and
+sums in one fixed order; a threaded BLAS splits these sums differently
+for each thread count. The re-orthogonalization's update U' c is not a
+reduction over p: OpenBLAS computes each of its p outputs on one thread,
+so it rounds alike under any thread count, and it runs there, where two
+threads roughly halve it. Inside :func:`_blas_free`, which the bootstrap
+holds around each replicate's factorization, the update is an einsum
+too, so concurrent replicates never contend for the BLAS thread pool.
+Either way a factorization gives bitwise the same B and U whatever the
+BLAS thread count (a test pins this). The solve makes no BLAS call at
+any k: its recurrences run on Python floats and its product with U is an
+einsum.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +57,20 @@ from .toeplitz import BttbOperator
 __all__ = ["GenGKFactorization", "KrygingSolution", "gengk_factorize", "solve"]
 
 BREAKDOWN_REL_TOL = 1e-14
+
+_without_blas = threading.local()
+
+
+@contextmanager
+def _blas_free():
+    """Factorize on this thread without any BLAS call until the block ends."""
+    previous = getattr(_without_blas, "active", False)
+    _without_blas.active = True
+    try:
+        yield
+    finally:
+        _without_blas.active = previous
+
 
 def _dot(a, b) -> float:
     """Inner product of two vectors, summed without BLAS."""
@@ -154,6 +176,7 @@ def gengk_factorize(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     tau = math.sqrt(tau2)
+    blas_free = getattr(_without_blas, "active", False)
     # one basis vector per row, so every update touches contiguous memory;
     # the loop below stops by step n or p, so a larger k allocates no more
     size = min(k, amap.n, amap.p)
@@ -194,7 +217,10 @@ def gengk_factorize(
         r -= np.multiply(U[i], alpha, out=proj)
         coef = np.einsum("ij,j->i", U[: i + 1], r)
         coef /= tau2
-        np.einsum("ij,i->j", U[: i + 1], coef, out=proj)
+        if blas_free:
+            np.einsum("ij,i->j", U[: i + 1], coef, out=proj)
+        else:
+            np.matmul(U[: i + 1].T, coef, out=proj)
         r -= proj
         beta = math.sqrt(_dot(r, r)) / tau
         if beta <= tol or i + 1 == amap.p:  # or u_1..u_p span R^p

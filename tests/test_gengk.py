@@ -38,7 +38,8 @@ def criterion_2_problems():
 def stored_basis_gengk(amap, op, b, tau2, k):
     """Reference recurrence that stores every latent vector as it goes:
     returns (U, V, B) as row-major (k+1, p), (k, n), (k+1, k) arrays.
-    It sums and projects as the library does, all through einsum."""
+    It sums and projects as the library does: einsum reductions and the
+    BLAS update U' c."""
     tau = np.sqrt(tau2)
     U = np.zeros((k + 1, amap.p))
     V = np.zeros((k, amap.n))
@@ -58,7 +59,7 @@ def stored_basis_gengk(amap, op, b, tau2, k):
         r = amap.apply(t)
         r -= alpha * U[i]
         coef = np.einsum("ij,j->i", U[: i + 1], r) / tau2
-        r -= np.einsum("ij,i->j", U[: i + 1], coef)
+        r -= U[: i + 1].T @ coef
         beta = np.sqrt(np.einsum("i,i->", r, r)) / tau
         B[i + 1, i] = beta
         np.divide(r, beta, out=U[i + 1])
@@ -342,11 +343,12 @@ class TestSolve:
 
 
 def test_factorization_is_independent_of_the_blas_thread_count(under_blas_threads):
-    # every sum and product is an einsum in a fixed order, never BLAS, so
-    # B and U agree bit for bit under 1 and 2 BLAS threads
+    # the reductions are einsum sums in a fixed order, and the BLAS update
+    # computes each output on one thread, so B and U agree bit for bit under
+    # 1 and 2 BLAS threads, with the update in BLAS and without it
     code = (
         "import sys, numpy as np\n"
-        "from kryging.gengk import gengk_factorize\n"
+        "from kryging.gengk import _blas_free, gengk_factorize\n"
         "from kryging.grid import GridSpec\n"
         "from kryging.mapping import SparseMap\n"
         "from kryging.toeplitz import BttbOperator\n"
@@ -355,12 +357,16 @@ def test_factorization_is_independent_of_the_blas_thread_count(under_blas_thread
         "b = np.random.default_rng(0).standard_normal(g.n)\n"
         "amap = SparseMap(np.ones(g.n), np.arange(g.n), np.arange(g.n + 1), (g.n, g.n))\n"
         "f = gengk_factorize(amap, op, b, 0.5, 30)\n"
-        "np.savez(sys.argv[1], U=f.U, B=f.B)\n"
+        "with _blas_free():\n"
+        "    h = gengk_factorize(amap, op, b, 0.5, 30)\n"
+        "np.savez(sys.argv[1], U=f.U, B=f.B, free_U=h.U, free_B=h.B)\n"
     )
     one, two = under_blas_threads(code)
     assert one["B"].shape == (31, 30)
-    for key in ("B", "U"):
+    for key in ("B", "U", "free_B", "free_U"):
         np.testing.assert_array_equal(two[key], one[key], err_msg=key)
+    # the two update products round differently, but only in the last bits
+    np.testing.assert_allclose(one["free_B"], one["B"], rtol=1e-9, atol=1e-12)
 
 
 def test_solve_is_independent_of_the_blas_thread_count(under_blas_threads):
