@@ -6,6 +6,18 @@ are covariates (an intercept is always prepended); prediction locations
 only from a bootstrap); a simulation's truth ``lon,lat,x,y``. Values
 are written as float ``repr``, so they read back bitwise.
 
+Input data and prediction locations are read in two tiers. Once the
+header is checked, numpy's C tokenizer (``np.loadtxt``) parses the data
+rows, and its array is kept when every row has the same number of
+fields, at least the header's, and every value used is finite. Any other
+body is read again by the checked reader ``_read_columns``, which alone
+reads a file that cannot be rewound (a pipe). So values, refusals and
+messages are those of the checked reader; both tiers convert a token with the correctly
+rounded conversion of ``float()``. One refusal is the checked reader's
+alone: a field longer than ``csv.field_size_limit()`` characters that
+still parses as a finite number (0. and then 200,000 zeros) is read by
+the fast tier.
+
 The fit artifact is an uncompressed numpy archive (``.npz``) with a
 format version field; all arrays needed to predict and bootstrap from
 the fit are stored, so the artifact is self-contained. Keys are
@@ -15,6 +27,7 @@ documented in :func:`save_fit_artifact`.
 from __future__ import annotations
 
 import csv
+import itertools
 import zipfile
 from dataclasses import dataclass
 
@@ -125,6 +138,7 @@ def _read_columns(reader, columns: list, width: int) -> np.ndarray:
     index = [i for i, _ in columns]
     blocks, tokens, lines = [], [], []
     fault = None
+    line_no = 1
     try:
         for line_no, row in enumerate(reader, start=2):
             if not any(map(str.strip, row)):
@@ -137,12 +151,53 @@ def _read_columns(reader, columns: list, width: int) -> np.ndarray:
             if len(lines) == _BLOCK_ROWS:
                 blocks.append(_convert_block(tokens, lines, columns))
                 tokens, lines = [], []
-    except csv.Error as exc:
-        fault = exc
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        fault = InputError(f"line {line_no + 1}: {exc}")
     blocks.append(_convert_block(tokens, lines, columns))
     if fault is not None:
         raise fault
     return np.concatenate(blocks)
+
+
+def _loadtxt_columns(fh, columns: list, width: int) -> np.ndarray | None:
+    """The named columns of the data rows left in ``fh``, parsed by
+    ``np.loadtxt``, or None where the checked reader must decide.
+
+    None stands for a body without a data line (loadtxt would warn), a
+    body loadtxt refuses (a token ``float()`` would accept with
+    underscores or non-ASCII digits, an empty field, a ragged or
+    whitespace-only row), rows narrower than ``width``, and a non-finite
+    value in a used column. Blank lines before the first data line are
+    skipped, as the checked reader skips them.
+    """
+    for line in fh:
+        if line.strip():
+            break
+    else:
+        return None
+    try:
+        values = np.loadtxt(itertools.chain([line], fh), delimiter=",", comments=None,
+                            quotechar='"', dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] < width:
+        return None
+    values = values.take([i for i, _ in columns], axis=1)  # C order, as concatenated blocks
+    return values if np.isfinite(values).all() else None
+
+
+def _read_body(fh, reader, columns: list, width: int) -> np.ndarray:
+    """The named columns of the data rows after the header that
+    ``reader`` has read from ``fh``: :func:`_loadtxt_columns` when it
+    vouches for them, else :func:`_read_columns` from a rewound file."""
+    if fh.seekable():
+        values = _loadtxt_columns(fh, columns, width)
+        if values is not None:
+            return values
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+    return _read_columns(reader, columns, width)
 
 
 def _header(reader, path, first: list) -> list:
@@ -192,7 +247,7 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
             )
         cols = [extra.index(c) + 3 for c in use]
         columns = [(0, "lon"), (1, "lat"), (2, "y")] + [(c, header[c]) for c in cols]
-        values = _read_columns(reader, columns, 3 + len(extra))
+        values = _read_body(fh, reader, columns, 3 + len(extra))
 
     p = values.shape[0]
     if not p:
@@ -206,7 +261,7 @@ def read_locations(path) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         _header(reader, path, ["lon", "lat"])
-        return _read_columns(reader, [(0, "lon"), (1, "lat")], 2)
+        return _read_body(fh, reader, [(0, "lon"), (1, "lat")], 2)
 
 
 def _write_rows(path, header: list, columns: list):

@@ -281,6 +281,13 @@ class TestFit:
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_oversized_field_exits_2(self, workdir, capsys):
+        bad = workdir / "big.csv"
+        bad.write_text(f"lon,lat,y\n0.1,0.2,1.0\n0.3,0.4,{'9' * (csv.field_size_limit() + 1)}\n")
+        rc = run_cli(["fit", "--grid", "8x8", "--out", workdir / "f.npz", bad])
+        assert rc == 2
+        assert "error: line 3: field larger than field limit" in capsys.readouterr().err
+
 
 class TestPredict:
     @pytest.fixture
