@@ -12,11 +12,11 @@ rows, and its array is kept when every row has the same number of
 fields, at least the header's, and every value used is finite. Any other
 body is read again by the checked reader ``_read_columns``, which alone
 reads a file that cannot be rewound (a pipe). So values, refusals and
-messages are those of the checked reader; both tiers convert a token with the correctly
-rounded conversion of ``float()``. One refusal is the checked reader's
-alone: a field longer than ``csv.field_size_limit()`` characters that
-still parses as a finite number (0. and then 200,000 zeros) is read by
-the fast tier.
+messages are those of the checked reader; both tiers convert a token
+with the correctly rounded conversion of ``float()``. One refusal is
+the checked reader's alone: a field longer than
+``csv.field_size_limit()`` characters that still parses as a finite
+number (``0.`` and 200,000 zeros) is read by the fast tier.
 
 The fit artifact is an uncompressed numpy archive (``.npz``) with a
 format version field; all arrays needed to predict and bootstrap from
@@ -186,18 +186,17 @@ def _loadtxt_columns(fh, columns: list, width: int) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _read_body(fh, reader, columns: list, width: int) -> np.ndarray:
-    """The named columns of the data rows after the header that
-    ``reader`` has read from ``fh``: :func:`_loadtxt_columns` when it
-    vouches for them, else :func:`_read_columns` from a rewound file."""
+def _read_body(fh, columns: list, width: int) -> np.ndarray:
+    """The named columns of the data rows after the header already read
+    from ``fh``: :func:`_loadtxt_columns` when it vouches for them, else
+    :func:`_read_columns`, from the rewound file when it can be rewound."""
     if fh.seekable():
         values = _loadtxt_columns(fh, columns, width)
         if values is not None:
             return values
         fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-    return _read_columns(reader, columns, width)
+        next(csv.reader(fh))  # the header, checked already
+    return _read_columns(csv.reader(fh), columns, width)
 
 
 def _header(reader, path, first: list) -> list:
@@ -227,8 +226,7 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
         error; a repeated header name that is not used is not.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path, ["lon", "lat", "y"])
+        header = _header(csv.reader(fh), path, ["lon", "lat", "y"])
         extra = header[3:]
         if covariates is None:
             use = list(extra)
@@ -247,7 +245,7 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
             )
         cols = [extra.index(c) + 3 for c in use]
         columns = [(0, "lon"), (1, "lat"), (2, "y")] + [(c, header[c]) for c in cols]
-        values = _read_body(fh, reader, columns, 3 + len(extra))
+        values = _read_body(fh, columns, 3 + len(extra))
 
     p = values.shape[0]
     if not p:
@@ -259,9 +257,8 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
 def read_locations(path) -> np.ndarray:
     """Read lon,lat rows from a CSV with at least those two columns."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        _header(reader, path, ["lon", "lat"])
-        return _read_body(fh, reader, [(0, "lon"), (1, "lat")], 2)
+        _header(csv.reader(fh), path, ["lon", "lat"])
+        return _read_body(fh, [(0, "lon"), (1, "lat")], 2)
 
 
 def _write_rows(path, header: list, columns: list):

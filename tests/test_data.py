@@ -337,7 +337,7 @@ class TestTwoTiers:
     def test_a_pipe_that_cannot_be_rewound_is_read_once(self, tmp_path, text, want):
         pipe = tmp_path / "pipe.csv"
         os.mkfifo(pipe)
-        writer = threading.Thread(target=pipe.write_text, args=(text,))
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
         writer.start()
         try:
             if isinstance(want, str):
@@ -346,7 +346,7 @@ class TestTwoTiers:
             else:
                 np.testing.assert_array_equal(read_locations(pipe), want)
         finally:
-            writer.join()
+            writer.join(timeout=10)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
