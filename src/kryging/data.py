@@ -6,17 +6,18 @@ are covariates (an intercept is always prepended); prediction locations
 only from a bootstrap); a simulation's truth ``lon,lat,x,y``. Values
 are written as float ``repr``, so they read back bitwise.
 
-Input data and prediction locations are read in two tiers. Once the
-header is checked, numpy's C tokenizer (``np.loadtxt``) parses the data
-rows, and its array is kept when every row has the same number of
-fields, at least the header's, and every value used is finite. Any other
-body is read again by the checked reader ``_read_columns``, which alone
-reads a file that cannot be rewound (a pipe). So values, refusals and
-messages are those of the checked reader; both tiers convert a token
-with the correctly rounded conversion of ``float()``. One refusal is
-the checked reader's alone: a field longer than
-``csv.field_size_limit()`` characters that still parses as a finite
-number (``0.`` and 200,000 zeros) is read by the fast tier.
+Input data and prediction locations are read as UTF-8, with or without
+a byte-order mark, in two tiers. Once the header is checked, numpy's C
+tokenizer (``np.loadtxt``) parses the data rows, and its array is kept
+when every row has the same number of fields, at least the header's,
+and every value used is finite. Any other body is read again by the
+checked reader ``_read_columns``, which converts one row at a time in
+file order and alone reads a file that cannot be rewound (a pipe). So
+values, refusals and messages are those of the checked reader; both
+tiers convert a token with the correctly rounded conversion of
+``float()``. One refusal is the checked reader's alone: a field longer
+than ``csv.field_size_limit()`` characters that still parses as a
+finite number (``0.`` and 200,000 zeros) is read by the fast tier.
 
 The fit artifact is an uncompressed numpy archive (``.npz``) with a
 format version field; all arrays needed to predict and bootstrap from
@@ -26,8 +27,10 @@ documented in :func:`save_fit_artifact`.
 
 from __future__ import annotations
 
+import array
 import csv
 import itertools
+import math
 import zipfile
 from dataclasses import dataclass
 
@@ -95,33 +98,9 @@ def _parse_float(token: str, line_no: int, col: str) -> float:
         v = float(token)
     except ValueError:
         raise InputError(f"line {line_no}: cannot parse {col}={token!r} as a number")
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise InputError(f"line {line_no}: non-finite {col}={token!r}")
     return v
-
-
-# data rows converted per array operation: a block's tokens, about 70
-# bytes each, are the reader's only per-row cost beyond its output
-_BLOCK_ROWS = 8192
-
-
-def _convert_block(tokens: list, lines: list, columns: list) -> np.ndarray:
-    """One (len(lines), len(columns)) float block from row-major tokens.
-
-    All tokens are converted in one array operation, which applies
-    ``float()`` to each; only when that fails or yields a non-finite value
-    is the first bad token located, and reported by line and column.
-    """
-    try:
-        values = np.array(tokens, dtype=float)
-        clean = bool(np.isfinite(values).all())
-    except ValueError:
-        clean = False
-    if not clean:
-        ncol = len(columns)
-        for j, token in enumerate(tokens):
-            _parse_float(token, lines[j // ncol], columns[j % ncol][1])
-    return values.reshape(len(lines), len(columns))
 
 
 def _read_columns(reader, columns: list, width: int) -> np.ndarray:
@@ -130,33 +109,23 @@ def _read_columns(reader, columns: list, width: int) -> np.ndarray:
 
     ``columns`` lists (field index, name) pairs; every row needs at least
     ``width`` fields. Rows that are empty or all blank are skipped but
-    still count toward line numbers. Tokens are converted in blocks of
-    ``_BLOCK_ROWS`` rows, so only one block's strings are alive at a time.
-    Faults are reported in file order: a bad token wins over a short row
-    or a malformed record after it.
+    still count toward line numbers. Rows are converted one at a time, in
+    file order, so the first fault in the file is the one reported: a bad
+    token, a short row or a malformed record.
     """
-    index = [i for i, _ in columns]
-    blocks, tokens, lines = [], [], []
-    fault = None
+    values = array.array("d")
     line_no = 1
     try:
         for line_no, row in enumerate(reader, start=2):
             if not any(map(str.strip, row)):
                 continue
             if len(row) < width:
-                fault = InputError(f"line {line_no}: expected {width} fields, got {len(row)}")
-                break
-            tokens.extend([row[i] for i in index])
-            lines.append(line_no)
-            if len(lines) == _BLOCK_ROWS:
-                blocks.append(_convert_block(tokens, lines, columns))
-                tokens, lines = [], []
+                raise InputError(f"line {line_no}: expected {width} fields, got {len(row)}")
+            for i, name in columns:
+                values.append(_parse_float(row[i], line_no, name))
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
-        fault = InputError(f"line {line_no + 1}: {exc}")
-    blocks.append(_convert_block(tokens, lines, columns))
-    if fault is not None:
-        raise fault
-    return np.concatenate(blocks)
+        raise InputError(f"line {line_no + 1}: {exc}") from exc
+    return np.frombuffer(values, dtype=float).reshape(-1, len(columns))
 
 
 def _loadtxt_columns(fh, columns: list, width: int) -> np.ndarray | None:
@@ -182,7 +151,7 @@ def _loadtxt_columns(fh, columns: list, width: int) -> np.ndarray | None:
         return None
     if values.shape[1] < width:
         return None
-    values = values.take([i for i, _ in columns], axis=1)  # C order, as concatenated blocks
+    values = values.take([i for i, _ in columns], axis=1)  # C order, as the checked reader's
     return values if np.isfinite(values).all() else None
 
 
@@ -218,14 +187,15 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
     Parameters
     ----------
     path : str or Path
-        CSV file whose header starts with lon,lat,y.
+        UTF-8 CSV file, a byte-order mark allowed, whose header starts
+        with lon,lat,y.
     covariates : list of str, optional
         Names of covariate columns to use. Defaults to every column after
         y. A named column missing from the header, or a name that repeats
         in ``covariates`` or among the header's columns after y, is an
         error; a repeated header name that is not used is not.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = _header(csv.reader(fh), path, ["lon", "lat", "y"])
         extra = header[3:]
         if covariates is None:
@@ -256,7 +226,7 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
 
 def read_locations(path) -> np.ndarray:
     """Read lon,lat rows from a CSV with at least those two columns."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         _header(csv.reader(fh), path, ["lon", "lat"])
         return _read_body(fh, [(0, "lon"), (1, "lat")], 2)
 

@@ -250,6 +250,8 @@ def run_study(design: str, k: int = 50, replicates: int = 5, scale: float = 1.0,
     """Run each row of a synthetic design ("grid-scaling", "settings" or
     "irregular") ``replicates`` times on the unit square; ``kw`` goes to
     :func:`run_replicate`. One StudyResult per row."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     rows = _configs(design, scale)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")

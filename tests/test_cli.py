@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import os
@@ -280,6 +281,19 @@ class TestFit:
         rc = run_cli(["fit", "--grid", "8x8", "--out", workdir / "f.npz", bad])
         assert rc == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_skipped(self, workdir):
+        # Excel's "CSV UTF-8" starts the file with EF BB BF
+        plain = simulate(workdir)
+        marked = workdir / "bom.csv"
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        for path in (plain, marked):
+            rc = run_cli(["fit", "--grid", "12x12", "--k", 5, "--max-iter", 2,
+                          "--out", path.with_suffix(".npz"), path])
+            assert rc == 0
+        with np.load(workdir / "sim.npz") as want, np.load(workdir / "bom.npz") as got:
+            for key in ("x_hat", "beta", "sigma2", "locations", "y", "X"):
+                assert got[key].tobytes() == want[key].tobytes()
 
     def test_oversized_field_exits_2(self, workdir, capsys):
         bad = workdir / "big.csv"
@@ -807,6 +821,15 @@ class TestStudyCommand:
         monkeypatch.setattr(study, "run_replicate", lambda *a, **k: pytest.fail("ran"))
         assert run_cli(["study", "settings", flag, "0"]) == 2
         assert f"error: {name} must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_scale_outside_the_positive_reals_exits_2(self, monkeypatch, capsys, scale):
+        from kryging import study
+
+        monkeypatch.setattr(study, "run_replicate", lambda *a, **k: pytest.fail("ran"))
+        assert run_cli(["study", "settings", "--scale", scale]) == 2
+        want = f"error: scale must be finite and positive, got {float(scale)}"
+        assert want in capsys.readouterr().err
 
     def test_zero_replicates_exits_2(self, workdir, capsys):
         rc = run_cli(["study", "settings", "--scale", 0.08,

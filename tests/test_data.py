@@ -50,6 +50,13 @@ def read_error(path, **kwargs):
     return str(info.value)
 
 
+# eight data rows, with the all-blank rows 4 and 8 between them
+SPACED_ROWS = [["lon", "lat", "y"]] + [
+    [repr(i / 7), repr(-i / 3), repr(i * 1e-300)] if i % 4 else [" ", ""]
+    for i in range(1, 12)
+]
+
+
 class TestFaults:
     def test_parse_error_names_line_column_and_token(self, tmp_path):
         path = write_rows(tmp_path / "d.csv", [
@@ -103,6 +110,17 @@ class TestFaults:
             ["lon", "lat", "y"], ["0.1", "inf", "x"],
         ])
         assert read_error(path) == "line 2: non-finite lat='inf'"
+
+    @pytest.mark.parametrize("bad, short", [(2, 7), (6, 9), (10, 11), (9, 3)])
+    def test_first_fault_in_file_order_wins(self, tmp_path, bad, short):
+        rows = [list(r) for r in SPACED_ROWS]
+        rows[bad][1] = "x"
+        rows[short] = ["0.5"]
+        path = write_rows(tmp_path / "d.csv", rows)
+        first = min(bad, short) + 1
+        want = reference_rows(rows, ["lon", "lat", "y"], 3)
+        assert want.startswith(f"line {first}: ")
+        assert read_error(path) == want
 
     def test_blank_rows_skipped_but_counted(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -217,6 +235,12 @@ class TestValues:
         X = read_dataset(path, covariates=["b", "a"]).X
         np.testing.assert_array_equal(X, [[1, 5, 4], [1, 7, 6], [1, 9, 8]])
 
+    def test_values_between_blank_rows_match_the_reference(self, tmp_path):
+        ref = reference_rows(SPACED_ROWS, ["lon", "lat", "y"], 3)
+        ds = read_dataset(write_rows(tmp_path / "d.csv", SPACED_ROWS))
+        assert ds.locations.tobytes() == np.ascontiguousarray(ref[:, :2]).tobytes()
+        assert ds.y.tobytes() == np.ascontiguousarray(ref[:, 2]).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -247,34 +271,6 @@ class TestValues:
             assert ds.X[:, 1].tobytes() == np.ascontiguousarray(ref[:, 3]).tobytes()
 
 
-class TestBlocks:
-    """The reader converts ``_BLOCK_ROWS`` rows at a time; with blocks of
-    two rows, the values and faults below fall on block boundaries."""
-
-    ROWS = [["lon", "lat", "y"]] + [
-        [repr(i / 7), repr(-i / 3), repr(i * 1e-300)] if i % 4 else [" ", ""]
-        for i in range(1, 12)
-    ]
-
-    @pytest.fixture(autouse=True)
-    def two_row_blocks(self, monkeypatch):
-        monkeypatch.setattr(data, "_BLOCK_ROWS", 2)
-
-    def test_values_match_the_reference(self, tmp_path):
-        ref = reference_rows(self.ROWS, ["lon", "lat", "y"], 3)
-        ds = read_dataset(write_rows(tmp_path / "d.csv", self.ROWS))
-        assert ds.locations.tobytes() == np.ascontiguousarray(ref[:, :2]).tobytes()
-        assert ds.y.tobytes() == np.ascontiguousarray(ref[:, 2]).tobytes()
-
-    @pytest.mark.parametrize("bad, short", [(2, 7), (6, 9), (10, 11), (9, 3)])
-    def test_first_fault_in_file_order_wins(self, tmp_path, bad, short):
-        rows = [list(r) for r in self.ROWS]
-        rows[bad][1] = "x"
-        rows[short] = ["0.5"]
-        path = write_rows(tmp_path / "d.csv", rows)
-        assert read_error(path) == reference_rows(rows, ["lon", "lat", "y"], 3)
-
-
 class TestTwoTiers:
     """Files that numpy's tokenizer reads must give, bitwise, the arrays of
     the checked reader, which is what the readers return with that tier
@@ -288,6 +284,7 @@ class TestTwoTiers:
         "quoted": ('"lon","lat","y","a","b"\r\n{rows}', "\r\n"),
         "empty lines": ("lon,lat,y,a,b\n\n{rows}\n\n", "\n\n"),
         "wider than header": ("lon,lat,y,a,b\n{rows}", ",9,-1\n"),
+        "byte-order mark": ("\ufefflon,lat,y,a,b\r\n{rows}", "\r\n"),  # Excel's CSV UTF-8
     }
 
     def body(self, case):
@@ -333,11 +330,12 @@ class TestTwoTiers:
     @pytest.mark.parametrize("text, want", [
         ("lon,lat\n0.5,0.25\n", [[0.5, 0.25]]),
         ("lon,lat\n0.5,x\n", "line 2: cannot parse lat='x' as a number"),
+        ("\ufefflon,lat\r\n0.5,0.25\r\n", [[0.5, 0.25]]),
     ])
     def test_a_pipe_that_cannot_be_rewound_is_read_once(self, tmp_path, text, want):
         pipe = tmp_path / "pipe.csv"
         os.mkfifo(pipe)
-        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer = threading.Thread(target=pipe.write_text, args=(text, "utf-8"), daemon=True)
         writer.start()
         try:
             if isinstance(want, str):
