@@ -20,13 +20,21 @@ metric of BASE's ``BENCHMARK.json`` the pairs CHANGE won, lost and tied
 
 - ``better``: CHANGE wins at least 9 in 10 of 10 or more pairs, ties
   counting for neither side, its median beats BASE's by more than
-  BASE's interquartile range, and no larger share of its requests
-  failed than of BASE's;
+  BASE's interquartile range and by more than the metric's floor, and
+  no larger share of its requests failed than of BASE's;
 - ``worse beyond bound``: CHANGE's median is worse than BASE's by more
   than the metric's ``bound``, a fraction of BASE's median;
 - ``unresolved``: BASE's own interquartile range is wider than that
   bound, so a move within it cannot be told from the spread;
 - ``within bound`` otherwise.
+
+A metric's floor is the largest relative shift of its median that the
+committed ``BENCH_<workload>-*.json`` runs of two commits with the same
+``src/`` tree show (``git diff --quiet A B -- src``), times BASE's
+median. Such a shift comes from the host alone, so no smaller gain is
+read as the change's. A metric that no such run shows has a floor of 1%
+of BASE's median. ``tools/benchpair.py REV REV`` is such a run: commit
+its files to calibrate the floors of a workload.
 """
 
 from __future__ import annotations
@@ -50,6 +58,8 @@ SIDES = ("base", "change")
 # prefixes of the environment variables that change allocation or
 # thread pools, and so the memory and timing a run reports
 STEERING = ("MALLOC_", "GLIBC_TUNABLES", "PYTHONMALLOC", "OPENBLAS_", "OMP_", "MKL_")
+# the floor, as a share of BASE's median, of a metric no same-src run shows
+DEFAULT_FLOOR = 0.01
 
 
 def git(*args) -> bytes:
@@ -60,6 +70,28 @@ def export(commit: str, dest: Path) -> None:
     """Write the files of ``commit`` into the new directory ``dest``."""
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tar:
         tar.extractall(dest, filter="data")
+
+
+def same_src_reports(workload: str) -> list:
+    """The committed ``BENCH_<workload>-*.json`` reports whose two
+    commits have the same ``src/`` tree."""
+    names = git("ls-files", "-z", "--", f"BENCH_{workload}-*.json").decode().split("\0")
+    reports = [json.loads((REPO / name).read_text()) for name in names if name]
+    return [r for r in reports if r["workload"] == workload and subprocess.run(
+        ["git", "diff", "--quiet", r["base"]["commit"], r["change"]["commit"], "--", "src"],
+        cwd=REPO, capture_output=True).returncode == 0]
+
+
+def floor_shares(reports: list) -> dict:
+    """The largest |relative median shift| of each end-to-end metric
+    over ``reports``, runs of code whose timings should not differ."""
+    shares = {}
+    for report in reports:
+        for name, s in report["summary"].items():
+            base, change = s["base"]["median"], s["change"]["median"]
+            if base:
+                shares[name] = max(shares.get(name, 0.0), abs(change - base) / abs(base))
+    return shares
 
 
 def run_once(tree: Path, args) -> tuple:
@@ -88,10 +120,12 @@ def quartiles(values) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(spec: dict, runs: list) -> tuple:
+def summarize(spec: dict, runs: list, shares: dict) -> tuple:
     """The verdict of every end-to-end metric, and each side's failed
     and attempted requests over all pairs with the failed share. A change
-    that fails a larger share of its requests is better on no metric."""
+    that fails a larger share of its requests is better on no metric.
+    ``shares`` maps a metric to its floor as a share of BASE's median
+    (:func:`floor_shares`); :data:`DEFAULT_FLOOR` for a metric it lacks."""
     totals = {}
     for side in SIDES:
         failed = sum(r[side]["failed"] for r in runs)
@@ -101,24 +135,26 @@ def summarize(spec: dict, runs: list) -> tuple:
     more_failures = totals["change"]["share"] > totals["base"]["share"]
     summary = {
         m["name"]: compare(m, *([r[side]["metrics"][m["name"]] for r in runs] for side in SIDES),
-                           more_failures)
+                           more_failures, shares.get(m["name"], DEFAULT_FLOOR))
         for m in spec["end_to_end"]
     }
     return summary, totals
 
 
-def compare(spec: dict, base: list, change: list, more_failures: bool) -> dict:
+def compare(spec: dict, base: list, change: list, more_failures: bool,
+            floor_share: float) -> dict:
     """Wins, quartiles and the verdict of one metric over the pairs;
     ``more_failures`` (CHANGE failed a larger share of its requests)
-    rules out ``better``."""
+    rules out ``better``, as does a median gain no larger than
+    ``floor_share`` of BASE's median."""
     sign = 1.0 if spec["better"] == "lower" else -1.0
     gains = [sign * (b - c) for b, c in zip(base, change)]
     wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
     b, c = quartiles(base), quartiles(change)
     gain, spread = sign * (b["median"] - c["median"]), b["q3"] - b["q1"]
-    allowed = spec["bound"] * abs(b["median"])
+    allowed, floor = (share * abs(b["median"]) for share in (spec["bound"], floor_share))
     if (not more_failures and len(gains) >= 10 and wins >= math.ceil(0.9 * len(gains))
-            and gain > spread):
+            and gain > max(spread, floor)):
         verdict = "better"
     elif -gain > allowed:
         verdict = "worse beyond bound"
@@ -130,6 +166,7 @@ def compare(spec: dict, base: list, change: list, more_failures: bool) -> dict:
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "base": b, "change": c,
         "relative_change": (c["median"] - b["median"]) / b["median"] if b["median"] else None,
+        "floor": floor, "floor_share": floor_share,
         "wins": wins, "losses": losses, "ties": len(gains) - wins - losses, "verdict": verdict,
     }
 
@@ -172,7 +209,7 @@ def main(argv=None) -> int:
                 print(f"pair {i} {side}: {pair[side]['metrics']}", file=sys.stderr)
             runs.append(pair)
 
-    summary, totals = summarize(spec, runs)
+    summary, totals = summarize(spec, runs, floor_shares(same_src_reports(args.workload)))
     label = f"{args.workload}-{commits['base'][:7]}-{commits['change'][:7]}-seed{args.seed}"
     report = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
@@ -196,7 +233,8 @@ def main(argv=None) -> int:
     for name, s in summary.items():
         print(f"{name:<13} {s['base']['median']:.6g} [{s['base']['q1']:.6g}, {s['base']['q3']:.6g}]"
               f" -> {s['change']['median']:.6g} [{s['change']['q1']:.6g}, {s['change']['q3']:.6g}]"
-              f"  wins {s['wins']}/{args.pairs}  {s['verdict']}")
+              f"  wins {s['wins']}/{args.pairs}  floor {s['floor']:.3g} ({s['floor_share']:.2%})"
+              f"  {s['verdict']}")
     print("failed requests: " + ", ".join(
         f"{side} {t['failed']}/{t['attempted']} ({t['share']:.1%})" for side, t in totals.items()))
     print(f"wrote {path}")
