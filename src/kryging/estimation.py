@@ -27,6 +27,7 @@ pool at any k.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 import time
@@ -130,8 +131,9 @@ def _feasible_box(data: ModelData, theta0: ThetaParams):
 
 
 def _check_stopping(max_iter: int, tol: float) -> None:
-    """Raise ``ValueError`` unless max_iter >= 1 and tol is finite and >= 0."""
-    if max_iter < 1:
+    """Raise ``ValueError`` unless max_iter >= 1 and tol is finite and >= 0,
+    and ``TypeError`` unless max_iter is an integer."""
+    if operator.index(max_iter) < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -182,13 +184,13 @@ def fit(
     data : ModelData
         Observations, covariates, observation mapping, and grid.
     k : int
-        Krylov subspace order used throughout (default 50).
+        Krylov subspace order used throughout (default 50); an integer.
     init : "auto" or ThetaParams
         Starting point: :func:`auto_init`'s heuristic for ``"auto"``, else
         the given parameters, with one mean coefficient per column of X
         (``ValueError`` otherwise). Any other value raises ``TypeError``.
     max_iter : int
-        Cap on objective evaluations, at least 1.
+        Cap on objective evaluations, an integer >= 1.
     tol : float
         Relative objective-change stopping tolerance (accepted steps), >= 0.
 
@@ -199,6 +201,7 @@ def fit(
         The objective trace is non-increasing by construction.
     """
     _check_stopping(max_iter, tol)
+    k = operator.index(k)
     if isinstance(init, ThetaParams):
         theta0 = init
     elif isinstance(init, str) and init == "auto":

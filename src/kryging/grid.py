@@ -16,6 +16,7 @@ index of node (j1, j2) is ``j2 * n1 + j1``. All BTTB/FFT machinery in
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ class GridSpec:
     Parameters
     ----------
     n1, n2 : int
-        Number of grid points along the two axes, both >= 2.
+        Number of grid points along the two axes, both >= 2. Any integer
+        (a numpy one too) is stored as an int; a float raises TypeError.
     x_min, x_max, y_min, y_max : float
         Spatial extents. Axis 1 spans [x_min, x_max], axis 2 spans
         [y_min, y_max].
@@ -51,6 +53,8 @@ class GridSpec:
     y_max: float = 1.0
 
     def __post_init__(self):
+        for name in ("n1", "n2"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.n1}x{self.n2}")
         if not (self.x_max > self.x_min and self.y_max > self.y_min):

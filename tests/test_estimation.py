@@ -193,6 +193,22 @@ class TestFit:
             fit(data, k=5, init=TRUTH, max_iter=2)
         assert calls == []
 
+    @pytest.mark.parametrize("settings", [{"max_iter": 2.5}, {"max_iter": 2.0}, {"k": 5.0},
+                                          {"k": 2.5}])
+    def test_non_integer_counts_rejected(self, monkeypatch, settings):
+        g, sim, data = simulated_data(6, TRUTH, seed=5)
+        calls = []
+        monkeypatch.setattr(estimation, "evaluate_objective",
+                            lambda *args: calls.append(args) or evaluate_objective(*args))
+        with pytest.raises(TypeError):
+            fit(data, init=TRUTH, **{"k": 5, "max_iter": 2, **settings})
+        assert calls == []
+
+    def test_numpy_integer_counts_accepted(self):
+        g, sim, data = simulated_data(6, TRUTH, seed=5)
+        res = fit(data, k=np.int64(5), init=TRUTH, max_iter=np.int64(2))
+        assert type(res.k) is int and res.iterations <= 2
+
     @pytest.mark.parametrize("settings,message", [
         ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
         ({"max_iter": -5}, "max_iter must be >= 1, got -5"),

@@ -12,6 +12,7 @@ from kryging.grid import (
     matern_corr,
     matern_corr_drho,
 )
+from kryging.toeplitz import BttbOperator
 
 from oracles import dense_corr
 
@@ -103,6 +104,18 @@ class TestGridSpec:
     def test_rejects_degenerate_axes(self, n1, n2):
         with pytest.raises(ValueError):
             GridSpec(n1, n2)
+
+    def test_numpy_integer_axes_are_stored_as_int(self):
+        g = GridSpec(np.int64(12), np.int32(12))
+        assert type(g.n1) is int and type(g.n2) is int
+        op = BttbOperator.from_matern(g, 0.1, 0.5)
+        assert op.matvec(np.ones(g.n)).shape == (144,)
+
+    @pytest.mark.parametrize("n1", [12.0, 12.5, np.float64(12.0), "12"],
+                             ids=["float", "fraction", "numpy-float", "str"])
+    def test_rejects_non_integer_axes(self, n1):
+        with pytest.raises(TypeError):
+            GridSpec(n1, 12)
 
     def test_rejects_empty_extent(self):
         with pytest.raises(ValueError):
