@@ -160,7 +160,9 @@ def _ndtr(a):
 
 def score_predictions(y_true, y_hat, se=None) -> dict:
     """Held-out scores: MAE, RMSE and, with standard errors available,
-    CRPS, mean 95% interval score, and coverage (Gaussian intervals).
+    CRPS, mean 95% interval score, and coverage (Gaussian intervals). A
+    zero standard error scores as a point forecast: its CRPS is the
+    absolute error.
 
     The normal cdf in the CRPS is a port of the Cephes ``ndtr`` that
     ``scipy.special.ndtr`` runs, evaluated on Python floats with libm
@@ -173,12 +175,15 @@ def score_predictions(y_true, y_hat, se=None) -> dict:
         "rmse": float(np.sqrt(np.mean(err**2))),
     }
     if se is not None:
-        se = np.maximum(np.asarray(se), 1e-300)
-        zed = err / se
+        se = np.asarray(se)
+        point = se == 0
+        se = np.maximum(se, 1e-300)
+        zed = np.where(point, 0.0, err) / se
         # standard normal cdf and pdf, computed as scipy.stats.norm does
         cdf = np.array([_ndtr(v) for v in zed.ravel().tolist()]).reshape(zed.shape)
         pdf = np.exp(-zed**2 / 2.0) / np.sqrt(2 * np.pi)
-        out["crps"] = float(np.mean(se * (zed * (2 * cdf - 1) + 2 * pdf - 1 / math.sqrt(math.pi))))
+        crps = se * (zed * (2 * cdf - 1) + 2 * pdf - 1 / math.sqrt(math.pi))
+        out["crps"] = float(np.mean(np.where(point, np.abs(err), crps)))
         lo, hi = y_hat - 1.96 * se, y_hat + 1.96 * se
         out["int"] = float(
             np.mean((hi - lo) + 40.0 * (lo - y_true) * (y_true < lo) + 40.0 * (y_true - hi) * (y_true > hi))

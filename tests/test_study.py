@@ -67,6 +67,21 @@ class TestScores:
         )))
         assert score_predictions(y, y_hat, se)["crps"] == expected
 
+    def test_zero_se_scores_as_a_point_forecast(self):
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal(200)
+        y_hat = y + rng.standard_normal(200)
+        err = np.abs(y_hat - y)
+        assert score_predictions(y, y_hat, np.zeros(200))["crps"] == float(np.mean(err))
+        assert score_predictions(y, y, np.zeros(200))["crps"] == 0.0
+        # a zero se changes its own site's term only
+        se = rng.uniform(0.2, 3.0, 200)
+        terms = np.array([score_predictions(y[i:i + 1], y_hat[i:i + 1], se[i:i + 1])["crps"]
+                          for i in range(200)])
+        se[::7] = 0.0
+        want = float(np.mean(np.where(se == 0, err, terms)))
+        assert score_predictions(y, y_hat, se)["crps"] == want
+
     def test_ndtr_port_equals_scipy_bitwise(self):
         # a dense sweep, a N(0, 9) sample and the port's edges: the
         # erf/erfc split at |a| = sqrt(2), the P,Q/R,S split at 8 sqrt(2),
