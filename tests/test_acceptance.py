@@ -16,6 +16,7 @@ from kryging.gengk import gengk_factorize, solve
 from kryging.grid import GridSpec, ThetaParams
 from kryging.likelihood import ModelData, evaluate_objective
 from kryging.mapping import build_map
+from kryging import study
 from kryging.study import run_replicate
 from kryging.toeplitz import BttbOperator
 
@@ -225,6 +226,46 @@ def test_criterion_6_parameter_recovery(report, setting1_study):
     )
     assert rmse_s2 <= 0.7
     assert rmse_rho <= 0.06
+
+
+@pytest.fixture(scope="module")
+def setting1_auto_study():
+    """setting1_study's replicates fit from init="auto", the default of
+    ``kryging fit``, with each fit's largest move in log space from its
+    start (``max_log_step``)."""
+    theta = ThetaParams(np.array([44.49]), 3.0, 0.5, 0.1)
+    g = GridSpec(100, 100)
+    fits = []
+
+    def recorded_fit(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(study, "fit", recorded_fit)
+        reps = [
+            run_replicate(g, g, theta, k=50, seed=9000 + 7 * r, B=20, init="auto")
+            for r in range(5)
+        ]
+    return reps, theta, [f.diagnostics["max_log_step"] for f in fits]
+
+
+def test_criteria_5_6_from_auto_init_report(capsys, setting1_auto_study):
+    """Criteria 5 and 6's scores from init="auto": printed, not gated.
+    Criterion 6 fits from the truth, so this line shows what the default
+    fit recovers."""
+    reps, theta, moves = setting1_auto_study
+    rmse = {name: float(np.sqrt(np.mean([(getattr(r.theta_hat, name) - getattr(theta, name)) ** 2
+                                         for r in reps])))
+            for name in ("sigma2", "tau2", "rho")}
+    with capsys.disabled():
+        print(f"\nACCEPTANCE 5/6 (auto init): REPORT | "
+              f"rmse {np.mean([r.rmse for r in reps]):.3f}, "
+              f"coverage {np.mean([r.coverage for r in reps]):.3f}, "
+              f"sigma2 RMSE {rmse['sigma2']:.3f}, tau2 RMSE {rmse['tau2']:.3f}, "
+              f"rho RMSE {rmse['rho']:.4f}, "
+              f"median max |d log theta| from init {np.median(moves):.2e}, "
+              f"converged {sum(r.converged for r in reps)}/{len(reps)}", flush=True)
 
 
 # --------------------------------------------------------------------------
