@@ -152,7 +152,7 @@ def compare(spec: dict, base: list, change: list, more_failures: bool,
     wins, losses = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
     b, c = quartiles(base), quartiles(change)
     gain, spread = sign * (b["median"] - c["median"]), b["q3"] - b["q1"]
-    allowed, floor = (share * abs(b["median"]) for share in (spec["bound"], floor_share))
+    allowed, floor = spec["bound"] * abs(b["median"]), floor_share * abs(b["median"])
     if (not more_failures and len(gains) >= 10 and wins >= math.ceil(0.9 * len(gains))
             and gain > max(spread, floor)):
         verdict = "better"
