@@ -7,10 +7,17 @@ only from a bootstrap); a simulation's truth ``lon,lat,x,y``. Values
 are written as float ``repr``, so they read back bitwise.
 
 Input data and prediction locations are read as UTF-8, with or without
-a byte-order mark. After the header, ``_read_columns`` converts one row
-at a time in file order with ``float()``, so the first fault in the file
-is the one reported; a file that cannot be rewound (a pipe) reads the
-same way.
+a byte-order mark, in two tiers. Once the header is checked, numpy's C
+tokenizer (``np.loadtxt``) parses the data rows, and its array is kept
+when every row has the same number of fields, at least the header's,
+and every value used is finite. Any other body is read again by the
+checked reader ``_read_columns``, which converts one row at a time in
+file order and alone reads a file that cannot be rewound (a pipe). So
+values, refusals and messages are those of the checked reader; both
+tiers convert a token with the correctly rounded conversion of
+``float()``. One refusal is the checked reader's alone: a field longer
+than ``csv.field_size_limit()`` characters that still parses as a
+finite number (``0.`` and 200,000 zeros) is read by the fast tier.
 
 The fit artifact is an uncompressed numpy archive (``.npz``) with a
 format version field; all arrays needed to predict and bootstrap from
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import array
 import csv
+import itertools
 import math
 import zipfile
 from dataclasses import dataclass
@@ -120,6 +128,46 @@ def _read_columns(reader, columns: list, width: int) -> np.ndarray:
     return np.frombuffer(values, dtype=float).reshape(-1, len(columns))
 
 
+def _loadtxt_columns(fh, columns: list, width: int) -> np.ndarray | None:
+    """The named columns of the data rows left in ``fh``, parsed by
+    ``np.loadtxt``, or None where the checked reader must decide.
+
+    None stands for a body without a data line (loadtxt would warn), a
+    body loadtxt refuses (a token ``float()`` would accept with
+    underscores or non-ASCII digits, an empty field, a ragged or
+    whitespace-only row), rows narrower than ``width``, and a non-finite
+    value in a used column. Blank lines before the first data line are
+    skipped, as the checked reader skips them.
+    """
+    for line in fh:
+        if line.strip():
+            break
+    else:
+        return None
+    try:
+        values = np.loadtxt(itertools.chain([line], fh), delimiter=",", comments=None,
+                            quotechar='"', dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape[1] < width:
+        return None
+    values = values.take([i for i, _ in columns], axis=1)  # C order, as the checked reader's
+    return values if np.isfinite(values).all() else None
+
+
+def _read_body(fh, columns: list, width: int) -> np.ndarray:
+    """The named columns of the data rows after the header already read
+    from ``fh``: :func:`_loadtxt_columns` when it vouches for them, else
+    :func:`_read_columns`, from the rewound file when it can be rewound."""
+    if fh.seekable():
+        values = _loadtxt_columns(fh, columns, width)
+        if values is not None:
+            return values
+        fh.seek(0)
+        next(csv.reader(fh))  # the header, checked already
+    return _read_columns(csv.reader(fh), columns, width)
+
+
 def _header(reader, path, first: list) -> list:
     """The stripped header row of ``reader``, which must start with the
     column names ``first``."""
@@ -148,8 +196,7 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
         error; a repeated header name that is not used is not.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = _header(reader, path, ["lon", "lat", "y"])
+        header = _header(csv.reader(fh), path, ["lon", "lat", "y"])
         extra = header[3:]
         if covariates is None:
             use = list(extra)
@@ -168,7 +215,7 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
             )
         cols = [extra.index(c) + 3 for c in use]
         columns = [(0, "lon"), (1, "lat"), (2, "y")] + [(c, header[c]) for c in cols]
-        values = _read_columns(reader, columns, 3 + len(extra))
+        values = _read_body(fh, columns, 3 + len(extra))
 
     p = values.shape[0]
     if not p:
@@ -180,9 +227,8 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
 def read_locations(path) -> np.ndarray:
     """Read lon,lat rows from a CSV with at least those two columns."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        _header(reader, path, ["lon", "lat"])
-        return _read_columns(reader, [(0, "lon"), (1, "lat")], 2)
+        _header(csv.reader(fh), path, ["lon", "lat"])
+        return _read_body(fh, [(0, "lon"), (1, "lat")], 2)
 
 
 def _write_rows(path, header: list, columns: list):
