@@ -135,3 +135,15 @@ def test_the_committed_rss_claim_still_reads_better():
     assert rss["floor_share"] == pytest.approx(0.0012, abs=5e-5)
     assert (rss["wins"], rss["verdict"]) == (10, "better")
     assert rss["relative_change"] == pytest.approx(-0.115, abs=5e-4)
+
+
+def test_a_repeated_run_is_written_beside_the_first(tmp_path):
+    benchpair = load_benchpair()
+    label = "bootstrap-cli-1111111-2222222-seed31"
+    names = []
+    for text in ("first", "second", "third"):
+        path = benchpair.report_path(tmp_path, label)
+        path.write_text(text)
+        names.append(path.name)
+    assert names == [f"BENCH_{label}.json", f"BENCH_{label}-run2.json", f"BENCH_{label}-run3.json"]
+    assert (tmp_path / names[0]).read_text() == "first"

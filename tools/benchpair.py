@@ -13,7 +13,9 @@ process's environment unchanged (the tool sets no malloc or thread
 variable), and the variables that steer the allocator or the thread
 pools are recorded with the results.
 
-The tool writes ``BENCH_<label>.json`` into ``--out``: each pair's
+The tool writes ``BENCH_<label>.json`` into ``--out``, or
+``BENCH_<label>-run<N>.json`` with the first free N from 2 when that
+file exists, so a repeated run never replaces an earlier one: each pair's
 metrics, each side's median and quartiles, and for each end-to-end
 metric of BASE's ``BENCHMARK.json`` the pairs CHANGE won, lost and tied
 (in the metric's ``better`` direction) and one verdict:
@@ -92,6 +94,15 @@ def floor_shares(reports: list) -> dict:
             if base:
                 shares[name] = max(shares.get(name, 0.0), abs(change - base) / abs(base))
     return shares
+
+
+def report_path(out: Path, label: str) -> Path:
+    """``out/BENCH_<label>.json``, or the first ``-run<N>`` of it from 2
+    that does not exist yet: a repeated run is kept beside the first."""
+    path, n = out / f"BENCH_{label}.json", 2
+    while path.exists():
+        path, n = out / f"BENCH_{label}-run{n}.json", n + 1
+    return path
 
 
 def run_once(tree: Path, args) -> tuple:
@@ -228,7 +239,7 @@ def main(argv=None) -> int:
         "runs": runs,
     }
     args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / f"BENCH_{label}.json"
+    path = report_path(args.out, label)
     path.write_text(json.dumps(report, indent=1) + "\n")
     for name, s in summary.items():
         print(f"{name:<13} {s['base']['median']:.6g} [{s['base']['q1']:.6g}, {s['base']['q3']:.6g}]"
