@@ -4,8 +4,10 @@ Subcommands: fit, predict (point predictions), bootstrap (predictions
 with bootstrap uncertainty), simulate, and study <design>, whose designs
 (grid-scaling, settings, irregular, modis) are subcommands of their own.
 Each takes only the flags it reads and reports any other with its own
-usage. An --init is beta_1,...,beta_q,sigma2,tau2,rho, and --extent auto
-is the observations' bounding box, so gridded data lands on the nodes.
+usage. An --init is auto, truth (synthetic designs) or beta_1,...,beta_q,
+sigma2,tau2,rho; study modis picks one of a ';'-separated list by
+cross-validation. --extent auto is the observations' bounding box, so
+gridded data lands on the nodes.
 An argument @args.txt is replaced, where it stands, by the file's lines,
 one argument per line (--max-iter=50); later arguments win, so flags
 after it override it. A path that starts with @ is written ./@name.
@@ -31,13 +33,15 @@ from .data import (
     write_predictions,
     write_truth,
 )
-from .estimation import _check_stopping, bootstrap_uq, fit, predict
+from .estimation import bootstrap_uq, fit, predict
 from .grid import GridSpec, ThetaParams
 from .likelihood import ModelData
 from .mapping import LocationError, build_map
 from .simulate import simulate_dataset
 from .study import format_study_tables, run_study, score_predictions
 from .toeplitz import EmbeddingError
+
+CV_FOLDS = 5  # study modis's cross-validation folds for a list of --init starts
 
 
 def _parse_grid(text) -> tuple:
@@ -59,6 +63,16 @@ def _parse_theta(text, nu) -> ThetaParams:
     if len(parts) < 4:
         raise InputError(f"theta must have at least 4 components, got {len(parts)}")
     return ThetaParams(np.array(parts[:-3]), *parts[-3:], nu)
+
+
+def _parse_init(text, nu, named=("auto",), many=False) -> list:
+    """The ';'-separated starts of an --init, each a name in ``named`` or
+    beta_1,...,beta_q,sigma2,tau2,rho at smoothness nu; one unless ``many``."""
+    starts = [part if part in named else _parse_theta(part, nu) for part in text.split(";")]
+    if len(starts) > 1 and not many:
+        raise InputError(f"--init takes one start here, got {len(starts)}: "
+                         f"only study modis cross-validates a list")
+    return starts
 
 
 def _parse_extent(text):
@@ -92,27 +106,26 @@ def _report(text, path=None):
 
 
 def _check_fit_settings(args):
-    """Check each of --k, --B, --nu, --max-iter and --tol the command has."""
-    for name in ("k", "B"):
+    """Check each of --k, --B, --nu and --max-iter the command has."""
+    for name in ("k", "B", "max_iter"):
         if getattr(args, name, 1) < 1:
             raise InputError(f"{name} must be >= 1, got {getattr(args, name)}")
     nu = getattr(args, "nu", 1.0)
     if not (np.isfinite(nu) and nu > 0):
         raise InputError(f"nu must be finite and positive, got {nu}")
-    _check_stopping(getattr(args, "max_iter", 1), getattr(args, "tol", 0.0))
 
 
 def cmd_fit(args) -> int:
     # every flag value is checked before the data file is opened
     _check_fit_settings(args)
     shape, extent = _parse_grid(args.grid), _parse_extent(args.extent)
-    init = args.init if args.init == "auto" else _parse_theta(args.init, args.nu)
+    [init] = _parse_init(args.init, args.nu)
     covs = args.covariates.split(",") if args.covariates else None
     dataset = read_dataset(args.data, covariates=covs)
     grid = _fit_grid(shape, extent, dataset.locations)
     amap = build_map(dataset.locations, grid)
     data = ModelData(y=dataset.y, X=dataset.X, amap=amap, grid=grid, nu=args.nu)
-    res = fit(data, k=args.k, init=init, max_iter=args.max_iter, tol=args.tol)
+    res = fit(data, k=args.k, init=init, max_iter=args.max_iter)
     save_fit_artifact(args.out, res, dataset)
 
     th = res.theta_hat
@@ -194,7 +207,7 @@ def cmd_simulate(args) -> int:
 def cmd_study(args) -> int:
     _check_fit_settings(args)
     # an explicit init's nu goes unread: fit takes nu from the data
-    init = args.init if args.init in ("truth", "auto") else _parse_theta(args.init, 0.5)
+    [init] = _parse_init(args.init, 0.5, named=("truth", "auto"))
     results = run_study(args.design, k=args.k, replicates=args.replicates, scale=args.scale,
                         seed=args.seed, B=args.B, init=init, max_iter=args.max_iter)
     _report(format_study_tables(results), args.out)
@@ -202,20 +215,17 @@ def cmd_study(args) -> int:
 
 
 def _cv_select_init(train, grid, candidates, args):
-    """Pick the initial value whose cross-validated prediction error is
-    smallest; folds and the candidate list are explicit options. Rows are
-    dealt round-robin to the folds in a seeded random order, so every fold
-    holds at least one row."""
-    if not 2 <= args.cv_folds <= train.p:
-        raise InputError(
-            f"--cv-folds must be between 2 and the {train.p} training rows, "
-            f"got {args.cv_folds}"
-        )
-    folds = np.random.default_rng(args.seed).permutation(train.p) % args.cv_folds
+    """Pick the start whose cross-validated prediction error is smallest.
+    Rows are dealt round-robin to CV_FOLDS folds in a seeded random order,
+    so every fold holds at least one row."""
+    if train.p < CV_FOLDS:
+        raise InputError(f"cross-validating {len(candidates)} --init starts needs at "
+                         f"least {CV_FOLDS} training rows, got {train.p}")
+    folds = np.random.default_rng(args.seed).permutation(train.p) % CV_FOLDS
     scores = []
     for cand in candidates:
         errs = []
-        for f in range(args.cv_folds):
+        for f in range(CV_FOLDS):
             tr = train.subset(folds != f)
             te = train.subset(folds == f)
             amap = build_map(tr.locations, grid)
@@ -235,16 +245,13 @@ def _study_modis(args) -> int:
     # every flag value is checked before the CSVs are opened
     _check_fit_settings(args)
     shape, extent = _parse_grid(args.grid), _parse_extent(args.extent)
-    candidates = [
-        _parse_theta(part, args.nu) for part in (args.init_grid or "").split(";") if part
-    ]
-    theta0 = args.init if args.init == "auto" else _parse_theta(args.init, args.nu)
+    starts = _parse_init(args.init, args.nu, many=True)
     train = read_dataset(args.train)
-    test = read_dataset(args.test)
+    # the test covariates by the training columns' names, not their places
+    test = read_dataset(args.test, covariates=list(train.covariate_names[1:]))
     grid = _fit_grid(shape, extent, np.vstack([train.locations, test.locations]))
     t0 = time.perf_counter()
-    if candidates:
-        theta0 = _cv_select_init(train, grid, candidates, args)
+    theta0 = _cv_select_init(train, grid, starts, args) if len(starts) > 1 else starts[0]
     amap = build_map(train.locations, grid)
     data = ModelData(y=train.y, X=train.X, amap=amap, grid=grid, nu=args.nu)
     res = fit(data, k=args.k, init=theta0, max_iter=args.max_iter)
@@ -291,8 +298,6 @@ def build_parser() -> tuple:
     p = sub.add_parser("fit", help="estimate parameters from a CSV dataset")
     _add_shared(p, "--k", "--max-iter", "--nu", "--out")
     p.add_argument("--init", default="auto", help='"auto" or beta_1,...,beta_q,sigma2,tau2,rho')
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="relative objective-change stopping tolerance")
     p.add_argument("--grid", default="100x100", help="latent grid N1xN2")
     p.add_argument("--extent", default="auto",
                    help='"auto" or xmin,xmax,ymin,ymax')
@@ -332,13 +337,12 @@ def build_parser() -> tuple:
     p = designs.add_parser("modis", help="train/test evaluation on an archived gridded split")
     _add_shared(p, "--k", "--B", "--seed", "--max-iter", "--nu")
     p.add_argument("--out", help="output path for the results")
-    p.add_argument("--init", default="auto", help='"auto" or beta_1,...,beta_q,sigma2,tau2,rho')
+    p.add_argument("--init", default="auto", help='"auto" or beta_1,...,beta_q,sigma2,tau2,rho, '
+                   f'or a ";"-separated list of them to pick by {CV_FOLDS}-fold CV')
     p.add_argument("--grid", default="500x300", help="latent grid N1xN2")
     p.add_argument("--extent", default="auto", help='"auto" or xmin,xmax,ymin,ymax')
     p.add_argument("--train", required=True, help="training CSV")
     p.add_argument("--test", required=True, help="test CSV")
-    p.add_argument("--init-grid", help="';'-separated --init candidates to select by CV")
-    p.add_argument("--cv-folds", type=int, default=5, help="CV folds for --init-grid")
     p.set_defaults(func=_study_modis)
 
     return parser, {**sub.choices, **designs.choices}

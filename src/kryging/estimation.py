@@ -130,21 +130,11 @@ def _feasible_box(data: ModelData, theta0: ThetaParams):
     return lo, hi
 
 
-def _check_stopping(max_iter: int, tol: float) -> None:
-    """Raise ``ValueError`` unless max_iter >= 1 and tol is finite and >= 0,
-    and ``TypeError`` unless max_iter is an integer."""
-    if operator.index(max_iter) < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
-
-
 def fit(
     data: ModelData,
     k: int = 50,
     init: ThetaParams | str = "auto",
     max_iter: int = 200,
-    tol: float = 1e-8,
 ) -> FitResult:
     """Estimate the model parameters by approximate profile maximum
     likelihood.
@@ -165,7 +155,7 @@ def fit(
     Three tests end the iteration, and ``diagnostics["stop_reason"]``
     names the one that fired: the trust radius falls below parameter
     resolution (1e-6 in log space); an accepted step changes the
-    objective by less than ``tol`` relative; or an accepted step gains
+    objective by less than 1e-8 relative; or an accepted step gains
     more than 1.75 times the model's predicted reduction. The last means
     the objective's curvature along the gradient is under a quarter of
     the model's, so it is linear at the step scale and no stationary
@@ -191,8 +181,6 @@ def fit(
         (``ValueError`` otherwise). Any other value raises ``TypeError``.
     max_iter : int
         Cap on objective evaluations, an integer >= 1.
-    tol : float
-        Relative objective-change stopping tolerance (accepted steps), >= 0.
 
     Returns
     -------
@@ -200,7 +188,8 @@ def fit(
         Parameter estimates, latent estimate, trace, and diagnostics.
         The objective trace is non-increasing by construction.
     """
-    _check_stopping(max_iter, tol)
+    if operator.index(max_iter) < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     k = operator.index(k)
     if isinstance(init, ThetaParams):
         theta0 = init
@@ -267,7 +256,7 @@ def fit(
             vec = vec + s
             state = trial
             trace.append(state.value)
-            if abs(trace[-2] - trace[-1]) <= tol * (1.0 + abs(trace[-1])):
+            if abs(trace[-2] - trace[-1]) <= 1e-8 * (1.0 + abs(trace[-1])):
                 converged, note = True, "objective change below tolerance"
                 break
             if ratio > 1.75:

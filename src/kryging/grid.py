@@ -41,7 +41,7 @@ class GridSpec:
         Number of grid points along the two axes, both >= 2. Any integer
         (a numpy one too) is stored as an int; a float raises TypeError.
     x_min, x_max, y_min, y_max : float
-        Spatial extents. Axis 1 spans [x_min, x_max], axis 2 spans
+        Finite spatial extents. Axis 1 spans [x_min, x_max], axis 2 spans
         [y_min, y_max].
     """
 
@@ -57,8 +57,10 @@ class GridSpec:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n1 < 2 or self.n2 < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.n1}x{self.n2}")
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError("grid extents must have positive area")
+        extents = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not (all(map(math.isfinite, extents)) and self.x_max > self.x_min
+                and self.y_max > self.y_min):
+            raise ValueError(f"grid extents must be finite with positive area, got {extents}")
 
     @property
     def dx1(self) -> float:

@@ -343,7 +343,51 @@ def test_criterion_8_bootstrap_contract(report):
 
 
 # --------------------------------------------------------------------------
-# 9. optional archived-data study (requires fetched files)
+# 9. optional archived-data study (requires fetched files), and a synthetic
+# stand-in that reports how the --init start of study modis scores
+
+
+def cloud_split(seed, directory):
+    """Train/test CSVs of a simulated 40 x 40 unit-square lattice at the
+    benchmark parameters: the test rows are the nodes under six "clouds",
+    rectangles with sides uniform in [0.08, 0.2] drawn from ``seed``."""
+    from kryging.data import write_dataset
+    from kryging.simulate import simulate_dataset
+
+    theta = ThetaParams(np.array([44.49]), 3.0, 0.5, 0.1)
+    ds = simulate_dataset(GridSpec(40, 40), theta, seed=seed).dataset
+    rng = np.random.default_rng(seed)
+    lon, lat = ds.locations.T
+    cloud = np.zeros(ds.p, dtype=bool)
+    for _ in range(6):
+        w, h = rng.uniform(0.08, 0.2, 2)
+        x0, y0 = rng.uniform(0, 1 - w), rng.uniform(0, 1 - h)
+        cloud |= (x0 <= lon) & (lon <= x0 + w) & (y0 <= lat) & (lat <= y0 + h)
+    train, test = directory / "train.csv", directory / "test.csv"
+    write_dataset(train, ds.subset(~cloud))
+    write_dataset(test, ds.subset(cloud))
+    return train, test
+
+
+def test_criterion_9_synthetic_clouds_report(capsys, tmp_path):
+    """study modis from --init auto, and from a cross-validated list with
+    auto, the truth and a wrong start: printed, not gated."""
+    from kryging.cli import main
+
+    lines = []
+    for seed in (1, 2, 3):
+        train, test = cloud_split(seed, tmp_path)
+        for init in ("auto", "auto;44.49,3,0.5,0.1;44.49,1,1,0.3"):
+            out = tmp_path / "modis.txt"
+            assert main(["study", "modis", "--train", str(train), "--test", str(test),
+                         "--grid", "40x40", "--k", "50", "--B", "20", "--seed", str(seed),
+                         "--init", init, "--out", str(out)]) == 0
+            picked = capsys.readouterr().out.partition("cv init selection: candidate ")[2]
+            s = dict(kv.split("=") for kv in out.read_text().split() if "=" in kv)
+            label = f"cv picks {picked.split()[0]}" if picked else "auto"
+            lines.append(f"seed {seed} {label}: MAE {s['MAE']}, CRPS {s['CRPS']}, CVG {s['CVG']}")
+    with capsys.disabled():
+        print(f"\nACCEPTANCE 9 (synthetic clouds): REPORT | {'; '.join(lines)}", flush=True)
 
 
 @pytest.mark.skipif(

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,20 @@ def test_bad_extent_exits_2(workdir, capsys, command, extent):
         capsys.readouterr()
     assert run_cli([command] + args) == 2
     assert "extent must be xmin,xmax,ymin,ymax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extent", ["0,inf,0,1", "-inf,1,0,1", "0,1,nan,1"])
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_non_finite_extent_exits_2_without_a_warning(workdir, capsys, command, extent):
+    args = ["--grid", "8x8", f"--extent={extent}", "--out", workdir / "x.out"]
+    if command == "fit":
+        args.append(simulate(workdir))
+        capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli([command] + args) == 2
+    assert [str(w.message) for w in caught] == []
+    assert "error: grid extents must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("role", ["data", "config", "out"])
@@ -431,16 +446,21 @@ class TestPredict:
             same(values, np.column_stack([targets, *want]))
 
 
-# (subcommand, flag) pairs each command once accepted and ignored
+# the flags study modis once read for cross-validated starts, which its
+# --init now lists
+CV_FLAGS = ("--init-grid", "--cv-folds")
+# (subcommand, flag) pairs each command once accepted and ignored, or no
+# longer has (--tol, which fit read, and CV_FLAGS)
 REMOVED_FLAGS = [
-    ("fit", "--B"), ("fit", "--seed"),
+    ("fit", "--B"), ("fit", "--seed"), ("fit", "--tol"),
     *[("predict", f) for f in ("--k", "--init", "--tol", "--max-iter", "--nu", "--B", "--seed")],
     *[("bootstrap", f) for f in ("--k", "--init", "--tol", "--max-iter", "--nu")],
     *[("simulate", f) for f in ("--k", "--B", "--init", "--tol", "--max-iter")],
     ("study", "--tol"),
+    *[("modis", f) for f in CV_FLAGS],
 ]
 FLAG_VALUES = {"--B": "2", "--seed": "1", "--k": "5", "--init": "auto", "--tol": "1e-6",
-               "--max-iter": "3", "--nu": "0.5"}
+               "--max-iter": "3", "--nu": "0.5", "--init-grid": "1,1,1,0.1", "--cv-folds": "3"}
 # arguments each subcommand needs, so only the flag under test can fail
 BASE_ARGS = {
     "fit": ["--out", "f.npz", "data.csv"],
@@ -464,8 +484,16 @@ def test_each_subcommand_has_only_its_own_flags():
 
     _, commands = build_parser()
     counts = {name: sum(a.dest != "help" for a in p._actions) for name, p in commands.items()}
-    assert counts == {"fit": 10, "predict": 3, "bootstrap": 5, "simulate": 7, "study": 1,
-                      "grid-scaling": 8, "settings": 8, "irregular": 8, "modis": 13}
+    assert counts == {"fit": 9, "predict": 3, "bootstrap": 5, "simulate": 7, "study": 1,
+                      "grid-scaling": 8, "settings": 8, "irregular": 8, "modis": 11}
+
+
+@pytest.mark.parametrize("command,gone", [("fit", ["--tol"]), ("modis", list(CV_FLAGS))])
+def test_help_lists_no_removed_flag(capsys, command, gone):
+    assert exit_code([*words(command), "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--init" in out
+    assert not [flag for flag in gone if flag in out]
 
 
 def test_study_design_help_lists_only_its_own_flags(capsys):
@@ -519,17 +547,16 @@ def test_unknown_flag_before_the_data_path_is_the_one_reported(workdir, capsys):
 
 # study flags that only modis, or only the synthetic designs, read
 MODIS_FLAGS = {"--grid": "5x5", "--extent": "0,1,0,1", "--train": "t.csv",
-               "--test": "t.csv", "--init-grid": "1,1,1,0.1", "--cv-folds": "3",
-               "--nu": "2.5"}
+               "--test": "t.csv", "--nu": "2.5"}
 SYNTHETIC_FLAGS = {"--scale": "0.5", "--replicates": "2"}
 
 
 @pytest.mark.parametrize("design,flag", [
-    *[(d, f) for d in ("grid-scaling", "settings", "irregular") for f in MODIS_FLAGS],
+    *[(d, f) for d in ("grid-scaling", "settings", "irregular") for f in [*MODIS_FLAGS, *CV_FLAGS]],
     *[("modis", f) for f in SYNTHETIC_FLAGS],
 ])
 def test_study_flag_of_another_design_exits_2(workdir, capsys, design, flag):
-    value = {**MODIS_FLAGS, **SYNTHETIC_FLAGS}[flag]
+    value = {**FLAG_VALUES, **MODIS_FLAGS, **SYNTHETIC_FLAGS}[flag]
     base = BASE_ARGS["modis"] if design == "modis" else []
     cfg = workdir / "run.cfg"
     cfg.write_text(f"{flag}={value}\n")
@@ -553,10 +580,8 @@ def test_study_designs_resolve_their_own_defaults(monkeypatch):
     monkeypatch.setattr(cli, "_study_modis", lambda args: seen.update(vars(args)) or 0)
     assert run_cli(["study", "modis", "--k", "200", "--train", "t.csv",
                     "--test", "v.csv", "--grid", "500x300", "--out", "o.txt"]) == 0
-    assert (seen["grid"], seen["extent"], seen["cv_folds"], seen["init_grid"]) == (
-        "500x300", "auto", 5, None)
-    assert seen["init"] == "auto"
-    assert "scale" not in seen and "replicates" not in seen
+    assert (seen["grid"], seen["extent"], seen["init"]) == ("500x300", "auto", "auto")
+    assert not {"scale", "replicates", "init_grid", "cv_folds"} & set(seen)
 
 
 def test_study_design_can_come_from_a_file(workdir, monkeypatch):
@@ -741,10 +766,8 @@ class TestNumericalFailure:
         assert rc == 2
 
     @pytest.mark.parametrize("flags,message", [
-        (["--max-iter", "-5", "--tol", "nan"], "max_iter must be >= 1, got -5"),
+        (["--max-iter", "-5"], "max_iter must be >= 1, got -5"),
         (["--max-iter", "0"], "max_iter must be >= 1, got 0"),
-        (["--tol", "nan"], "tol must be finite and >= 0, got nan"),
-        (["--tol=-1e-8"], "tol must be finite and >= 0, got -1e-08"),
         (["--nu", "0"], "nu must be finite and positive, got 0.0"),
         (["--nu=-inf", "--init", "1,1,0.5,0.1"], "nu must be finite and positive"),
     ])
@@ -861,33 +884,126 @@ class TestStudyCommand:
         out = workdir / "modis.txt"
         rc = run_cli(["study", "modis", "--train", train, "--test", test,
                       "--grid", "14x14", "--k", 10, "--B", 4, "--max-iter", 15,
-                      "--init-grid", "20,1,1,0.1;20,2,0.3,0.2", "--cv-folds", 2,
-                      "--out", out])
+                      "--init", "20,1,1,0.1;20,2,0.3,0.2", "--out", out])
         assert rc == 0
+        assert "cv init selection: candidate " in capsys.readouterr().out
         text = out.read_text()
         for metric in ("MAE=", "RMSE=", "CRPS=", "INT=", "CVG="):
             assert metric in text
 
     @pytest.mark.parametrize("folds", [-1, 0, 1, 148])
     def test_cv_folds_outside_range_exit_2(self, workdir, capsys, folds):
-        train, test = self.modis_split(workdir)  # 147 training rows
+        # the fold count is fixed at 5, so every --cv-folds is refused,
+        # by the parser, before a CSV is read
+        train, test = self.modis_split(workdir)
         capsys.readouterr()
-        rc = run_cli(["study", "modis", "--train", train, "--test", test,
-                      "--grid", "14x14", "--init-grid", "20,1,1,0.1",
-                      "--cv-folds", folds])
-        assert rc == 2
+        assert exit_code(["study", "modis", "--train", train, "--test", test,
+                          "--grid", "14x14", "--init", "20,1,1,0.1;auto",
+                          "--cv-folds", folds]) == 2
         err = capsys.readouterr().err
-        assert "--cv-folds must be between 2 and the 147 training rows" in err
+        assert f"kryging study modis: error: unrecognized arguments: --cv-folds {folds}" in err
 
-    def test_every_cv_fold_holds_a_row(self, workdir, capsys):
-        # 48 training rows in 20 folds: independent random labels leave
-        # some fold empty at this seed, and its fit would fail
+    @staticmethod
+    def head_rows(path, count):
+        """``path`` cut to its header and first ``count`` data rows."""
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[: 1 + count]))
+        return path
+
+    def test_every_cv_fold_holds_a_row(self, workdir, capsys, monkeypatch):
+        # 5 training rows in 5 folds: independent random labels would leave
+        # some fold empty at most seeds, and its fit would fail; each
+        # candidate is fitted once per fold, then the chosen one on all rows
+        from kryging import cli
+
         train, test = self.modis_split(workdir, grid="8x8")
+        self.head_rows(train, 5)
+        inits = []
+        real_fit = cli.fit
+        monkeypatch.setattr(cli, "fit", lambda data, **kw: inits.append(
+            (kw["init"], data.p)) or real_fit(data, **kw))
         rc = run_cli(["study", "modis", "--train", train, "--test", test,
                       "--grid", "8x8", "--k", 5, "--B", 2, "--max-iter", 3,
-                      "--init-grid", "20,2,0.3,0.2", "--cv-folds", 20])
+                      "--init", "20,2,0.3,0.2;auto"])
         assert rc == 0
-        assert "cv init selection: candidate 0" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        picked = int(out.split("cv init selection: candidate ")[1].split()[0])
+        assert [p for _, p in inits] == [4] * 10 + [5]
+        assert [init == "auto" for init, _ in inits] == [False] * 5 + [True] * 5 + [picked == 1]
+
+    def test_modis_reads_the_test_covariates_by_name(self, workdir, capsys):
+        # y = 5 + 3a + noise; a test CSV with its covariate columns in
+        # another order scores as the same rows in the training order
+        rng = np.random.default_rng(5)
+        lon, lat = (v.ravel() for v in np.meshgrid(np.linspace(0, 1, 10), np.linspace(0, 1, 10)))
+        a, b = rng.standard_normal((2, 100))
+        y = 5 + 3 * a + 0.1 * rng.standard_normal(100)
+
+        def write(name, rows, columns):
+            values = {"lon": lon, "lat": lat, "y": y, "a": a, "b": b}
+            path = workdir / name
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(columns)
+                w.writerows(np.column_stack([values[c][rows] for c in columns]).tolist())
+            return path
+
+        train = write("train.csv", slice(0, 80), ["lon", "lat", "y", "a", "b"])
+        scores = []
+        for columns in (["lon", "lat", "y", "a", "b"], ["lon", "lat", "y", "b", "a"]):
+            out = workdir / "modis.txt"
+            assert run_cli(["study", "modis", "--train", train,
+                            "--test", write("test.csv", slice(80, 100), columns),
+                            "--grid", "10x10", "--k", 5, "--B", 2, "--max-iter", 3,
+                            "--out", out]) == 0
+            scores.append(out.read_text().split("time=")[0])
+        assert scores[0] == scores[1]
+        capsys.readouterr()
+        test = write("test.csv", slice(80, 100), ["lon", "lat", "y", "b"])
+        assert run_cli(["study", "modis", "--train", train, "--test", test,
+                        "--grid", "10x10", "--k", 5, "--B", 2, "--max-iter", 3]) == 2
+        assert f"error: {test}: covariate column(s) not found: a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_cv_with_fewer_training_rows_than_folds_exits_2_before_any_fit(
+            self, workdir, capsys, monkeypatch, rows):
+        from kryging import cli
+
+        train, test = self.modis_split(workdir, grid="8x8")
+        self.head_rows(train, rows)
+        monkeypatch.setattr(cli, "fit", lambda *a, **k: pytest.fail("fitted"))
+        capsys.readouterr()
+        assert run_cli(["study", "modis", "--train", train, "--test", test,
+                        "--grid", "8x8", "--init", "auto;20,2,0.3,0.2"]) == 2
+        err = capsys.readouterr().err
+        assert (f"error: cross-validating 2 --init starts needs at least 5 training rows, "
+                f"got {rows}") in err
+
+    @pytest.mark.parametrize("command,init", [
+        (["fit", "--out", "x.npz", "missing.csv"], "auto;auto"),
+        (["fit", "--out", "x.npz", "missing.csv"], "auto;1,1,0.5,0.1"),
+        (["study", "settings"], "truth;auto"),
+    ])
+    def test_a_list_of_starts_outside_study_modis_exits_2(self, workdir, capsys, command,
+                                                          init):
+        assert run_cli([*command, "--init", init]) == 2
+        err = capsys.readouterr().err
+        assert "error: --init takes one start here, got 2" in err
+        assert "missing.csv" not in err
+
+    @pytest.mark.parametrize("init,message", [
+        ("auto;truth", "theta must be beta,sigma2,tau2,rho; got 'truth'"),
+        ("auto;", "theta must be beta,sigma2,tau2,rho; got ''"),
+        ("auto;1,0.5,0.1", "theta must have at least 4 components, got 3"),
+    ])
+    def test_each_modis_start_is_checked_before_the_csvs_are_read(self, workdir, capsys,
+                                                                  init, message):
+        missing = workdir / "missing.csv"
+        assert run_cli(["study", "modis", "--train", missing, "--test", missing,
+                        "--init", init]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "missing.csv" not in err
 
 
 class TestArtifact:
@@ -947,6 +1063,27 @@ class TestArtifact:
                       "--B", 2, "--out", workdir / "pred.csv"])
         assert rc == 2
         assert f"{truncated}: not a readable fit artifact" in capsys.readouterr().err
+
+    def test_artifact_with_an_infinite_extent_is_refused(self, workdir, capsys):
+        from kryging.data import load_fit_artifact
+
+        data = simulate(workdir)
+        fitfile = workdir / "fit.npz"
+        assert run_cli(["fit", "--grid", "12x12", "--extent", "0,1,0,1", "--k", 10,
+                        "--max-iter", 10, "--out", fitfile, data]) == 0
+        with np.load(fitfile, allow_pickle=False) as z:
+            payload = dict(z)
+        payload["grid"] = np.array([12, 12, 0.0, np.inf, 0.0, 1.0])  # n1, n2, extents
+        forged = workdir / "forged.npz"
+        np.savez(forged, **payload)
+        with pytest.raises(ValueError, match="grid extents must be finite"):
+            load_fit_artifact(forged)
+        locs = workdir / "locs.csv"
+        locs.write_text("lon,lat\n0.5,0.5\n")
+        rc = run_cli(["bootstrap", "--fit", forged, "--locations", locs,
+                      "--B", 2, "--out", workdir / "pred.csv"])
+        assert rc == 2
+        assert "error: grid extents must be finite" in capsys.readouterr().err
 
     def test_artifact_missing_array_exits_2(self, workdir, capsys):
         data = simulate(workdir)

@@ -212,9 +212,6 @@ class TestFit:
     @pytest.mark.parametrize("settings,message", [
         ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
         ({"max_iter": -5}, "max_iter must be >= 1, got -5"),
-        ({"tol": -1e-8}, "tol must be finite and >= 0"),
-        ({"tol": float("nan")}, "tol must be finite and >= 0, got nan"),
-        ({"tol": float("inf")}, "tol must be finite and >= 0, got inf"),
     ])
     def test_out_of_range_stopping_settings_rejected(self, monkeypatch, settings, message):
         g, sim, data = simulated_data(6, TRUTH, seed=5)
@@ -224,8 +221,13 @@ class TestFit:
         with pytest.raises(ValueError, match=message):
             fit(data, k=5, init=TRUTH, **settings)
         assert calls == []
-        # one evaluation and a zero tolerance stay valid
-        assert fit(data, k=5, init=TRUTH, max_iter=1, tol=0.0).iterations == 1
+        # one evaluation stays valid
+        assert fit(data, k=5, init=TRUTH, max_iter=1).iterations == 1
+
+    def test_relative_change_tolerance_is_not_a_setting(self):
+        g, sim, data = simulated_data(6, TRUTH, seed=5)
+        with pytest.raises(TypeError, match="tol"):
+            fit(data, k=5, init=TRUTH, max_iter=1, tol=1e-6)
 
 
 class TestTrustRegionStops:

@@ -121,6 +121,12 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(4, 4, 0.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("extents", [(0.0, np.inf, 0.0, 1.0), (-np.inf, 1.0, 0.0, 1.0),
+                                         (0.0, 1.0, -np.inf, np.inf), (0.0, 1.0, np.nan, 1.0)])
+    def test_rejects_non_finite_extent(self, extents):
+        with pytest.raises(ValueError, match="grid extents must be finite"):
+            GridSpec(4, 4, *extents)
+
 
 class TestThetaParams:
     def test_precision_roundtrip(self):
