@@ -71,7 +71,7 @@ def _parse_init(text, nu, named=("auto",), many=False) -> list:
     starts = [part if part in named else _parse_theta(part, nu) for part in text.split(";")]
     if len(starts) > 1 and not many:
         raise InputError(f"--init takes one start here, got {len(starts)}: "
-                         f"only study modis cross-validates a list")
+                         "only study modis cross-validates a list")
     return starts
 
 
