@@ -36,7 +36,7 @@ from .data import (
 from .estimation import bootstrap_uq, fit, predict
 from .grid import GridSpec, ThetaParams
 from .likelihood import ModelData
-from .mapping import LocationError, build_map
+from .mapping import build_map
 from .simulate import simulate_dataset
 from .study import format_study_tables, run_study, score_predictions
 from .toeplitz import EmbeddingError
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
             commands[getattr(args, "design", args.command)].error(
                 f"unrecognized arguments: {' '.join(_unrecognized(argv, extra))}")
         return args.func(args)
-    except (InputError, LocationError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # InputError and LocationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EmbeddingError as exc:

@@ -314,7 +314,8 @@ def load_fit_artifact(path):
     pickling disabled, so an archive holding object arrays (which could
     run code when unpickled) is refused with :class:`InputError`, as is
     a truncated archive, one missing a required array, or a file that is
-    not an ``.npz`` archive at all (a single ``.npy`` array, a CSV).
+    not an ``.npz`` archive at all (a single ``.npy`` array, a CSV), or
+    an array of another shape or type than it should have (naming it).
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -335,35 +336,48 @@ def load_fit_artifact(path):
         raise InputError(f"{path}: fit artifact has no {exc.args[0]!r} array") from exc
 
 
+def _stored(path, key, value, kind, shape=()):
+    """``value``, the array stored under ``key``, which must have ``shape``
+    and a dtype ``kind`` reads; an int must be a finite whole number."""
+    value = np.asarray(value)
+    if value.shape != shape or value.dtype.kind not in {bool: "b", str: "U"}.get(kind, "iuf"):
+        raise InputError(f"{path}: fit artifact's {key!r} must be {kind.__name__} data "
+                         f"of shape {shape}, got {value.dtype} of shape {value.shape}")
+    if kind is not int:
+        return value if shape else kind(value)
+    if not (np.isfinite(value).all() and (value == value.round()).all()):
+        raise InputError(f"{path}: fit artifact's {key!r} holds {value}, not whole numbers")
+    return list(map(int, value)) if shape else int(value)
+
+
 def _unpack_artifact(path, z):
-    version = int(z["format_version"])
+    z = {"stop_reason": "unknown", "embedding_failures": 0, **z}  # older artifacts lack them
+
+    def scalar(key, kind):
+        return _stored(path, key, z[key], kind)
+
+    version = scalar("format_version", int)
     if version != ARTIFACT_VERSION:
-        raise InputError(
-            f"{path}: artifact format version {version} not supported "
-            f"(expected {ARTIFACT_VERSION})"
-        )
-    n1, n2, x0, x1, y0, y1 = z["grid"]
-    grid = GridSpec(int(n1), int(n2), float(x0), float(x1), float(y0), float(y1))
-    theta = ThetaParams(
-        beta=z["beta"],
-        sigma2=float(z["sigma2"]),
-        tau2=float(z["tau2"]),
-        rho=float(z["rho"]),
-        nu=float(z["nu"]),
-    )
+        raise InputError(f"{path}: artifact format version {version} not supported "
+                         f"(expected {ARTIFACT_VERSION})")
+    stored = _stored(path, "grid", z["grid"], float, (6,))  # n1, n2 and the extents
+    n1, n2 = _stored(path, "grid", stored[:2], int, (2,))
+    grid = GridSpec(n1, n2, *map(float, stored[2:]))
+    theta = ThetaParams(z["beta"], *(scalar(key, float)
+                                     for key in ("sigma2", "tau2", "rho", "nu")))
     fitres = FitResult(
         theta_hat=theta,
         x_hat=z["x_hat"],
         objective_trace=list(z["objective_trace"]),
-        converged=bool(z["converged"]),
-        iterations=int(z["iterations"]),
+        converged=scalar("converged", bool),
+        iterations=scalar("iterations", int),
         grid=grid,
-        k=int(z["k"]),
+        k=scalar("k", int),
         diagnostics={
-            "clamp_count": int(z["clamp_count"]),
-            "wall_time": float(z["wall_time"]),
-            "stop_reason": str(z.get("stop_reason", "unknown")),
-            "embedding_failures": int(z.get("embedding_failures", 0)),
+            "clamp_count": scalar("clamp_count", int),
+            "wall_time": scalar("wall_time", float),
+            "stop_reason": scalar("stop_reason", str),
+            "embedding_failures": scalar("embedding_failures", int),
         },
     )
     dataset = Dataset(

@@ -17,11 +17,9 @@ and noise from the fitted model, re-estimate each replicate with the
 parameters held fixed, and average squared prediction errors. The
 replicates run concurrently, one thread per usable CPU (the calling
 thread among them), and their squared errors are summed in replicate
-order, so the result is bitwise that of a serial loop. A replicate's
-Golub-Kahan sums and products run through ``np.einsum``, and its k x k
-projected solve through O(k) scalar recurrences, never BLAS (see
-:mod:`kryging.gengk`), so replicates do not contend for the BLAS thread
-pool at any k.
+order, so the result is bitwise that of a serial loop. A replicate makes
+no BLAS call (see :mod:`kryging.gengk`), so replicates do not contend for
+the BLAS thread pool at any k.
 """
 
 from __future__ import annotations
@@ -209,7 +207,6 @@ def fit(
     )
     trace = [state.value]
     radius = 1.0
-    max_radius = 1.0
     n_eval = 1
     converged = False
     note = "max_iter reached"
@@ -250,7 +247,7 @@ def fit(
         if ratio < 0.25:
             radius /= 4.0
         elif ratio > 0.75 and np.linalg.norm(s) >= 0.99 * radius:
-            radius = min(2.0 * radius, max_radius)
+            radius = min(2.0 * radius, 1.0)
 
         if actual > 0:
             vec = vec + s

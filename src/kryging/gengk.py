@@ -16,15 +16,8 @@ Sigma-orthonormal in floating point.
 
 Only U ((k+1) x p) and B are stored; the latent basis V (k x n) is not.
 The recurrence's latent step, alpha_i v_i = A' u_i / tau2 - beta_i v_{i-1},
-reads in matrix form
-
-    V_k L_k' = A' U_k / tau2,   L_k = B[:k, :k] (lower bidiagonal),
-
-so the latent estimate m = V_k z is A' (U_k g) / tau2 with L_k' g = z: a
-bidiagonal back substitution, one product with U and one A' application.
-The regularized estimate is then x* = Sigma m, one covariance matvec.
-The projected system for z is tridiagonal, so :func:`solve` runs in O(k)
-scalar steps.
+reads V_k L_k' = A' U_k / tau2 with L_k = B[:k, :k], so :func:`solve`
+recovers the latent estimate from U and B alone.
 
 The reductions (the re-orthogonalization coefficients U r, alpha's inner
 product, beta's and ||b||'s norms, the product with U in the solve) run
@@ -37,9 +30,7 @@ threads roughly halve it. Inside :func:`_blas_free`, which the bootstrap
 holds around each replicate's factorization, the update is an einsum
 too, so concurrent replicates never contend for the BLAS thread pool.
 Either way a factorization gives bitwise the same B and U whatever the
-BLAS thread count (a test pins this). The solve makes no BLAS call at
-any k: its recurrences run on Python floats and its product with U is an
-einsum.
+BLAS thread count (a test pins this).
 """
 
 from __future__ import annotations
@@ -119,16 +110,15 @@ class GenGKFactorization:
 
 @dataclass
 class KrygingSolution:
-    """Regularized latent estimate and its projected coefficients.
+    """Regularized latent estimate and what the likelihood reads of the
+    projected solve.
 
-    ``quad = ||z||^2`` approximates the covariance-weighted quadratic form
-    of the latent estimate and feeds straight into the profile likelihood.
-    ``m = V_k z`` is the latent estimate before the covariance matvec
-    (``x_star = Sigma m``), computed without V_k (see :func:`solve`); the
-    rho-gradient reuses it.
+    ``quad = ||z||^2``, over the projected coefficients z (see
+    :func:`solve`), approximates the covariance-weighted quadratic form of
+    the latent estimate. ``m = V_k z`` is the latent estimate before the
+    covariance matvec (``x_star = Sigma m``); the rho-gradient reuses it.
     """
 
-    z: np.ndarray
     x_star: np.ndarray
     quad: float
     m: np.ndarray
@@ -264,7 +254,7 @@ def solve(
     k = fact.k
     if k == 0:  # A' b = 0, so x* = 0 exactly (see gengk_factorize)
         n = fact.amap.n
-        return KrygingSolution(np.zeros(0), np.zeros(n), 0.0, np.zeros(n))
+        return KrygingSolution(np.zeros(n), 0.0, np.zeros(n))
     alpha = fact.B.diagonal().tolist()
     beta = fact.B.diagonal(-1).tolist()  # beta[i] sits below alpha[i]
     ridge = 1.0 / sigma2
@@ -287,4 +277,4 @@ def solve(
     m = fact.amap.apply_t(np.einsum("ij,j->i", fact.U[:, :k], np.array(g)))
     m /= fact.tau2
     x_star = sigma_op.matvec(m)
-    return KrygingSolution(z=z, x_star=x_star, quad=_dot(z, z), m=m)
+    return KrygingSolution(x_star=x_star, quad=_dot(z, z), m=m)

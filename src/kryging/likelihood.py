@@ -68,15 +68,13 @@ class ModelData:
 class ObjectiveState:
     """One evaluation of the negative approximate profile log-likelihood.
 
-    ``psi`` is the observation-space residual b - A x*, with
-    b = y - X beta. The Golub-Kahan factorization behind ``solution`` is
-    not kept, so a fit holds one factorization at a time.
+    The Golub-Kahan factorization behind ``solution`` is not kept, so a
+    fit holds one factorization at a time.
     """
 
     theta: ThetaParams
     value: float
     solution: KrygingSolution
-    psi: np.ndarray
     grad: np.ndarray
     diagnostics: dict
 
@@ -142,4 +140,4 @@ def evaluate_objective(data: ModelData, theta: ThetaParams, k: int) -> Objective
         "logdet": ld, "clamp_count": op.clamp_count, "clamp_fraction": op.clamp_fraction,
         "k_effective": k_eff, "dlogdet": dld,
     }
-    return ObjectiveState(theta, value, sol, psi, grad, diagnostics)
+    return ObjectiveState(theta, value, sol, grad, diagnostics)

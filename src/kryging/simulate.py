@@ -26,7 +26,6 @@ class SimulatedField:
     x: np.ndarray  # latent field on the full lattice
     y: np.ndarray  # noisy observations on the full lattice
     dataset: Dataset  # observed rows (thinned when requested)
-    kept: np.ndarray  # lattice indices retained in the dataset
 
 
 def simulate_dataset(
@@ -40,21 +39,24 @@ def simulate_dataset(
     The latent field x is an exact draw from the stationary model via
     circulant embedding. With ``thin_fraction`` t > 0, a uniformly random
     (1 - t) share of the lattice rows is kept, producing an irregularly
-    spaced dataset relative to any coarser modeling grid.
+    spaced dataset relative to any coarser modeling grid; a fraction that
+    would keep no node raises ValueError.
     """
     if not 0.0 <= thin_fraction < 1.0:
         raise ValueError("thin_fraction must be in [0, 1)")
+    keep = round(grid.n * (1.0 - thin_fraction))
+    if keep == 0:
+        raise ValueError(f"thin fraction {thin_fraction} keeps no node of the "
+                         f"{grid.n1}x{grid.n2} grid")
     rng = np.random.default_rng(seed)
     op = BttbOperator.from_matern(grid, theta.rho, theta.nu)
     x = np.sqrt(theta.sigma2) * op.sample(rng)
     noise = np.sqrt(theta.tau2) * rng.standard_normal(grid.n)
     y = theta.beta[0] + x + noise
 
+    kept = np.arange(grid.n)
     if thin_fraction > 0.0:
-        keep = round(grid.n * (1.0 - thin_fraction))
         kept = np.sort(rng.choice(grid.n, size=keep, replace=False))
-    else:
-        kept = np.arange(grid.n)
 
     coords = grid.node_coords()
     dataset = Dataset(
@@ -63,4 +65,4 @@ def simulate_dataset(
         X=np.ones((kept.size, 1)),
         covariate_names=("intercept",),
     )
-    return SimulatedField(x=x, y=y, dataset=dataset, kept=kept)
+    return SimulatedField(x=x, y=y, dataset=dataset)

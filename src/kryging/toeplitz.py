@@ -87,12 +87,10 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _unfold(q: np.ndarray, m: int, axis: int) -> np.ndarray:
-    """Extend frequencies 0..m//2 along ``axis`` to all m of an even
+def _unfold(q: np.ndarray, m: int) -> np.ndarray:
+    """Extend frequencies 0..m//2 along axis 0 to all m of an even
     spectrum, where frequency k equals frequency m - k."""
-    h = q.shape[axis]
-    tail = q[m - h : 0 : -1] if axis == 0 else q[:, m - h : 0 : -1]
-    return np.concatenate([q, tail], axis=axis)
+    return np.concatenate([q, q[m - q.shape[0] : 0 : -1]])
 
 
 class BttbOperator:
@@ -155,7 +153,7 @@ class BttbOperator:
         f2 = _next_fast_len(m2)
         self._fast_dims = (f1, f2)
         # rfft2 layout: every axis-0 frequency, axis-1 frequencies 0..f1//2
-        self._fast_eigs = _unfold(_quarter_spectrum(base, f1, f2), f2, 0)
+        self._fast_eigs = _unfold(_quarter_spectrum(base, f1, f2), f2)
         self._scratch = threading.local()
 
     @classmethod
@@ -256,7 +254,7 @@ class BttbOperator:
         np.subtract(b[:, :h1], b[neg], out=h.imag)
         h.imag /= 2
         del b
-        h *= np.sqrt(np.maximum(_unfold(self._quarter, m2, 0), 0.0))
+        h *= np.sqrt(np.maximum(_unfold(self._quarter, m2), 0.0))
         rows = np.fft.ifft(h, axis=0, out=h)[: self.grid.n2]
         field = np.fft.irfft(rows, n=m1, axis=1)[:, : self.grid.n1]
         return (field * np.sqrt(m2 * m1)).ravel()

@@ -114,6 +114,13 @@ def latent_basis(fact: GenGKFactorization) -> np.ndarray:
     return V.T
 
 
+def projected_coefficients(fact: GenGKFactorization, sigma2: float) -> np.ndarray:
+    """Dense solve of the projected ridge system
+    (B'B + I/sigma2) z = beta1 B' e1 of a factorization."""
+    B = fact.B
+    return np.linalg.solve(B.T @ B + np.eye(fact.k) / sigma2, fact.beta1 * B[0])
+
+
 def full_spectrum(op: BttbOperator) -> np.ndarray:
     """The full (m2, m1) clamped minimal-embedding spectrum of ``op``.
 

@@ -76,6 +76,13 @@ class TestSimulate:
         assert run_cli(["simulate", "--grid", "8x8", "--theta", "1,2,3",
                         "--seed", 0, "--out", workdir / "x.csv"]) == 2
 
+    def test_thinning_that_keeps_no_node_exits_2(self, workdir, capsys):
+        # round(16 * 0.03) = 0 nodes are left
+        out = workdir / "x.csv"
+        assert run_cli(["simulate", "--grid", "4x4", "--thin", 0.97, "--out", out]) == 2
+        assert "error: thin fraction 0.97 keeps no node of the 4x4 grid" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("extent", ["0,1,0", "a,1,0,1"])
 @pytest.mark.parametrize("command", ["simulate", "fit"])
@@ -819,6 +826,26 @@ class TestStudyCommand:
         assert seen["init"] == "truth"
         assert inspect.signature(study.run_replicate).parameters["init"].default == "truth"
 
+    @pytest.mark.parametrize("dest, value", [("k", 50), ("B", 20), ("max_iter", 200),
+                                             ("nu", 0.5), ("seed", 0)])
+    def test_shared_flag_defaults_are_the_librarys(self, dest, value):
+        import dataclasses
+        import inspect
+
+        from kryging import cli, estimation, likelihood, study
+
+        library = {f.default for f in dataclasses.fields(likelihood.ModelData) if f.name == dest}
+        for function in (estimation.fit, estimation.bootstrap_uq, study.run_replicate,
+                         study.run_study):
+            parameter = inspect.signature(function).parameters.get(dest)
+            if parameter is not None and parameter.default is not parameter.empty:
+                library.add(parameter.default)
+        assert library == {value}
+        _, commands = cli.build_parser()
+        defaults = {name: p.get_default(dest) for name, p in commands.items()
+                    if p.get_default(dest) is not None}
+        assert defaults and set(defaults.values()) == {value}, defaults
+
     def test_modis_default_init_starts_from_auto(self, workdir, monkeypatch):
         # a real dataset has no generating parameters; "truth" means "auto"
         from kryging import cli
@@ -1101,6 +1128,39 @@ class TestArtifact:
                       "--B", 2, "--out", workdir / "pred.csv"])
         assert rc == 2
         assert f"{gridless}: fit artifact has no 'grid' array" in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def fit_payload(self, tmp_path_factory):
+        """The arrays of an 8x8 fit artifact."""
+        workdir = tmp_path_factory.mktemp("fit")
+        data = simulate(workdir, grid="8x8")
+        fitfile = workdir / "fit.npz"
+        assert run_cli(["fit", "--grid", "8x8", "--extent", "0,1,0,1", "--k", 5,
+                        "--max-iter", 3, "--out", fitfile, data]) == 0
+        with np.load(fitfile, allow_pickle=False) as z:
+            return dict(z)
+
+    @pytest.mark.parametrize("key, value", [
+        ("grid", [np.inf, 8, 0.0, 1.0, 0.0, 1.0]),
+        ("grid", [np.nan, 8, 0.0, 1.0, 0.0, 1.0]),
+        ("grid", [8.5, 8, 0.0, 1.0, 0.0, 1.0]),
+        ("grid", [8, 8, 0.0, 1.0]),
+        ("k", np.inf),
+        ("k", 5.7),
+        ("iterations", [1, 2]),
+        ("sigma2", [1.0, 2.0]),
+    ], ids=["grid-inf-size", "grid-nan-size", "grid-fractional-size", "grid-four-entries",
+            "k-inf", "k-fractional", "iterations-two-values", "sigma2-two-values"])
+    def test_malformed_stored_value_exits_2_naming_file_and_key(self, workdir, capsys,
+                                                                 fit_payload, key, value):
+        forged = workdir / "forged.npz"
+        np.savez(forged, **{**fit_payload, key: np.array(value)})
+        locs = workdir / "locs.csv"
+        locs.write_text("lon,lat\n0.5,0.5\n")
+        rc = run_cli(["predict", "--fit", forged, "--locations", locs,
+                      "--out", workdir / "pred.csv"])
+        assert rc == 2
+        assert f"error: {forged}: fit artifact's {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["npy", "csv"])
     def test_non_archive_fit_file_exits_2(self, workdir, capsys, kind):

@@ -243,10 +243,9 @@ class TestTrustRegionStops:
         def evaluate(data, theta, k):
             vec = theta.to_optimizer_vector()
             calls.append(vec)
-            solution = KrygingSolution(np.zeros(1), np.zeros(data.grid.n), 0.0, np.zeros(1))
+            solution = KrygingSolution(np.zeros(data.grid.n), 0.0, np.zeros(1))
             return ObjectiveState(theta=theta, value=value(len(calls), vec), solution=solution,
-                                  psi=np.zeros(data.p), grad=np.asarray(grad, float),
-                                  diagnostics={})
+                                  grad=np.asarray(grad, float), diagnostics={})
 
         monkeypatch.setattr(estimation, "evaluate_objective", evaluate)
         return calls

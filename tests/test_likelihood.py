@@ -81,7 +81,8 @@ class TestProfileLoglik:
         )
         assert st.value == pytest.approx(expected, rel=1e-12)
         assert st.solution.quad == 0.0
-        np.testing.assert_array_equal(st.psi, 0.0)
+        b = data.y - data.X @ theta.beta
+        np.testing.assert_array_equal(b - data.amap.apply(st.solution.x_star), 0.0)
 
     def test_residual_with_zero_adjoint_matches_dense_profile(self):
         # two readings at one node that cancel: b != 0 but A' b = 0, so
@@ -92,7 +93,8 @@ class TestProfileLoglik:
         theta = ThetaParams(beta=np.array([2.0]), sigma2=1.2, tau2=0.7, rho=0.2)
         st = evaluate_objective(data, theta, k=5)
         assert st.diagnostics["k_effective"] == 0
-        np.testing.assert_array_equal(st.psi, [1.0, -1.0])
+        b = data.y - data.X @ theta.beta
+        np.testing.assert_array_equal(b - amap.apply(st.solution.x_star), [1.0, -1.0])
         S = dense_corr(g, theta.rho, 0.5)
         _, ld_exact = np.linalg.slogdet(S)
         ours = st.value - 0.5 * st.diagnostics["logdet"] + 0.5 * ld_exact
@@ -154,7 +156,9 @@ class TestGradient:
         th_shift = ThetaParams(THETA.beta + 10.0, THETA.sigma2, THETA.tau2, THETA.rho)
         st1 = evaluate_objective(data, THETA, k=10)
         st2 = evaluate_objective(shifted, th_shift, k=10)
-        np.testing.assert_allclose(st1.psi, st2.psi, atol=1e-10)
+        psi1 = data.y - data.X @ THETA.beta - data.amap.apply(st1.solution.x_star)
+        psi2 = shifted.y - shifted.X @ th_shift.beta - shifted.amap.apply(st2.solution.x_star)
+        np.testing.assert_allclose(psi1, psi2, atol=1e-10)
         assert st1.grad[0] == pytest.approx(st2.grad[0], abs=1e-10)
 
     def test_finite_on_log_box_with_valid_embeddings(self, rng):
