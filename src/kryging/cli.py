@@ -106,10 +106,12 @@ def _report(text, path=None):
 
 
 def _check_fit_settings(args):
-    """Check each of --k, --B, --nu and --max-iter the command has."""
+    """Check each of --k, --B, --seed, --nu and --max-iter the command has."""
     for name in ("k", "B", "max_iter"):
         if getattr(args, name, 1) < 1:
             raise InputError(f"{name} must be >= 1, got {getattr(args, name)}")
+    if getattr(args, "seed", 0) < 0:
+        raise InputError(f"seed must be >= 0, got {args.seed}")
     nu = getattr(args, "nu", 1.0)
     if not (np.isfinite(nu) and nu > 0):
         raise InputError(f"nu must be finite and positive, got {nu}")
@@ -191,6 +193,7 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_fit_settings(args)
     n1, n2 = _parse_grid(args.grid)
     grid = GridSpec(n1, n2, *(_parse_extent(args.extent) or (0.0, 1.0, 0.0, 1.0)))
     theta = _parse_theta(args.theta, args.nu)

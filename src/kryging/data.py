@@ -221,7 +221,10 @@ def read_dataset(path, covariates: list | None = None) -> Dataset:
     if not p:
         raise InputError(f"{path}: no observations")
     X = np.column_stack([np.ones(p), values[:, 3:]])
-    return Dataset(values[:, :2].copy(), values[:, 2].copy(), X, ("intercept", *use))
+    try:
+        return Dataset(values[:, :2].copy(), values[:, 2].copy(), X, ("intercept", *use))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def read_locations(path) -> np.ndarray:
@@ -316,6 +319,9 @@ def load_fit_artifact(path):
     a truncated archive, one missing a required array, or a file that is
     not an ``.npz`` archive at all (a single ``.npy`` array, a CSV), or
     an array of another shape or type than it should have (naming it).
+    Sizes must agree before any is used: one ``x_hat`` value per grid
+    node, one row of ``locations``, ``y`` and ``X`` per observation, and
+    one ``beta`` entry, ``X`` column and name per mean coefficient.
     """
     try:
         archive = np.load(path, allow_pickle=False)
@@ -337,53 +343,64 @@ def load_fit_artifact(path):
 
 
 def _stored(path, key, value, kind, shape=()):
-    """``value``, the array stored under ``key``, which must have ``shape``
-    and a dtype ``kind`` reads; an int must be a finite whole number."""
+    """``value``, the array stored under ``key``, which must match ``shape``
+    (None where any length will do) and have a dtype ``kind`` reads; an
+    int must be a finite whole number that an int64 holds."""
     value = np.asarray(value)
-    if value.shape != shape or value.dtype.kind not in {bool: "b", str: "U"}.get(kind, "iuf"):
+    if (value.ndim != len(shape) or any(s not in (None, v) for s, v in zip(shape, value.shape))
+            or value.dtype.kind not in {bool: "b", str: "U"}.get(kind, "iuf")):
         raise InputError(f"{path}: fit artifact's {key!r} must be {kind.__name__} data "
                          f"of shape {shape}, got {value.dtype} of shape {value.shape}")
     if kind is not int:
         return value if shape else kind(value)
-    if not (np.isfinite(value).all() and (value == value.round()).all()):
-        raise InputError(f"{path}: fit artifact's {key!r} holds {value}, not whole numbers")
+    if not (np.isfinite(value).all() and (value == value.round()).all()
+            and (abs(value) <= np.iinfo(np.int64).max).all()):
+        raise InputError(f"{path}: fit artifact's {key!r} holds {value}, "
+                         "not whole numbers an int64 holds")
     return list(map(int, value)) if shape else int(value)
+
+
+def _built(path, make, *args):
+    """``make(*args)``, its ``ValueError`` re-raised naming ``path``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise InputError(f"{exc} (in fit artifact {path})") from exc
 
 
 def _unpack_artifact(path, z):
     z = {"stop_reason": "unknown", "embedding_failures": 0, **z}  # older artifacts lack them
 
-    def scalar(key, kind):
-        return _stored(path, key, z[key], kind)
+    def read(key, kind, shape=()):
+        return _stored(path, key, z[key], kind, shape)
 
-    version = scalar("format_version", int)
+    version = read("format_version", int)
     if version != ARTIFACT_VERSION:
         raise InputError(f"{path}: artifact format version {version} not supported "
                          f"(expected {ARTIFACT_VERSION})")
-    stored = _stored(path, "grid", z["grid"], float, (6,))  # n1, n2 and the extents
+    stored = read("grid", float, (6,))  # n1, n2 and the extents
     n1, n2 = _stored(path, "grid", stored[:2], int, (2,))
-    grid = GridSpec(n1, n2, *map(float, stored[2:]))
-    theta = ThetaParams(z["beta"], *(scalar(key, float)
-                                     for key in ("sigma2", "tau2", "rho", "nu")))
+    grid = _built(path, GridSpec, n1, n2, *map(float, stored[2:]))
+    # every size is checked against the others before any is used
+    beta = read("beta", float, (None,))
+    locations = read("locations", float, (None, 2))
+    p, q = locations.shape[0], beta.size
     fitres = FitResult(
-        theta_hat=theta,
-        x_hat=z["x_hat"],
-        objective_trace=list(z["objective_trace"]),
-        converged=scalar("converged", bool),
-        iterations=scalar("iterations", int),
+        theta_hat=_built(path, ThetaParams, beta,
+                         *(read(key, float) for key in ("sigma2", "tau2", "rho", "nu"))),
+        x_hat=read("x_hat", float, (grid.n,)),
+        objective_trace=list(read("objective_trace", float, (None,))),
+        converged=read("converged", bool),
+        iterations=read("iterations", int),
         grid=grid,
-        k=scalar("k", int),
+        k=read("k", int),
         diagnostics={
-            "clamp_count": scalar("clamp_count", int),
-            "wall_time": scalar("wall_time", float),
-            "stop_reason": scalar("stop_reason", str),
-            "embedding_failures": scalar("embedding_failures", int),
+            "clamp_count": read("clamp_count", int),
+            "wall_time": read("wall_time", float),
+            "stop_reason": read("stop_reason", str),
+            "embedding_failures": read("embedding_failures", int),
         },
     )
-    dataset = Dataset(
-        locations=z["locations"],
-        y=z["y"],
-        X=z["X"],
-        covariate_names=tuple(str(name) for name in z["covariate_names"]),
-    )
+    dataset = _built(path, Dataset, locations, read("y", float, (p,)), read("X", float, (p, q)),
+                     tuple(map(str, read("covariate_names", str, (q,)))))
     return fitres, dataset

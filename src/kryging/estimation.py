@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gengk import _blas_free, gengk_factorize, solve
+from .gengk import gengk_factorize, solve
 from .grid import GridSpec, ThetaParams
 from .likelihood import ModelData, evaluate_objective
 from .mapping import SparseMap, build_map
@@ -277,7 +277,6 @@ def fit(
         diagnostics={
             "stop_reason": note,
             "embedding_failures": embedding_failures,
-            "gradient": state.grad,
             "max_log_step": float(np.abs(vec[-3:] - start[-3:]).max()),
             "wall_time": wall,
             **state.diagnostics,
@@ -310,8 +309,7 @@ def predict(
 def _rekryge(amap, op, bsim, theta, k):
     """Latent re-estimate for one bootstrap replicate with theta known.
     Replicates run concurrently, so its factorization calls no BLAS."""
-    with _blas_free():
-        fact = gengk_factorize(amap, op, bsim, theta.tau2, k)
+    fact = gengk_factorize(amap, op, bsim, theta.tau2, k, blas=False)
     return solve(fact, theta.sigma2, op).x_star
 
 
@@ -329,57 +327,52 @@ def _sum_in_order(task, count: int, total: np.ndarray) -> np.ndarray:
     """Add ``task(0) + ... + task(count - 1)`` to ``total`` in index order.
 
     The tasks run on :func:`_workers` threads, the calling thread among
-    them, each taking the next index as it frees up. A result that
-    finishes before its predecessors is held until they are added, so the
-    sum rounds exactly as a serial loop's. A failing task stops further
-    tasks from starting, and its exception is raised once the running
-    ones end.
+    them, each taking the next index as it frees up and keeping its
+    result in that index's slot. Once every thread has ended, the slots
+    are added in index order, so the sum rounds exactly as a serial
+    loop's. A failing task stops further tasks from starting, and its
+    exception is raised once the running ones end.
 
     The calling thread works rather than waits because each extra thread
     costs memory. A plain ``ThreadPoolExecutor(workers)`` with in-order
-    ``result()`` calls gave bitwise the same sums with bootstrap times
-    within noise, but on a 2-CPU Linux machine it raised the benchmark's
-    peak RSS by about a fifth (106 to 127 MB on the co-located 200 x 200
-    workload, 122 to 146 MB on the irregular 300 x 300 one). The extra
-    thread's malloc arena is the likely cause: under glibc's
-    ``MALLOC_ARENA_MAX=1`` both designs peaked at about 98 MB.
+    ``pool.map`` gives bitwise the same sums, but on a 2-CPU Linux
+    machine it raised the benchmark's peak RSS in each of 4 interleaved
+    12 s pairs at seed 31: 87.1 to 107.7 MB on the co-located 200 x 200
+    workload and 107.5 to 135.8 MB on the irregular 300 x 300 one. The
+    extra thread's malloc arena is the likely cause: under glibc's
+    ``MALLOC_ARENA_MAX=1`` the two designs peaked alike.
     """
     lock = threading.Lock()
     todo = iter(range(count))
-    ready = {}
-    added = 0
+    parts = [None] * count
 
     def work():
-        nonlocal added
         while True:
             with lock:
                 i = next(todo, None)
             if i is None:
                 return
             try:
-                part = task(i)
+                parts[i] = task(i)
             except BaseException:
                 with lock:
                     for _ in todo:  # drain, so no other thread starts a task
                         pass
                 raise
-            with lock:
-                ready[i] = part
-                while added in ready:
-                    np.add(total, ready.pop(added), out=total)
-                    added += 1
 
     workers = _workers(count)
     if workers == 1:
         work()
-        return total
-    with ThreadPoolExecutor(workers - 1, thread_name_prefix="kryging") as pool:
-        helpers = [pool.submit(work) for _ in range(workers - 1)]
-        try:
-            work()
-        finally:
-            for helper in helpers:
-                helper.result()
+    else:
+        with ThreadPoolExecutor(workers - 1, thread_name_prefix="kryging") as pool:
+            helpers = [pool.submit(work) for _ in range(workers - 1)]
+            try:
+                work()
+            finally:
+                for helper in helpers:
+                    helper.result()
+    for part in parts:
+        np.add(total, part, out=total)
     return total
 
 

@@ -26,8 +26,8 @@ sums in one fixed order; a threaded BLAS splits these sums differently
 for each thread count. The re-orthogonalization's update U' c is not a
 reduction over p: OpenBLAS computes each of its p outputs on one thread,
 so it rounds alike under any thread count, and it runs there, where two
-threads roughly halve it. Inside :func:`_blas_free`, which the bootstrap
-holds around each replicate's factorization, the update is an einsum
+threads roughly halve it. With ``blas=False``, which the bootstrap
+passes for each replicate's factorization, the update is an einsum
 too, so concurrent replicates never contend for the BLAS thread pool.
 Either way a factorization gives bitwise the same B and U whatever the
 BLAS thread count (a test pins this).
@@ -36,8 +36,6 @@ BLAS thread count (a test pins this).
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,19 +46,6 @@ from .toeplitz import BttbOperator
 __all__ = ["GenGKFactorization", "KrygingSolution", "gengk_factorize", "solve"]
 
 BREAKDOWN_REL_TOL = 1e-14
-
-_without_blas = threading.local()
-
-
-@contextmanager
-def _blas_free():
-    """Factorize on this thread without any BLAS call until the block ends."""
-    previous = getattr(_without_blas, "active", False)
-    _without_blas.active = True
-    try:
-        yield
-    finally:
-        _without_blas.active = previous
 
 
 def _dot(a, b) -> float:
@@ -130,6 +115,7 @@ def gengk_factorize(
     b: np.ndarray,
     tau2: float,
     k: int,
+    blas: bool = True,
 ) -> GenGKFactorization:
     """Run k steps of generalized Golub-Kahan bidiagonalization.
 
@@ -146,6 +132,10 @@ def gengk_factorize(
         Nugget variance, > 0.
     k : int
         Requested subspace order, >= 1. Truncated on breakdown.
+    blas : bool
+        Run the re-orthogonalization update through BLAS (default) or,
+        when False, through ``np.einsum``, so the factorization makes no
+        BLAS call at all.
 
     Each new u is re-orthogonalized against all earlier U rows in the
     noise metric. That one-sided projection also keeps V Sigma-orthonormal
@@ -166,7 +156,6 @@ def gengk_factorize(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     tau = math.sqrt(tau2)
-    blas_free = getattr(_without_blas, "active", False)
     # one basis vector per row, so every update touches contiguous memory;
     # the loop below stops by step n or p, so a larger k allocates no more
     size = min(k, amap.n, amap.p)
@@ -207,10 +196,10 @@ def gengk_factorize(
         r -= np.multiply(U[i], alpha, out=proj)
         coef = np.einsum("ij,j->i", U[: i + 1], r)
         coef /= tau2
-        if blas_free:
-            np.einsum("ij,i->j", U[: i + 1], coef, out=proj)
-        else:
+        if blas:
             np.matmul(U[: i + 1].T, coef, out=proj)
+        else:
+            np.einsum("ij,i->j", U[: i + 1], coef, out=proj)
         r -= proj
         beta = math.sqrt(_dot(r, r)) / tau
         if beta <= tol or i + 1 == amap.p:  # or u_1..u_p span R^p

@@ -136,6 +136,7 @@ def test_directory_as_path_exits_2(workdir, capsys, role):
         ("--k", "0", "k must be >= 1, got 0"),
     ]),
     ("study", "--B", "0", "B must be >= 1, got 0"),  # fit has no --B
+    ("study", "--seed", "-1", "seed must be >= 0, got -1"),  # nor --seed
 ])
 def test_flag_values_are_checked_before_any_file_is_read(workdir, capsys, command, flag,
                                                          value, message):
@@ -146,6 +147,19 @@ def test_flag_values_are_checked_before_any_file_is_read(workdir, capsys, comman
     err = capsys.readouterr().err
     assert f"error: {message}" in err
     assert "missing.csv" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "bootstrap"])
+def test_negative_seed_exits_2_before_any_file_is_touched(workdir, capsys, command):
+    missing = workdir / "missing.npz"
+    args = {"simulate": ["simulate", "--grid", "8x8"],
+            "bootstrap": ["bootstrap", "--fit", missing, "--locations", missing]}
+    out = workdir / "out.csv"
+    assert run_cli([*args[command], "--seed", "-3", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error: seed must be >= 0, got -3" in err
+    assert "missing" not in err
+    assert not out.exists()
 
 
 class TestFit:
@@ -170,6 +184,14 @@ class TestFit:
         rc = run_cli(["fit", "--grid", "8x8", "--out", workdir / "f.npz", bad])
         assert rc == 2
         assert "no observations" in capsys.readouterr().err
+
+    def test_fewer_rows_than_mean_coefficients_exits_2_naming_file(self, workdir, capsys):
+        short = workdir / "short.csv"
+        short.write_text("lon,lat,y,a,b\n0.1,0.2,1,5,6\n0.4,0.7,2,3,1\n")
+        rc = run_cli(["fit", "--grid", "8x8", "--out", workdir / "f.npz", short])
+        assert rc == 2
+        assert (f"error: {short}: fewer observations than mean coefficients"
+                in capsys.readouterr().err)
 
     def test_missing_covariate_exits_2(self, workdir, capsys):
         data = simulate(workdir)
@@ -1149,8 +1171,19 @@ class TestArtifact:
         ("k", 5.7),
         ("iterations", [1, 2]),
         ("sigma2", [1.0, 2.0]),
+        ("grid", [1e300, 8, 0.0, 1.0, 0.0, 1.0]),
+        ("k", 1e300),
+        ("x_hat", np.zeros(5)),
+        ("y", np.zeros(3)),
+        ("X", np.ones((64, 2))),  # one row per observation, one column too many
+        ("beta", np.eye(2)),
+        ("objective_trace", ["a", "b"]),
+        ("covariate_names", [1]),
     ], ids=["grid-inf-size", "grid-nan-size", "grid-fractional-size", "grid-four-entries",
-            "k-inf", "k-fractional", "iterations-two-values", "sigma2-two-values"])
+            "k-inf", "k-fractional", "iterations-two-values", "sigma2-two-values",
+            "grid-huge-size", "k-huge", "x_hat-five-values",
+            "y-three-values", "X-two-columns", "beta-two-by-two", "objective_trace-strings",
+            "covariate_names-integers"])
     def test_malformed_stored_value_exits_2_naming_file_and_key(self, workdir, capsys,
                                                                  fit_payload, key, value):
         forged = workdir / "forged.npz"
@@ -1161,6 +1194,28 @@ class TestArtifact:
                       "--out", workdir / "pred.csv"])
         assert rc == 2
         assert f"error: {forged}: fit artifact's {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("grid", [8, 8, 0.0, np.inf, 0.0, 1.0], "grid extents must be finite"),
+        ("sigma2", -1.0, "sigma2 must be finite and positive, got -1.0"),
+        ("nu", -0.5, "nu must be finite and positive, got -0.5"),
+        ("beta", [np.nan], "beta must be finite"),
+        ("y", np.full(64, np.nan), "non-finite values in y"),
+    ], ids=["grid-extent", "sigma2-negative", "nu-negative", "beta-nan", "y-nan"])
+    def test_refused_stored_value_exits_2_naming_file(self, workdir, capsys, fit_payload,
+                                                     key, value, message):
+        # the grid, the parameters and the training data refuse these values
+        # themselves; the artifact reader adds which file held them
+        forged = workdir / "forged.npz"
+        np.savez(forged, **{**fit_payload, key: np.array(value)})
+        locs = workdir / "locs.csv"
+        locs.write_text("lon,lat\n0.5,0.5\n")
+        rc = run_cli(["predict", "--fit", forged, "--locations", locs,
+                      "--out", workdir / "pred.csv"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert f"(in fit artifact {forged})" in err
 
     @pytest.mark.parametrize("kind", ["npy", "csv"])
     def test_non_archive_fit_file_exits_2(self, workdir, capsys, kind):

@@ -261,7 +261,7 @@ class TestValues:
         if isinstance(ref, np.ndarray) and ref.shape[0] == 0:
             ref = f"{path}: no observations"
         elif isinstance(ref, np.ndarray) and ref.shape[0] < 2:
-            ref = "fewer observations than mean coefficients"
+            ref = f"{path}: fewer observations than mean coefficients"
         if isinstance(ref, str):
             assert read_error(path) == ref
         else:

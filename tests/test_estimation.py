@@ -176,6 +176,15 @@ class TestFit:
         assert theta0.rho == pytest.approx(0.1 * np.sqrt(2.0), rel=1e-6)
         assert theta0.beta[0] == pytest.approx(sim.y.mean(), rel=1e-6)
 
+    def test_auto_init_splits_unit_variance_for_a_constant_response(self):
+        # no residual variance to split, so sill and nugget start at 1/2 each
+        g = GridSpec(4, 4)
+        data = ModelData(y=np.full(g.n, 3.7), X=np.ones((g.n, 1)),
+                         amap=build_map(g.node_coords(), g), grid=g)
+        theta0 = auto_init(data)
+        assert (theta0.sigma2, theta0.tau2) == (0.5, 0.5)
+        assert theta0.beta[0] == pytest.approx(3.7)
+
     def test_init_other_than_auto_or_theta_rejected(self):
         g, sim, data = simulated_data(6, TRUTH, seed=5)
         for init in ([TRUTH], "truth", None):

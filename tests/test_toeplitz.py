@@ -257,9 +257,9 @@ class TestDlogdet:
         g = GridSpec(8, 6)
         dop = BttbOperator.from_matern_drho(g, 0.2, 0.5)
         assert dop.clamp_count == 0
-        with pytest.raises(EmbeddingError, match="nonpositive eigenvalues in log-determinant"):
+        with pytest.raises(EmbeddingError, match="nonpositive eigenvalues in an unclamped"):
             dop.logdet()
-        with pytest.raises(EmbeddingError, match="nonpositive eigenvalues in derivative trace"):
+        with pytest.raises(EmbeddingError, match="nonpositive eigenvalues in an unclamped"):
             dlogdet_drho(dop, dop)
 
     def test_pair_requires_same_grid(self):
@@ -339,6 +339,14 @@ class TestSampling:
         out = op.sample(3)
         assert out.shape == (g.n,)
         assert np.all(np.isfinite(out))
+
+    def test_unclamped_nonpositive_spectrum_refuses_to_sample(self):
+        # nothing floors an unclamped spectrum, so a nonpositive
+        # eigenvalue is refused rather than sampled as zero variance
+        dop = BttbOperator.from_matern_drho(GridSpec(8, 6), 0.2, 0.5)
+        assert dop.clamp_count == 0
+        with pytest.raises(EmbeddingError, match="nonpositive eigenvalues in an unclamped"):
+            dop.sample(0)
 
 
 class TestRectangularGrids:
